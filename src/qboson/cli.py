@@ -1,8 +1,9 @@
 """Command-line surface: configuration, suite orchestration, reporting.
 
 Exit codes: 0 when every non-informational verdict matches its
-expectation (expected failures included), 1 on any unexpected verdict,
-2 on configuration or runtime errors.
+expectation (expected failures included) and no case raised, 1 on any
+unexpected verdict or any case that raised, 2 on configuration or
+runtime errors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fockrep, hopfops, rmatrix, sl2bridge, symalg
-from .qscalars import DeformParams, q_number, q_power
+from .qscalars import DeformParams, ParameterError, q_number, q_power
 from .report import IdentityReport, dump_matrix, make_report
 
 DEFAULT_EXPECT_FAIL = (
@@ -215,6 +216,11 @@ def parse_config(path: str | Path) -> SuiteConfig:
 
 
 def _validate_config(config: SuiteConfig) -> None:
+    for q in (config.q, *config.scan_q_values):
+        try:
+            config.params(q)
+        except ParameterError as exc:
+            raise ConfigError(f"{exc} (q = {q})") from None
     if len(config.rep_dims) != len(config.rep_shifts) or not config.rep_dims:
         raise ConfigError("reps.dims and reps.shifts must be equal-length, non-empty")
     if not (len(config.family_m) == len(config.family_K) == len(config.family_signs)):
@@ -528,6 +534,8 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
 
 def exit_code_for(reports: list[IdentityReport]) -> int:
     for rep in reports:
+        if rep.error is not None:
+            return 1
         if rep.verdict == "info":
             continue
         if rep.expected is not None and rep.verdict != rep.expected:

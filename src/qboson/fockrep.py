@@ -70,10 +70,6 @@ class FockRep:
         """Eigenvalues of N - (i*alpha/gamma) I."""
         return self.n_diag() - self.params.ialpha_over_gamma
 
-    def q_pow_n(self, s) -> np.ndarray:
-        """Diagonal matrix of q**(s*N)."""
-        return np.diag(q_power(s * self.n_diag(), self.params))
-
 
 def build_rep(D: int, c: complex, p: DeformParams) -> FockRep:
     """Build the truncated representation at dimension D and shift c.
@@ -139,20 +135,6 @@ def residual(lhs: np.ndarray, rhs: np.ndarray, dims: tuple[int, ...],
     dw = window_block(lhs - rhs, dims, window)
     raw = frobenius(dw)
     den = max(1.0, frobenius(window_block(rhs, dims, window)))
-    return raw, raw / den
-
-
-def scale_residual(lhs: np.ndarray, rhs: np.ndarray, dims: tuple[int, ...],
-                   window: Window) -> tuple[float, float]:
-    """Windowed residual relative to ||rhs||_F with no unit floor.
-
-    For identities between products of R-matrices the absolute scale is
-    meaningless (R carries an overall exp(-alpha**2/gamma)-type factor),
-    so the floor of :func:`residual` would mask genuine failures.
-    """
-    dw = window_block(lhs - rhs, dims, window)
-    raw = frobenius(dw)
-    den = max(frobenius(window_block(rhs, dims, window)), 1e-300)
     return raw, raw / den
 
 

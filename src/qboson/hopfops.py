@@ -256,11 +256,16 @@ def antipode_op(w: GenWord, rep: FockRep, fam: HopfFamily) -> np.ndarray:
 
 def opposite_coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep,
                           fam: HopfFamily, check_params: bool = True) -> np.ndarray:
-    """T.Delta: the coproduct conjugated by the tensor swap (needs D1 = D2)."""
+    """T.Delta: the coproduct conjugated by the tensor swap (needs D1 = D2).
+
+    The conjugation is an index permutation, <i j| T.Delta |k l> =
+    <j i| Delta |l k>, so no permutation matrix is formed.
+    """
     if rep1.dim != rep2.dim:
         raise ParameterError("opposite coproduct needs equal factor dimensions")
-    P = tensor_swap(rep1.dim, rep2.dim)
-    return P @ coproduct_op(w, rep2, rep1, fam, check_params) @ P
+    D = rep1.dim
+    delta = coproduct_op(w, rep2, rep1, fam, check_params)
+    return delta.reshape(D, D, D, D).transpose(1, 0, 3, 2).reshape(D * D, D * D)
 
 
 def qbar_coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily,

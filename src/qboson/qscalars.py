@@ -9,6 +9,7 @@ the Hopf structure relies on, so gamma is chosen exactly once.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -42,6 +43,8 @@ class DeformParams:
 
     def __post_init__(self):
         q = complex(self.q)
+        if not cmath.isfinite(q):
+            raise ParameterError("q must be finite")
         if q == 0:
             raise ParameterError("q must be nonzero")
         if q.imag == 0 and q.real < 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,6 +14,10 @@ FAIL_FACTOR = 100.0
 
 
 def verdict_of(normalized: float, tol: float) -> str:
+    """pass, fail or the gray-zone info; a non-finite residual proves nothing
+    and fails."""
+    if not math.isfinite(normalized):
+        return "fail"
     if normalized <= tol:
         return "pass"
     if normalized > FAIL_FACTOR * tol:

@@ -19,16 +19,24 @@ k = D2 - 1, so the series termination is exact, not approximate.  Every
 verdict applies to a leak-free window only; the Yang-Baxter and fusion
 products raise the middle factor by up to the window size, so their
 windows obey 2W <= D - 1 rather than the pairwise W + 1 <= D - 1.
+
+Every series term u_k (x) v_k has total-number degree zero, so R and
+every product of its leg embeddings is block-diagonal in the total
+n1 + n2 + n3 of the triple tensor.  The Yang-Baxter and fusion checks
+therefore evaluate the same truncated products one total-number sector
+at a time, gathering each sector block of a tensor product straight from
+its factors; no triple-tensor operator is ever formed.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import FockRep, Window, frobenius, residual, scale_residual, window_block
+from .fockrep import FockRep, Window, frobenius, residual, window_block
 from .hopfops import (GenWord, HopfFamily, antipode_op, coproduct_op, counit,
                       opposite_coproduct_op, qbar_coproduct_op, qpow, rep_word,
                       word)
@@ -81,16 +89,21 @@ def _series_coefficient(spec: RSpec, k: int, p: DeformParams) -> complex:
             * q_power(-spec.m * k * k - pm * k * (k - 1) / 4.0, p) / hip)
 
 
+def _series_dressing(spec: RSpec) -> tuple[float, float]:
+    """(s_u, s_v): the k-th raising word is q^{k s_u N} adag^k, the lowering
+    word q^{k s_v N} a^k."""
+    if spec.kind == "quantum_double":
+        return 0.5, -0.5
+    if spec.kind == "yan_claimed":
+        return 0.0, -0.5
+    return spec.m, -spec.m
+
+
 def _series_words(spec: RSpec, k: int) -> tuple[GenWord, GenWord]:
     """(raising word, lowering word) of the k-th series term."""
-    if spec.kind == "quantum_double":
-        return (word(qpow(k / 2.0), *(("adag",) * k)),
-                word(qpow(-k / 2.0), *(("a",) * k)))
-    if spec.kind == "yan_claimed":
-        return (word(*(("adag",) * k)),
-                word(qpow(-k / 2.0), *(("a",) * k)))
-    return (word(qpow(spec.m * k), *(("adag",) * k)),
-            word(qpow(-spec.m * k), *(("a",) * k)))
+    su, sv = _series_dressing(spec)
+    return (word(qpow(su * k), *(("adag",) * k)),
+            word(qpow(sv * k), *(("a",) * k)))
 
 
 def _prefactor_exponent(spec: RSpec, xvals: np.ndarray, yvals: np.ndarray,
@@ -172,72 +185,161 @@ def check_intertwiner(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep
                        [D1, D2], win.max_index, raw, raw / den, tol, started)
 
 
+def _triple_window(dims: tuple[int, int, int]) -> Window:
+    wmax = (min(dims) - 1) // 2  # the middle factor rises by up to W
+    return Window(wmax, guard=wmax)
+
+
+def _kron_block(A: np.ndarray, ia: np.ndarray, B: np.ndarray | None,
+                ib: np.ndarray) -> np.ndarray:
+    """Block of A (x) B on a set of states, gathered from the factors.
+
+    ia and ib are the states' row/column indices into A and B; B = None
+    stands for an identity leg, which becomes an equality mask.
+    """
+    block = A[ia[:, None], ia]
+    if B is None:
+        return block * (ib[:, None] == ib)
+    return block * B[ib[:, None], ib]
+
+
+def _r_leg_sectors(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
+                   wmax: int):
+    """R12, R13 and R23 one total-number sector s <= 3*wmax at a time.
+
+    Sector s of the truncated triple tensor holds the states with
+    n_i <= D_i - 1 and n1 + n2 + n3 = s.  Yields the sector's states as
+    index arrays (n1, n2, n3), the positions w among them of the window
+    states (every n_i <= wmax), and the three R-leg blocks, gathered from
+    R on each factor pair (built once per distinct pair of reps).
+    """
+    D1, D2, D3 = dims = rep1.dim, rep2.dim, rep3.dim
+    R12 = build_r(spec, rep1, rep2)
+    R13 = R12 if rep3 is rep2 else build_r(spec, rep1, rep3)
+    R23 = R13 if rep2 is rep1 else build_r(spec, rep2, rep3)
+    states = np.indices(dims).reshape(3, -1)
+    total = states.sum(axis=0)
+    for s in range(3 * wmax + 1):
+        n1, n2, n3 = sector = states[:, total == s]
+        w = np.flatnonzero((sector <= wmax).all(axis=0))
+        yield (n1, n2, n3), w, (_kron_block(R12, n1 * D2 + n2, None, n3),
+                                _kron_block(R13, n1 * D3 + n3, None, n2),
+                                _kron_block(R23, n2 * D3 + n3, None, n1))
+
+
+def _sector_residual(sides) -> tuple[float, float]:
+    """(raw, normalized) residual from per-sector window blocks (lhs, rhs).
+
+    Numerator and denominator are square roots of the summed per-sector
+    sums of squares, i.e. Frobenius norms over the whole window.  The
+    normalization is by ||rhs||_F with no unit floor: for identities
+    between products of R-matrices the absolute scale is meaningless (R
+    carries an overall exp(-alpha**2/gamma)-type factor), so a unit floor
+    would mask genuine failures.
+    """
+    num = den = 0.0
+    for lhs, rhs in sides:
+        diff = lhs - rhs
+        num += np.vdot(diff, diff).real
+        den += np.vdot(rhs, rhs).real
+    raw = math.sqrt(num)
+    return raw, raw / max(math.sqrt(den), 1e-300)
+
+
+def _dressed_powers(step: np.ndarray, s: float, ndiag: np.ndarray, kmax: int,
+                    p: DeformParams):
+    """q^{k s N} step^k for k < kmax, one matrix product per k.
+
+    N enters through its eigenvalues ndiag (a coproduct image for a
+    two-factor step), so the dressing is a row scale.
+    """
+    power = np.eye(step.shape[0], dtype=complex)
+    for k in range(kmax):
+        if k:
+            power = power @ step
+        yield q_power(k * s * ndiag, p)[:, None] * power
+
+
 def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
                       window: Window | None = None, tol: float | None = None,
                       dim_cap: int = 1 << 16) -> IdentityReport:
-    """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor."""
+    """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor, per sector."""
     started = time.perf_counter()
     p = rep1.params
     tol = tol if tol is not None else p.tol
-    D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
+    dims = D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
     if D1 * D2 * D3 > dim_cap:
         raise ParameterError(f"triple tensor dimension {D1 * D2 * D3} exceeds cap")
-    if window is None:
-        wmax = (min(D1, D2, D3) - 1) // 2  # the middle factor rises by up to W
-        window = Window(wmax, guard=wmax)
-    R12 = np.kron(build_r(spec, rep1, rep2), np.eye(D3, dtype=complex))
-    R23 = np.kron(np.eye(D1, dtype=complex), build_r(spec, rep2, rep3))
-    R13 = _embed_r13(build_r(spec, rep1, rep3), D1, D2, D3)
-    lhs = R12 @ R13 @ R23
-    rhs = R23 @ R13 @ R12
-    raw, nrm = scale_residual(lhs, rhs, (D1, D2, D3), window)
+    window = window or _triple_window(dims)
+    window.validate(*dims)
+    raw, nrm = _sector_residual(
+        (b12[w] @ b13 @ b23[:, w], b23[w] @ b13 @ b12[:, w])
+        for _, w, (b12, b13, b23) in _r_leg_sectors(spec, rep1, rep2, rep3,
+                                                    window.max_index))
     return make_report("yang_baxter", _echo(spec, p), [D1, D2, D3],
                        window.max_index, raw, nrm, tol, started)
+
+
+def _series_residual(spec: RSpec, p: DeformParams, pref: np.ndarray, raising,
+                     lowering, blocks) -> tuple[float, float]:
+    """Residual of pref * sum_k c_k raising_k (x) lowering_k against per-sector
+    right-hand sides.
+
+    blocks holds (ia, ib, rhs) per sector: the window states' indices into
+    the raising and lowering legs and the rhs window block.  pref is the
+    prefactor diagonal as a (raising leg) x (lowering leg) array.  The
+    series side has no products, so only its window entries are gathered.
+    """
+    series = [0.0] * len(blocks)
+    for k, (A, B) in enumerate(zip(raising, lowering)):
+        c = _series_coefficient(spec, k, p)
+        series = [acc + c * _kron_block(A, ia, B, ib)
+                  for acc, (ia, ib, _) in zip(series, blocks)]
+    return _sector_residual((pref[ia, ib][:, None] * acc, rhs)
+                            for acc, (ia, ib, rhs) in zip(series, blocks))
 
 
 def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                  rep3: FockRep, window: Window | None = None,
                  tol: float | None = None) -> list[IdentityReport]:
-    """(Delta (x) I)R = R13 R23 and (I (x) Delta)R = R13 R12.
+    """(Delta (x) I)R = R13 R23 and (I (x) Delta)R = R13 R12, per sector.
 
     Delta acts on the explicit series summands (it is not a conjugation
-    of the representation); the diagonal prefactor legs go through the
-    exponent formula evaluated on coproduct-image N eigenvalues.
+    of the representation): Delta(u_k) and Delta(v_k) are built one
+    ladder product per k, and their q^{sN} dressing and the diagonal
+    prefactor legs go through exponents evaluated on coproduct-image N
+    eigenvalues.
     """
+    started = time.perf_counter()
     p = fam.params
     tol = tol if tol is not None else p.tol
-    D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
-    if window is None:
-        wmax = (min(D1, D2, D3) - 1) // 2
-        window = Window(wmax, guard=wmax)
-    dn12 = (np.add.outer(rep1.n_diag(), rep2.n_diag()).reshape(-1) + fam.beta_const)
-    dn23 = (np.add.outer(rep2.n_diag(), rep3.n_diag()).reshape(-1) + fam.beta_const)
-    reports = []
+    dims = D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
+    window = window or _triple_window(dims)
+    window.validate(*dims)
+    left, right = [], []
+    for sector, w, (b12, b13, b23) in _r_leg_sectors(spec, rep1, rep2, rep3,
+                                                     window.max_index):
+        n1, n2, n3 = (n[w] for n in sector)  # the window states
+        left.append((n1 * D2 + n2, n3, b13[w] @ b23[:, w]))
+        right.append((n1, n2 * D3 + n3, b13[w] @ b12[:, w]))
+    su, sv = _series_dressing(spec)
+    N1, N3 = rep1.n_diag(), rep3.n_diag()
+    dn12 = (np.add.outer(N1, rep2.n_diag()).reshape(-1) + fam.beta_const)
+    dn23 = (np.add.outer(rep2.n_diag(), N3).reshape(-1) + fam.beta_const)
+
+    raw, nrm = _series_residual(
+        spec, p, q_power(_prefactor_exponent(spec, dn12, N3, p), p),
+        _dressed_powers(coproduct_op(word("adag"), rep1, rep2, fam), su, dn12, D3, p),
+        _dressed_powers(rep3.matA, sv, N3, D3, p), left)
+    reports = [make_report("fusion_left", _echo(spec, p), [D1, D2, D3],
+                           window.max_index, raw, nrm, tol, started)]
 
     started = time.perf_counter()
-    pref = q_power(_prefactor_exponent(spec, dn12, rep3.n_diag(), p).reshape(-1), p)
-    acc = np.zeros((D1 * D2 * D3,) * 2, dtype=complex)
-    for k in range(D3):
-        u, v = _series_words(spec, k)
-        acc += _series_coefficient(spec, k, p) * np.kron(
-            coproduct_op(u, rep1, rep2, fam), rep_word(v, rep3))
-    lhs = pref[:, None] * acc
-    R13 = _embed_r13(build_r(spec, rep1, rep3), D1, D2, D3)
-    R23 = np.kron(np.eye(D1, dtype=complex), build_r(spec, rep2, rep3))
-    raw, nrm = scale_residual(lhs, R13 @ R23, (D1, D2, D3), window)
-    reports.append(make_report("fusion_left", _echo(spec, p), [D1, D2, D3],
-                               window.max_index, raw, nrm, tol, started))
-
-    started = time.perf_counter()
-    pref = q_power(_prefactor_exponent(spec, rep1.n_diag(), dn23, p).reshape(-1), p)
-    acc = np.zeros((D1 * D2 * D3,) * 2, dtype=complex)
-    for k in range(min(D2, D3)):
-        u, v = _series_words(spec, k)
-        acc += _series_coefficient(spec, k, p) * np.kron(
-            rep_word(u, rep1), coproduct_op(v, rep2, rep3, fam))
-    lhs = pref[:, None] * acc
-    R12 = np.kron(build_r(spec, rep1, rep2), np.eye(D3, dtype=complex))
-    raw, nrm = scale_residual(lhs, R13 @ R12, (D1, D2, D3), window)
+    kmax = min(D2, D3)
+    raw, nrm = _series_residual(
+        spec, p, q_power(_prefactor_exponent(spec, N1, dn23, p), p),
+        _dressed_powers(rep1.matAdag, su, N1, kmax, p),
+        _dressed_powers(coproduct_op(word("a"), rep2, rep3, fam), sv, dn23, kmax, p), right)
     reports.append(make_report("fusion_right", _echo(spec, p), [D1, D2, D3],
                                window.max_index, raw, nrm, tol, started))
     return reports

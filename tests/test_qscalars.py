@@ -30,6 +30,13 @@ def test_params_accepts_unit_modulus_non_root():
     assert not DeformParams(q=1.3).on_unit_circle
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.3, float("nan")),
+                                 complex(float("-inf"), 1.0)])
+def test_params_rejects_non_finite_q(bad):
+    with pytest.raises(ParameterError):
+        DeformParams(q=bad)
+
+
 def test_q_number_values():
     p = DeformParams(q=2.0)
     assert q_number(0, p) == 0

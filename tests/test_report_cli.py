@@ -50,6 +50,12 @@ def test_verdict_zones():
     assert verdict_of(2e-7, tol) == "fail"
 
 
+def test_verdict_non_finite_fails():
+    # a NaN residual proves nothing; it must not land in the gray zone
+    for bad in (float("nan"), float("inf")):
+        assert verdict_of(bad, 1e-9) == "fail"
+
+
 def test_dump_matrix_format(tmp_path):
     path = tmp_path / "eye.mtx"
     dump_matrix(np.eye(2), path)
@@ -224,6 +230,15 @@ def test_exit_code_semantics():
     assert exit_code_for([ok, bad]) == 0  # expected failure
 
 
+def test_exit_code_errored_case():
+    ok = make_report("x", {}, [2], 1, 0.0, 0.0, 1e-9)
+    ok.expected = "pass"
+    crashed = IdentityReport(identity="y", params={}, dims=[], window=0,
+                             raw_residual=float("nan"), normalized_residual=float("nan"),
+                             verdict="info", error="WindowError: too small")
+    assert exit_code_for([ok, crashed]) == 1
+
+
 def test_expected_for_patterns():
     rpt = make_report("intertwiner_a", {"rspec": "yan_claimed"}, [8], 3, 1.0, 1.0, 1e-9)
     assert _expected_for(rpt, ("yan_claimed:intertwiner_a",)) == "fail"
@@ -252,6 +267,24 @@ def test_cli_bad_config_exits_2(tmp_path):
     cfg.write_text("q = 1.3\nnope = 1\n")
     assert main(["--config", str(cfg), "verify"]) == 2
     assert main(["--config", str(tmp_path / "missing.cfg"), "verify"]) == 2
+
+
+def test_cli_non_finite_q_exits_2(tmp_path):
+    assert main(["--q", "nan", "verify"]) == 2
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(FAST_CONFIG + "scan.q_values = [1.2, nan]\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "scan"]) == 2
+
+
+def test_cli_errored_cases_exit_1(tmp_path):
+    # axioms.dim = 2 leaves no leak-free window for the Hopf-axiom words:
+    # those cases raise, and a run that proved nothing must not exit 0
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + "axioms.dim = 2\n", encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
+    errors = [r for r in json.loads(out.read_text())["results"] if "error" in r]
+    assert errors and all(r["error"].startswith("WindowError") for r in errors)
 
 
 def test_cli_rmatrix_dump(tmp_path):

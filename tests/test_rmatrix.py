@@ -1,10 +1,17 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson.fockrep import window_block, window_indices
-from qboson.hopfops import HopfFamily
-from qboson.rmatrix import (RSpec, antipode_leg, build_r, check_antipode_inverse,
+from qboson.hopfops import HopfFamily, coproduct_op, rep_word
+from qboson.report import verdict_of
+from qboson.rmatrix import (RSpec, _embed_r13, _prefactor_exponent, _series_coefficient,
+                            _series_words, antipode_leg, build_r, check_antipode_inverse,
                             check_counit, check_fusion, check_intertwiner,
                             check_yan_relation, check_yang_baxter, family_for)
 
@@ -242,3 +249,101 @@ def test_r_build_windowed_agreement_across_dims(params):
     RA = window_block(build_r(QD, repA, repA), (6, 6), win)
     RB = window_block(build_r(QD, repB, repB), (12, 12), win)
     assert np.abs(RA - RB).max() <= 1e-14 * max(1.0, np.abs(RA).max())
+
+
+# ---------------------------------------------------------------------------
+# the per-sector Yang-Baxter and fusion checks against the dense products
+
+GF = RSpec(kind="general_family", m=1.0, K=0, sign="upper")
+
+
+def _dense_windowed(lhs, rhs, D, window):
+    """Windowed ||lhs - rhs||_F / ||rhs||_F with the 1e-300 floor."""
+    raw = np.linalg.norm(window_block(lhs - rhs, (D, D, D), window))
+    return raw / max(np.linalg.norm(window_block(rhs, (D, D, D), window)), 1e-300)
+
+
+def _dense_legs(spec, rep):
+    D = rep.dim
+    R = build_r(spec, rep, rep)
+    eye = np.eye(D, dtype=complex)
+    return np.kron(R, eye), _embed_r13(R, D, D, D), np.kron(eye, R)
+
+
+def dense_yang_baxter(spec, rep, window):
+    R12, R13, R23 = _dense_legs(spec, rep)
+    return _dense_windowed(R12 @ R13 @ R23, R23 @ R13 @ R12, rep.dim, window)
+
+
+def dense_fusion(spec, fam, rep, window):
+    """(left, right) fusion residuals from D^3 x D^3 Kronecker products."""
+    p, D = fam.params, rep.dim
+    n = rep.n_diag()
+    dn = np.add.outer(n, n).reshape(-1) + fam.beta_const
+    R12, R13, R23 = _dense_legs(spec, rep)
+    left = right = 0.0
+    for k in range(D):
+        u, v = _series_words(spec, k)
+        c = _series_coefficient(spec, k, p)
+        left = left + c * np.kron(coproduct_op(u, rep, rep, fam), rep_word(v, rep))
+        right = right + c * np.kron(rep_word(u, rep), coproduct_op(v, rep, rep, fam))
+    left = q_power(_prefactor_exponent(spec, dn, n, p).reshape(-1), p)[:, None] * left
+    right = q_power(_prefactor_exponent(spec, n, dn, p).reshape(-1), p)[:, None] * right
+    return (_dense_windowed(left, R13 @ R23, D, window),
+            _dense_windowed(right, R13 @ R12, D, window))
+
+
+def _agrees(sector, dense):
+    if not math.isfinite(dense):  # the general family overflows near q = 1
+        return not math.isfinite(sector)
+    return abs(sector - dense) <= 1e-12 * max(1.0, dense)
+
+
+_moduli = st.floats(0.5, 0.9) | st.floats(1.1, 2.2)
+_q_values = (
+    _moduli
+    | st.builds(lambda r, t: r * cmath.exp(1j * t), _moduli, st.floats(0.05, 1.2))
+    | st.floats(1e-6, 5e-2).map(lambda eps: 1.0 + eps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=_q_values, D=st.integers(4, 9), spec=st.sampled_from([QD, YAN, GF]))
+def test_sector_checks_match_dense_oracle(q, D, spec):
+    p = DeformParams(q=q)
+    rep = build_rep(D, 0.5, p)
+    fam = family_for(spec, p)
+    wmax = (D - 1) // 2
+    window = Window(wmax, guard=wmax)
+    with np.errstate(all="ignore"):
+        yb = check_yang_baxter(spec, rep, rep, rep)
+        fusion = check_fusion(spec, fam, rep, rep, rep)
+        dense = [dense_yang_baxter(spec, rep, window), *dense_fusion(spec, fam, rep, window)]
+    for rpt, want in zip([yb, *fusion], dense):
+        assert rpt.window == wmax
+        assert _agrees(rpt.normalized_residual, want), (rpt.identity, rpt.normalized_residual, want)
+        assert rpt.verdict == verdict_of(want, p.tol), rpt.identity
+
+
+@pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
+def test_r_conserves_pair_number(params, spec):
+    # the sector engine relies on R being exactly block-diagonal in n1 + n2
+    D = 7
+    R = build_r(spec, build_rep(D, 0.5, params), build_rep(D, 0.5, params))
+    n1, n2 = np.divmod(np.arange(D * D), D)
+    total = n1 + n2
+    assert np.all(R[total[:, None] != total[None, :]] == 0.0)
+
+
+def test_three_way_split_at_large_triple_dimension(params):
+    # D = 14: a dense check would multiply 2744 x 2744 complex operators
+    rep = build_rep(14, 0.5, params)
+    for spec in (QD, GF, YAN):
+        fam = family_for(spec, params)
+        reports = [check_yang_baxter(spec, rep, rep, rep), *check_fusion(spec, fam, rep, rep, rep)]
+        for rpt in reports:
+            assert rpt.window == 6
+            if spec is YAN:
+                assert rpt.normalized_residual > 1e-7, rpt.identity
+                assert rpt.verdict == "fail"
+            else:
+                assert rpt.verdict == "pass", (spec.kind, rpt.identity, rpt.normalized_residual)

@@ -10,6 +10,7 @@ from qboson.symalg import (BETA, NU, NU_PRIME, DegreeOverflowError,
                            antipode_sym_inv, coproduct_sym, cross_terms_difference,
                            dual_bracket_check, dual_hopf_check, eval_atomic,
                            eval_functional, eval_word, multiply, pairing_check,
+                           pairing_closed_form,
                            pairing_gram, qnu, quotient_cross_check,
                            straighten_cross, to_matrix)
 
@@ -309,6 +310,18 @@ def test_pairing_spot_values(params):
 def test_pairing_full_grid(params):
     report = pairing_check(3, 3, params)
     assert report.raw_residual <= 1e-9
+    assert report.verdict == "pass"
+
+
+@pytest.mark.parametrize("q", [1.05, 1.3, 2.1])
+def test_pairing_normalized_by_table_scale(q):
+    # entries grow like n!/gamma^n: at q = 1.05 the absolute deviation is
+    # about 1e-5 while the relative one is at rounding level
+    p = DeformParams(q=q)
+    report = pairing_check(5, 5, p)
+    scale = max(abs(pairing_closed_form(k, m, k, m, p)) for k in range(6) for m in range(6))
+    assert report.normalized_residual == pytest.approx(report.raw_residual / max(1.0, scale))
+    assert report.normalized_residual <= 1e-13
     assert report.verdict == "pass"
 
 
