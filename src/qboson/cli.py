@@ -265,33 +265,30 @@ def _qscalars_cases(config: SuiteConfig, p: DeformParams):
     rng = np.random.default_rng(config.seed)
 
     def additivity():
-        started = time.perf_counter()
         dev = 0.0
         for _ in range(20):
             z1, z2 = (complex(*rng.uniform(-2, 2, 2)) for _ in range(2))
             dev = max(dev, abs(q_power(z1 + z2, p) - q_power(z1, p) * q_power(z2, p)))
         return make_report("qscalars_qpower_additivity", {"q": str(p.q)}, [20], 0,
-                           dev, dev, p.tol, started)
+                           dev, dev, p.tol)
 
     def inversion():
-        started = time.perf_counter()
         pinv = p.inverted()
         dev = 0.0
         for _ in range(20):
             x = complex(*rng.uniform(-3, 3, 2))
             dev = max(dev, abs(q_number(x, p) - q_number(x, pinv)))
         return make_report("qscalars_qnum_inversion", {"q": str(p.q)}, [20], 0,
-                           dev, dev, p.tol, started)
+                           dev, dev, p.tol)
 
     def recursion():
         from .qscalars import half_index_product
-        started = time.perf_counter()
         dev = 0.0
         for k in range(1, 13):
             dev = max(dev, abs(half_index_product(k, p)
                                - half_index_product(k - 1, p) * q_number(k / 2.0, p)))
         return make_report("qscalars_half_index_recursion", {"q": str(p.q)}, [12], 0,
-                           dev, dev, p.tol, started)
+                           dev, dev, p.tol)
 
     return [("qscalars_qpower_additivity", additivity),
             ("qscalars_qnum_inversion", inversion),
@@ -305,15 +302,13 @@ def _fockrep_cases(config: SuiteConfig, p: DeformParams):
         win = fockrep.Window(min(8, D - 2), guard=1)
         for rel in rels:
             def run(D=D, c=c, rel=rel, win=win):
-                started = time.perf_counter()
                 rep = fockrep.build_rep(D, c, p)
                 nrm = fockrep.check_relation(rep, rel, win)
                 return make_report(f"relation_{rel}", {"q": str(p.q), "c": str(c)},
-                                   [D], win.max_index, nrm, nrm, p.tol, started)
+                                   [D], win.max_index, nrm, nrm, p.tol)
             cases.append((f"relation_{rel}_c{c}", run))
 
     def casimir_case():
-        started = time.perf_counter()
         dev = 0.0
         D = config.dim_pair
         win = fockrep.Window(min(8, D - 2), guard=1)
@@ -323,13 +318,12 @@ def _fockrep_cases(config: SuiteConfig, p: DeformParams):
             raw, nrm = fockrep.residual(fockrep.casimir(rep), want, (D,), win)
             dev = max(dev, nrm)
         return make_report("casimir_scalar", {"q": str(p.q)}, [D], win.max_index,
-                           dev, dev, p.tol, started)
+                           dev, dev, p.tol)
 
     def classical_case():
-        started = time.perf_counter()
         nrm = fockrep.classical_limit_residual(8, 1e-6, kappa=config.kappa)
         return make_report("classical_limit", {"eps": 1e-6}, [8], 6,
-                           nrm, nrm, 1e-5, started)
+                           nrm, nrm, 1e-5)
 
     cases.append(("casimir_scalar", casimir_case))
     cases.append(("classical_limit", classical_case))
@@ -350,7 +344,6 @@ def _hopfops_cases(config: SuiteConfig, p: DeformParams):
         cases.append((f"axioms_m{fam.m}_K{fam.K}_{fam.sign}", run))
 
     def homomorphism_random():
-        started = time.perf_counter()
         rng = np.random.default_rng(config.seed + 1)
         rep = fockrep.build_rep(D, 0.5, p)
         fam = hopfops.HopfFamily.canonical(p)
@@ -365,7 +358,7 @@ def _hopfops_cases(config: SuiteConfig, p: DeformParams):
             _, nrm = fockrep.residual(duv, du_dv, (D, D), win)
             dev = max(dev, nrm)
         return make_report("hopf_homomorphism_random", {"q": str(p.q)}, [D, D],
-                           win.max_index, dev, dev, p.tol, started)
+                           win.max_index, dev, dev, p.tol)
 
     cases.append(("hopf_homomorphism_random", homomorphism_random))
     return cases
@@ -384,7 +377,6 @@ def _symalg_cases(config: SuiteConfig, p: DeformParams):
         return symalg.dual_hopf_check(p, deg=2, cap=cap)
 
     def cross():
-        started = time.perf_counter()
         dev = 0.0
         # nu * A = A nu + A ; nu * Np = Np nu ; beta * Np = Np beta + beta
         akey, nkey, unit = (1, 0, 2), (0, 1, 0), (0, 0, 0)
@@ -396,7 +388,7 @@ def _symalg_cases(config: SuiteConfig, p: DeformParams):
             got = symalg.straighten_cross(fname, xname, p, cap)
             dev = max(dev, symalg.cross_terms_difference(got, expected, p, grid=2, cap=cap))
         return make_report("cross_straighten", {"q": str(p.q)}, [2], 2,
-                           dev, dev, p.tol, started)
+                           dev, dev, p.tol)
 
     def quotient():
         rep = fockrep.build_rep(config.dim_pair, 0.5, p)
@@ -453,34 +445,31 @@ def _sl2_cases(config: SuiteConfig, p: DeformParams):
         return sl2bridge.check_sl2(sl2bridge.realize_sl2(rep, 1.0))
 
     def centrality():
-        started = time.perf_counter()
         dev = 0.0
         for c in (0.5, 1.0):
             dev = max(dev, sl2bridge.casimir_centrality(fockrep.build_rep(Dp, c, p)))
         return make_report("sl2_casimir_central", {"q": str(p.q)}, [Dp], Dp - 2,
-                           dev, dev, p.tol, started)
+                           dev, dev, p.tol)
 
     def witness():
         fam = hopfops.HopfFamily.canonical(p)
         return sl2bridge.hopf_ideal_witness(config.dim_triple, fam)
 
     def witness_consistency():
-        started = time.perf_counter()
         fam = hopfops.HopfFamily.canonical(p)
         dev = max(sl2bridge.witness_projection_residual(config.dim_triple, p),
                   sl2bridge.witness_counit_leg_residual(config.dim_triple, fam))
         return make_report("witness_consistency", {"q": str(p.q)}, [config.dim_triple],
-                           config.dim_triple - 2, dev, dev, p.tol, started)
+                           config.dim_triple - 2, dev, dev, p.tol)
 
     def inverse_round_trip():
-        started = time.perf_counter()
         rep = fockrep.build_rep(Dp, 0.5, p)
         triple = sl2bridge.realize_sl2(rep, 1.0)
         matN, matA, matAdag, target = sl2bridge.inverse_realization(triple, 1.0)
         nrm = sl2bridge.symmetrized_relation_residual(matN, matA, matAdag, target)
         # published shift constant: a nonzero residual is surfaced, not corrected
         return make_report("inverse_realization_y", {"q": str(p.q), "shift": "published"},
-                           [Dp], Dp - 2, nrm, nrm, p.tol, started,
+                           [Dp], Dp - 2, nrm, nrm, p.tol,
                            verdict="info" if nrm > p.tol else "pass")
 
     return [("sl2_relations", relations), ("sl2_casimir_central", centrality),
@@ -508,16 +497,23 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
     cases += _sl2_cases(config, p)
 
     def run_one(item):
+        """The case's reports, its wall time split evenly over them."""
         case_id, fn = item
+        started = time.perf_counter()
         try:
             result = fn()
+            reports = result if isinstance(result, list) else [result]
         except Exception as exc:  # capture, do not abort the suite
-            return [IdentityReport(identity=case_id.split(":")[-1],
-                                   params={"case": case_id}, dims=[], window=0,
-                                   raw_residual=float("nan"),
-                                   normalized_residual=float("nan"),
-                                   verdict="info", error=f"{type(exc).__name__}: {exc}")]
-        return result if isinstance(result, list) else [result]
+            reports = [IdentityReport(identity=case_id.split(":")[-1],
+                                      params={"case": case_id}, dims=[], window=0,
+                                      raw_residual=float("nan"),
+                                      normalized_residual=float("nan"),
+                                      verdict="info",
+                                      error=f"{type(exc).__name__}: {exc}")]
+        share = (time.perf_counter() - started) / max(len(reports), 1)
+        for rep in reports:
+            rep.wall_time = share
+        return reports
 
     workers = int(os.environ.get("QBOSON_WORKERS", "0") or "0")
     if workers > 1:

@@ -1,14 +1,12 @@
 """Coproduct, counit and antipode as concrete operators on tensor products.
 
-Two computation paths coexist:
-
-* matrix path: Delta(word) is the product of the generators' coproduct
-  matrices (Delta is an algebra homomorphism), used wherever a plain
-  operator on the tensor square suffices;
-* symbolic path: a word is expanded into an explicit sum of tensor
-  products of generator words (Sweedler summands).  The multiplication
-  map m in the antipode axiom and the leg-wise counit contractions are
-  not conjugations of the representation, so they act on this expansion.
+The coproduct is defined once, on the generators, as an explicit sum of
+tensor products of generator words (the Sweedler summands of
+sweedler_letter).  Its matrix on a tensor product multiplies the
+matrixized images of a word's letters (Delta is an algebra
+homomorphism).  The multiplication map m in the antipode axiom and the
+leg-wise counit contractions are not conjugations of the representation,
+so they act on the Sweedler expansion itself.
 
 The general structure family is parameterized by a half-integer m, an
 integer K and a sign choice; the canonical structure is the point
@@ -22,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, reduce
 
 import numpy as np
 
@@ -53,9 +52,6 @@ class GenWord:
 
     def __mul__(self, other: "GenWord") -> "GenWord":
         return GenWord(self.letters + other.letters, self.prefactor * other.prefactor)
-
-    def scaled(self, z: complex) -> "GenWord":
-        return GenWord(self.letters, self.prefactor * z)
 
     @property
     def name(self) -> str:
@@ -134,26 +130,6 @@ class HopfFamily:
 
 
 # ---------------------------------------------------------------------------
-# tensor helpers
-
-
-def kron_all(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def tensor_swap(D1: int, D2: int) -> np.ndarray:
-    """Permutation matrix sending |i>|j> to |j>|i>."""
-    P = np.zeros((D1 * D2, D1 * D2))
-    for i in range(D1):
-        for j in range(D2):
-            P[j * D1 + i, i * D2 + j] = 1.0
-    return P
-
-
-# ---------------------------------------------------------------------------
 # representation of abstract words
 
 
@@ -167,55 +143,33 @@ def rep_letter(letter, rep: FockRep, p: DeformParams) -> np.ndarray:
     return np.diag(q_power(letter[1] * rep.n_diag(), p))
 
 
+def _letter_product(prefactor: complex, letters, dim: int, image) -> np.ndarray:
+    """prefactor times the product of image(letter) over letters, in order:
+    the matrix of a word under a (anti)homomorphism given on its letters."""
+    images = [image(ltr) for ltr in letters]  # none is built beside a partial product
+    out = np.eye(dim, dtype=complex) * prefactor
+    for img in images:
+        out = out @ img
+    return out
+
+
 def rep_word(w: GenWord, rep: FockRep, p: DeformParams | None = None) -> np.ndarray:
     """Matrix of a word; q-powers use p (defaults to the rep's parameters)."""
     p = p or rep.params
-    out = np.eye(rep.dim, dtype=complex) * w.prefactor
-    for ltr in w.letters:
-        out = out @ rep_letter(ltr, rep, p)
-    return out
+    return _letter_product(w.prefactor, w.letters, rep.dim,
+                           lambda ltr: rep_letter(ltr, rep, p))
 
 
 # ---------------------------------------------------------------------------
 # coproduct / counit / antipode on letters and words
 
 
-def _delta_n_diag(rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
-    """Diagonal of Delta(N) on the tensor square."""
-    n1, n2 = rep1.n_diag(), rep2.n_diag()
-    return (np.add.outer(n1, n2).reshape(-1) + fam.beta_const)
-
-
-def delta_letter(letter, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
-    p = fam.params
-    D1, D2 = rep1.dim, rep2.dim
-    I1 = np.eye(D1, dtype=complex)
-    I2 = np.eye(D2, dtype=complex)
-    if letter == "N":
-        return (np.kron(rep1.matN, I2) + np.kron(I1, rep2.matN)
-                + fam.beta_const * np.eye(D1 * D2, dtype=complex))
-    if isinstance(letter, tuple):  # q^{sN}: exact diagonal exponential of Delta(N)
-        return np.diag(q_power(letter[1] * _delta_n_diag(rep1, rep2, fam), p))
-    qd1 = lambda s: np.diag(q_power(s * rep1.n_diag(), p))
-    qd2 = lambda s: np.diag(q_power(s * rep2.n_diag(), p))
-    if letter == "a":
-        return (np.kron(rep1.matA, qd2(fam.m))
-                + fam.sg * 1j * np.kron(qd1(fam.r), rep2.matA)) * fam.phase_lower_gen
-    # adag
-    return (np.kron(rep1.matAdag, qd2(-fam.r))
-            + fam.sg * 1j * np.kron(qd1(-fam.m), rep2.matAdag)) * fam.phase_raise_gen
-
-
 def coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily,
                  check_params: bool = True) -> np.ndarray:
-    """Delta applied letterwise and multiplied in word order."""
+    """Delta(w) on the tensor square: the two-leg iterated coproduct."""
     if check_params and not (rep1.params.q == rep2.params.q == fam.params.q):
         raise ParameterError("representations and family must share DeformParams")
-    D = rep1.dim * rep2.dim
-    out = np.eye(D, dtype=complex) * w.prefactor
-    for ltr in w.letters:
-        out = out @ delta_letter(ltr, rep1, rep2, fam)
-    return out
+    return iterated_coproduct(w, (rep1, rep2), fam)
 
 
 def counit(w: GenWord, fam: HopfFamily) -> complex:
@@ -248,10 +202,8 @@ def antipode_letter(letter, rep: FockRep, fam: HopfFamily) -> np.ndarray:
 
 def antipode_op(w: GenWord, rep: FockRep, fam: HopfFamily) -> np.ndarray:
     """Antihomomorphism: letters mapped by S, product order reversed."""
-    out = np.eye(rep.dim, dtype=complex) * w.prefactor
-    for ltr in reversed(w.letters):
-        out = out @ antipode_letter(ltr, rep, fam)
-    return out
+    return _letter_product(w.prefactor, reversed(w.letters), rep.dim,
+                           lambda ltr: antipode_letter(ltr, rep, fam))
 
 
 def opposite_coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep,
@@ -345,7 +297,7 @@ def matrixize(terms, reps: tuple[FockRep, ...], fam: HopfFamily) -> np.ndarray:
     total = int(np.prod([r.dim for r in reps]))
     out = np.zeros((total, total), dtype=complex)
     for coeff, legs in terms:
-        out += coeff * kron_all(*(rep_word(u, r, fam.params) for u, r in zip(legs, reps)))
+        out += coeff * reduce(np.kron, (rep_word(u, r, fam.params) for u, r in zip(legs, reps)))
     return out
 
 
@@ -368,13 +320,8 @@ def iterated_coproduct(w: GenWord, reps: tuple[FockRep, ...], fam: HopfFamily,
         raise ParameterError(f"tensor dimension {total} exceeds cap {dim_cap}")
     if len(reps) == 1:
         return rep_word(w, reps[0], fam.params)
-    out = np.eye(total, dtype=complex) * w.prefactor
-    images: dict = {}
-    for ltr in w.letters:
-        if ltr not in images:
-            images[ltr] = multileg_coproduct_letter(ltr, reps, fam, iterate)
-        out = out @ images[ltr]
-    return out
+    return _letter_product(w.prefactor, w.letters, total, cache(
+        lambda ltr: multileg_coproduct_letter(ltr, reps, fam, iterate)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +355,12 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
     reports = []
     fam_tag = {"m": fam.m, "K": fam.K, "sign": fam.sign, "q": str(fam.params.q)}
     trip = (rep, rep, rep)
-    letter3 = {side: {ltr: multileg_coproduct_letter(ltr, trip, fam, side)
-                      for ltr in ("N", "a", "adag")} for side in ("left", "right")}
+    # the letters' images are shared by every word of the sample
+    letter3 = {side: cache(lambda ltr, side=side: multileg_coproduct_letter(ltr, trip, fam, side))
+               for side in ("left", "right")}
 
     def delta2(w: GenWord, side: str) -> np.ndarray:
-        out = np.eye(D ** 3, dtype=complex) * w.prefactor
-        for ltr in w.letters:
-            img = letter3[side].get(ltr)
-            if img is None:
-                img = multileg_coproduct_letter(ltr, trip, fam, side)
-            out = out @ img
-        return out
+        return _letter_product(w.prefactor, w.letters, D ** 3, letter3[side])
 
     for w in sample:
         guard = max(1, len(w.letters))

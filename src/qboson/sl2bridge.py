@@ -6,7 +6,6 @@ its square), so every triple records the base its bracket is checked at.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,6 @@ def realize_sl2(rep: FockRep, lam: complex) -> Sl2Triple:
 def check_sl2(triple: Sl2Triple, window: Window | None = None,
               tol: float | None = None) -> IdentityReport:
     """Max windowed residual of [h,e] = 2e, [h,f] = -2f, [e,f] = [h] at the base."""
-    started = time.perf_counter()
     pb = triple.base_params
     tol = tol if tol is not None else pb.tol
     D = triple.h.shape[0]
@@ -64,7 +62,7 @@ def check_sl2(triple: Sl2Triple, window: Window | None = None,
         raw, nrm = residual(lhs, rhs, (D,), win)
         worst_raw, worst = max(worst_raw, raw), max(worst, nrm)
     return make_report("sl2_relations", {"base_q": str(pb.q)}, [D],
-                       win.max_index, worst_raw, worst, tol, started)
+                       win.max_index, worst_raw, worst, tol)
 
 
 def inverse_realization(triple: Sl2Triple, mu: complex,
@@ -128,7 +126,6 @@ def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None,
     so a successful witness is reported as "fail" and suites mark it as
     an expected failure.
     """
-    started = time.perf_counter()
     p = fam.params
     tol = tol if tol is not None else p.tol
     rep = build_rep(D, 0.5, p)
@@ -140,7 +137,7 @@ def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None,
     rhs = np.diag(q_number(dn_diag - 0.5, p))
     raw, nrm = residual(lhs, rhs, (D, D), win)
     return make_report("hopf_ideal_witness", {"q": str(p.q), "c": "0.5"}, [D, D],
-                       win.max_index, raw, nrm, tol, started)
+                       win.max_index, raw, nrm, tol)
 
 
 def witness_projection_residual(D: int, p: DeformParams) -> float:

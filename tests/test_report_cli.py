@@ -182,6 +182,17 @@ def test_run_suite_fast(fast_config):
     assert not [r for r in reports if r.error]
 
 
+def test_runner_times_every_report(fast_config):
+    # the runner times each case and splits the time over its reports, so
+    # every report carries a time, errored cases included
+    from dataclasses import replace
+    reports = run_suite(fast_config)
+    assert all(r.wall_time > 0 for r in reports)
+    crashed = run_suite(replace(fast_config, axiom_dim=2))
+    assert [r for r in crashed if r.error]
+    assert all(r.wall_time > 0 for r in crashed)
+
+
 def test_run_suite_empty_rspecs(fast_config):
     from dataclasses import replace
     config = replace(fast_config, rspecs=())

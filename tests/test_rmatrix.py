@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson.fockrep import window_block, window_indices
-from qboson.hopfops import HopfFamily, coproduct_op, rep_word
+from qboson.hopfops import HopfFamily, antipode_op, coproduct_op, rep_word
 from qboson.report import verdict_of
-from qboson.rmatrix import (RSpec, _embed_r13, _prefactor_exponent, _series_coefficient,
-                            _series_words, antipode_leg, build_r, check_antipode_inverse,
-                            check_counit, check_fusion, check_intertwiner,
-                            check_yan_relation, check_yang_baxter, family_for)
+from qboson.rmatrix import (RSpec, _embed_r13, _series, antipode_leg, build_r,
+                            check_antipode_inverse, check_counit, check_fusion,
+                            check_intertwiner, check_yan_relation, check_yang_baxter,
+                            family_for)
 
 QD = RSpec(kind="quantum_double")
 YAN = RSpec(kind="yan_claimed")
@@ -44,6 +44,49 @@ def test_build_r_diagonal_prefactor(params):
     n = rep.n_diag()
     want = q_power(np.multiply.outer(n - iag, n - iag).reshape(-1), params)
     assert np.allclose(np.diag(R), want)
+
+
+GF = RSpec(kind="general_family", m=1.0, K=0, sign="upper")
+
+
+def word_by_word_r(spec, rep1, rep2):
+    """pref * sum_k c_k kron(u_k, v_k), each word's matrix formed letter by letter."""
+    p = rep1.params
+    series = _series(spec, p)
+    pref = q_power(series.exponent(rep1.n_diag(), rep2.n_diag()), p).reshape(-1)
+    total = np.zeros((rep1.dim * rep2.dim,) * 2, dtype=complex)
+    for k in range(rep2.dim):
+        u, v = series.words(k)
+        total += series.coefficient(k) * np.kron(rep_word(u, rep1), rep_word(v, rep2))
+    return pref[:, None] * total
+
+
+@pytest.mark.parametrize("q", [1.3, 0.7 + 0.2j, 0.8])
+@pytest.mark.parametrize("D", [6, 9])
+@pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
+def test_build_r_matches_word_by_word(q, D, spec):
+    # build_r takes its legs from one ladder product per k
+    rep = build_rep(D, 0.5, DeformParams(q=q))
+    got = build_r(spec, rep, rep)
+    want = word_by_word_r(spec, rep, rep)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
+def test_antipode_leg_matches_products(params, spec):
+    # (S (x) I)R term by term as (S(u_k) (x) I) diag(pref) (I (x) v_k)
+    rep1, rep2 = build_rep(7, 0.5, params), build_rep(6, 0.5, params)
+    fam = family_for(spec, params)
+    series = _series(spec, params)
+    sn = -rep1.n_diag() + fam.antipode_N_shift()
+    pref = q_power(series.exponent(sn, rep2.n_diag()), params).reshape(-1)
+    I1, I2 = np.eye(7, dtype=complex), np.eye(6, dtype=complex)
+    want = sum(series.coefficient(k) * (
+        np.kron(antipode_op(series.words(k)[0], rep1, fam), I2)
+        @ (pref[:, None] * np.kron(I1, rep_word(series.words(k)[1], rep2))))
+        for k in range(6))
+    got = antipode_leg(spec, fam, rep1, rep2)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_build_r_requires_shared_params():
@@ -254,8 +297,6 @@ def test_r_build_windowed_agreement_across_dims(params):
 # ---------------------------------------------------------------------------
 # the per-sector Yang-Baxter and fusion checks against the dense products
 
-GF = RSpec(kind="general_family", m=1.0, K=0, sign="upper")
-
 
 def _dense_windowed(lhs, rhs, D, window):
     """Windowed ||lhs - rhs||_F / ||rhs||_F with the 1e-300 floor."""
@@ -281,14 +322,15 @@ def dense_fusion(spec, fam, rep, window):
     n = rep.n_diag()
     dn = np.add.outer(n, n).reshape(-1) + fam.beta_const
     R12, R13, R23 = _dense_legs(spec, rep)
+    series = _series(spec, p)
     left = right = 0.0
     for k in range(D):
-        u, v = _series_words(spec, k)
-        c = _series_coefficient(spec, k, p)
+        u, v = series.words(k)
+        c = series.coefficient(k)
         left = left + c * np.kron(coproduct_op(u, rep, rep, fam), rep_word(v, rep))
         right = right + c * np.kron(rep_word(u, rep), coproduct_op(v, rep, rep, fam))
-    left = q_power(_prefactor_exponent(spec, dn, n, p).reshape(-1), p)[:, None] * left
-    right = q_power(_prefactor_exponent(spec, n, dn, p).reshape(-1), p)[:, None] * right
+    left = q_power(series.exponent(dn, n).reshape(-1), p)[:, None] * left
+    right = q_power(series.exponent(n, dn).reshape(-1), p)[:, None] * right
     return (_dense_windowed(left, R13 @ R23, D, window),
             _dense_windowed(right, R13 @ R12, D, window))
 
