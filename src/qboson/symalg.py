@@ -325,6 +325,16 @@ def _eval_word_key(factors: tuple, key: Key, p: DeformParams, cap: int,
     return total
 
 
+def clear_caches() -> None:
+    """Empty the coproduct and word-evaluation caches.
+
+    Their keys hold DeformParams, so entries made at one q are never
+    reused at another; a sweep over q clears them after each point.
+    """
+    _coproduct_key.cache_clear()
+    _eval_word_key.cache_clear()
+
+
 def eval_word(factors, x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP,
               split: str = "left") -> complex:
     """Evaluate the dual product f1 f2 ... fr on x via iterated coproducts.

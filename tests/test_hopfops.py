@@ -1,13 +1,20 @@
+import cmath
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
-from qboson.fockrep import residual
+from qboson.fockrep import residual, window_indices
 from qboson.hopfops import (HopfFamily, antipode_op, check_hopf_axioms,
                             coproduct_op, counit, default_axiom_words,
                             iterated_coproduct, opposite_coproduct_op,
                             qbar_coproduct_op, qpow, rep_word, sweedler_expand,
-                            word)
+                            sweedler_expand_n, word)
+from qboson.report import verdict_of
 
 
 def canonical_oracle(rep, p):
@@ -43,6 +50,27 @@ def delta_oracle(letter, rep1, rep2, fam):
                 + fam.sg * 1j * np.kron(qd1(fam.r), rep2.matA)) * fam.phase_lower_gen
     return (np.kron(rep1.matAdag, qd2(-fam.r))
             + fam.sg * 1j * np.kron(qd1(-fam.m), rep2.matAdag)) * fam.phase_raise_gen
+
+
+def dense_delta2(w, rep, fam, side):
+    """Delta_2(w) as a D^3 x D^3 matrix: the dense letter-image product.
+
+    Each letter's image is the Kronecker sum of its three-leg Sweedler
+    terms; the word's image multiplies them from the scaled identity.
+    """
+    D = rep.dim
+    out = np.eye(D ** 3, dtype=complex) * w.prefactor
+    for ltr in w.letters:
+        out = out @ sum(c * reduce(np.kron, (rep_word(u, rep, fam.params) for u in legs))
+                        for c, legs in sweedler_expand_n(word(ltr), fam, 3, side))
+    return out
+
+
+def dense_coassoc(w, rep, fam, window):
+    """(left, right, normalized residual) of coassociativity, dense."""
+    left, right = dense_delta2(w, rep, fam, "left"), dense_delta2(w, rep, fam, "right")
+    _, nrm = residual(left, right, (rep.dim,) * 3, window)
+    return left, right, nrm
 
 
 def tensor_swap(D1, D2):
@@ -325,3 +353,55 @@ def test_family_respects_symmetrized_relation(params_real):
         rhs = np.diag(q_number(dn + 0.5, params_real) - q_number(dn - 0.5, params_real))
         _, nrm = residual(lhs, rhs, (8, 8), Window(5, guard=1))
         assert nrm <= 1e-12
+
+
+_fams = st.builds(lambda m, K, sign: (m, K, sign), st.sampled_from([-0.5, 0.5, 1.0]),
+                  st.sampled_from([-1, 0, 1]), st.sampled_from(["upper", "lower"]))
+_moduli = st.floats(0.5, 0.9) | st.floats(1.1, 2.2)
+_q_values = _moduli | st.builds(lambda r, t: r * cmath.exp(1j * t), _moduli,
+                                st.floats(0.05, 1.2))
+_words = st.lists(st.sampled_from(["N", "a", "adag"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(point=_fams, q=_q_values, D=st.integers(4, 8), letters=_words)
+@example(point=(1.0, -1, "upper"), q=0.4384725033394808 + 0.674197487611197j, D=5,
+         letters=["N", "N", "N"])  # the largest difference found in 3000 draws
+def test_coassociativity_gather_matches_dense_oracle(point, q, D, letters):
+    # Both sides are rounding-level: the dense product sums Delta_2(N) before
+    # multiplying, while the gather sums the expanded Sweedler terms, which
+    # loses a few ulps more to cancellation (2.5e-15 at the pinned example)
+    p = DeformParams(q=q)
+    rep = build_rep(D, 0.5, p)
+    fam = HopfFamily(m=point[0], K=point[1], sign=point[2], params=p)
+    w = word(*letters)
+    guard = len(letters)
+    window = Window(max(0, D - 1 - guard), guard=guard)
+    rpt = check_hopf_axioms(fam, rep, [w])[0]
+    left, right, want = dense_coassoc(w, rep, fam, window)
+    assert rpt.identity == f"hopf_coassoc_{w.name}"
+    assert rpt.window == window.max_index
+    assert abs(rpt.normalized_residual - want) <= 1e-14, (rpt.normalized_residual, want)
+    assert rpt.verdict == verdict_of(want, p.tol)
+    # the gather skips the window entries off the word's degree: exact zeros
+    idx = window_indices((D, D, D), window.max_index)
+    total = np.add.reduce(np.unravel_index(idx, (D, D, D)))
+    degree = letters.count("adag") - letters.count("a")
+    off = total[:, None] != total + degree
+    for side in (left, right):
+        assert np.all(side[np.ix_(idx, idx)][off] == 0.0)
+
+
+def test_axioms_peak_memory_below_one_dense_operator(params_real):
+    # one dense D^3 x D^3 complex operator at D = 10 is 16 MB
+    rep = build_rep(10, 0.5, params_real)
+    fam = HopfFamily.canonical(params_real)
+    tracemalloc.start()
+    try:
+        reports = check_hopf_axioms(fam, rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 5 * len(default_axiom_words())
+    assert all(r.verdict == "pass" for r in reports)
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20

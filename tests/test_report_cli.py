@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from qboson.cli import (ConfigError, _expected_for, emit_report, exit_code_for,
-                        main, parse_config, parse_rspec, run_suite)
+from qboson import cli, symalg
+from qboson.cli import (ConfigError, _expected_for, _qscalars_cases, emit_report,
+                        exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
                            verdict_of)
 
@@ -337,3 +338,46 @@ def test_workers_env_preserves_results(fast_config, monkeypatch):
     assert [r.identity for r in serial] == [r.identity for r in parallel]
     assert [r.normalized_residual for r in serial] == \
         [r.normalized_residual for r in parallel]
+
+
+def test_sampled_cases_do_not_depend_on_run_order(fast_config):
+    # the thread pool may run the cases in any order; each case's samples
+    # are drawn when the cases are built
+    p = fast_config.params()
+    forward = [fn().as_dict() for _, fn in _qscalars_cases(fast_config, p)]
+    backward = [fn().as_dict() for _, fn in reversed(_qscalars_cases(fast_config, p))]
+    for rep in forward + backward:
+        rep.pop("wall_time")
+    assert forward == backward[::-1]
+
+
+def _symalg_cache_sizes():
+    return (symalg._coproduct_key.cache_info().currsize,
+            symalg._eval_word_key.cache_info().currsize)
+
+
+def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
+    # the caches are keyed by q; a scan must not carry one point's entries
+    # into the next
+    seen = []
+
+    def traced_run_suite(config):
+        reports = run_suite(config)
+        seen.append(_symalg_cache_sizes())
+        return reports
+
+    monkeypatch.setattr(cli, "run_suite", traced_run_suite)
+
+    def scan(values):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(FAST_CONFIG + f"scan.q_values = [{values}]\n", encoding="utf-8")
+        symalg.clear_caches()
+        seen.clear()
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "s.json"), "scan"]) == 0
+        return list(seen), _symalg_cache_sizes()
+
+    (one_point,), after_one = scan("1.4")
+    (_, last_point), after_two = scan("1.2, 1.4")
+    assert one_point[0] > 0 and one_point[1] > 0
+    assert last_point == one_point
+    assert all(two <= one for two, one in zip(after_two, after_one))
