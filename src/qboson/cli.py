@@ -610,11 +610,12 @@ def _cmd_pairing(args) -> int:
     config = _load_config(args)
     p = config.params()
     G = symalg.pairing_gram(args.kmax, args.mmax, p, config.degree_cap)
-    report = symalg.pairing_check(args.kmax, args.mmax, p, config.degree_cap)
+    report = symalg.pairing_check(args.kmax, args.mmax, p, config.degree_cap, gram=G)
     if config.dump_dir:
         path = dump_matrix(G, Path(config.dump_dir) / "pairing_gram.mtx")
         print(f"wrote {path}")
-    print(f"pairing max deviation: {report.raw_residual:.3e} [{report.verdict}]")
+    print(f"pairing max deviation: {report.raw_residual:.3e}, "
+          f"normalized {report.normalized_residual:.3e} [{report.verdict}]")
     return 0 if report.verdict == "pass" else 1
 
 

@@ -28,7 +28,13 @@ test suite before anything else relies on them.
 
 Products of functionals are evaluated through the coproduct: a word
 f1 f2 ... fr applied to x is (f1 (x) ... (x) fr)(Delta_{r-1}(x)),
-computed by recursive two-leg splitting.
+computed by recursive two-leg splitting.  The coproduct of a basis
+monomial has a closed form (q-binomial expansion of Delta(adag)**k, see
+_coproduct_key), and each split reads a cached transfer row: the nonzero
+(other-leg key, coefficient * atomic value) pairs of one functional on
+one side of one monomial's coproduct.  The pairing table, the dual
+bracket, the dual Hopf duality and the cross straightening share this
+path; clear_caches() empties its caches.
 """
 
 from __future__ import annotations
@@ -182,46 +188,44 @@ def multiply(x: PlusElement, y: PlusElement, p: DeformParams,
     return PlusElement(out)
 
 
-def _tensor_multiply(xt: TensorPlusElement, yt: TensorPlusElement,
-                     p: DeformParams, cap: int) -> TensorPlusElement:
-    out: dict = {}
-    for (a1, a2), ca in xt.terms.items():
-        for (b1, b2), cb in yt.terms.items():
-            left = _mul_keys(a1, b1, p, cap)
-            right = _mul_keys(a2, b2, p, cap)
-            for kl, cl in left.items():
-                for kr, cr in right.items():
-                    key = (kl, kr)
-                    out[key] = out.get(key, 0.0) + ca * cb * cl * cr
-    return TensorPlusElement(out)
-
-
 # ---------------------------------------------------------------------------
 # coproduct
 
 
 @functools.lru_cache(maxsize=None)
 def _coproduct_key(key: Key, p: DeformParams, cap: int) -> TensorPlusElement:
-    """Delta(E[k, m, s]) expanded in the tensor basis.
+    """Delta(E[k, m, s]) expanded in the tensor basis, in closed form.
 
     Legs: Delta(q**(sN/2)) = e^{-is alpha/2} q**(sN/2) (x) q**(sN/2),
     Delta(Np) = Np (x) 1 + 1 (x) Np, and
-    Delta(adag) = (adag (x) q**(N/2) + i q**(-N/2) (x) adag) e^{-i alpha/2}.
+    Delta(adag) = (X + Y) e^{-i alpha/2} with X = adag (x) q**(N/2) and
+    Y = i q**(-N/2) (x) adag.  Since YX = q**(-1) XY, (X + Y)**k expands
+    with the Gaussian binomials [k r]_w in w = 1/q; with t = 2s,
+
+        Delta(E[k, m, t]) = e^{-i t alpha/4} e^{-i k alpha/2}
+            sum_{r<=k} sum_{j<=m} C(m, j) [k r]_w i**(k-r) q**(r(k-r)/2)
+            E[r, j, t - 2(k-r)] (x) E[k-r, m-j, t + 2r].
+
+    The binomials come from the Pascal rule [n r] = [n-1 r-1] + w**r [n-1 r],
+    which divides by nothing: the product formula's 1 - w**j factors lose
+    digits for q near 1.
     """
     k, m, t = key
     _check_cap(k, m, cap)
-    unit_key = (0, 0, 0)
-    phase = complex(np.exp(-1j * (t / 4.0) * p.alpha))  # e^{-is alpha/2}, s = t/2
-    out = TensorPlusElement({((0, 0, t), (0, 0, t)): phase})
-    dn = TensorPlusElement({((0, 1, 0), unit_key): 1.0, (unit_key, (0, 1, 0)): 1.0})
-    for _ in range(m):
-        out = _tensor_multiply(out, dn, p, cap)
-    ph = complex(np.exp(-1j * p.alpha / 2.0))
-    da = TensorPlusElement({((1, 0, 0), (0, 0, 2)): ph,
-                            ((0, 0, -2), (1, 0, 0)): 1j * ph})
-    for _ in range(k):
-        out = _tensor_multiply(out, da, p, cap)
-    return out
+    # the phase of Delta(q**(sN/2)) times that of Delta(adag), once per factor
+    phase = (complex(np.exp(-1j * (t / 4.0) * p.alpha))
+             * complex(np.exp(-1j * p.alpha / 2.0)) ** k)
+    w_pow = [q_power(-r, p) for r in range(k + 1)]
+    gauss = [1.0 + 0.0j]
+    for n in range(1, k + 1):
+        gauss = [(gauss[r - 1] if r else 0.0) + (w_pow[r] * gauss[r] if r < n else 0.0)
+                 for r in range(n + 1)]
+    out: dict = {}
+    for r in range(k + 1):
+        c_r = phase * gauss[r] * 1j ** (k - r) * q_power(r * (k - r) / 2.0, p)
+        for j in range(m + 1):
+            out[((r, j, t - 2 * (k - r)), (k - r, m - j, t + 2 * r))] = c_r * math.comb(m, j)
+    return TensorPlusElement(out)
 
 
 def coproduct_sym(x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP) -> TensorPlusElement:
@@ -302,37 +306,53 @@ def eval_atomic(f: tuple, key: Key, p: DeformParams) -> complex:
 
 
 @functools.lru_cache(maxsize=None)
+def _atomic_value(f: tuple, key: Key, p: DeformParams) -> complex:
+    return eval_atomic(f, key, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _transfer_row(f: tuple, key: Key, p: DeformParams, cap: int, side: str) -> tuple:
+    """The nonzero pairs (other-leg key, c * f(leg)) of Delta(E[key]).
+
+    f is applied to the left leg of every term c * leg (x) other when side
+    is 'left', to the right leg otherwise.  Every atomic functional vanishes
+    off one raising degree of its leg (1 for beta, 0 for the others), so
+    only that slice of the coproduct is visited.
+    """
+    degree = 1 if f == BETA else 0
+    row = []
+    for (k1, k2), c in _coproduct_key(key, p, cap).terms.items():
+        leg, other = (k1, k2) if side == "left" else (k2, k1)
+        if leg[0] == degree:
+            v = _atomic_value(f, leg, p)
+            if v != 0:
+                row.append((other, c * v))
+    return tuple(row)
+
+
+@functools.lru_cache(maxsize=None)
 def _eval_word_key(factors: tuple, key: Key, p: DeformParams, cap: int,
                    split: str) -> complex:
     if not factors:
-        return eval_atomic(EPS, key, p)
+        return _atomic_value(EPS, key, p)
     if len(factors) == 1:
-        return eval_atomic(factors[0], key, p)
-    total = 0.0 + 0.0j
-    legs = _coproduct_key(key, p, cap)
+        return _atomic_value(factors[0], key, p)
     if split == "left":
-        head, rest = factors[0], factors[1:]
-        for (k1, k2), c in legs.terms.items():
-            v = eval_atomic(head, k1, p)
-            if v != 0:
-                total += c * v * _eval_word_key(rest, k2, p, cap, split)
+        f, rest = factors[0], factors[1:]
     else:
-        init, last = factors[:-1], factors[-1]
-        for (k1, k2), c in legs.terms.items():
-            v = eval_atomic(last, k2, p)
-            if v != 0:
-                total += c * _eval_word_key(init, k1, p, cap, split) * v
-    return total
+        rest, f = factors[:-1], factors[-1]
+    return sum((cv * _eval_word_key(rest, other, p, cap, split)
+                for other, cv in _transfer_row(f, key, p, cap, split)), start=0.0 + 0.0j)
 
 
 def clear_caches() -> None:
-    """Empty the coproduct and word-evaluation caches.
+    """Empty the coproduct, atomic-value, transfer-row and word caches.
 
     Their keys hold DeformParams, so entries made at one q are never
     reused at another; a sweep over q clears them after each point.
     """
-    _coproduct_key.cache_clear()
-    _eval_word_key.cache_clear()
+    for cache in (_coproduct_key, _atomic_value, _transfer_row, _eval_word_key):
+        cache.cache_clear()
 
 
 def eval_word(factors, x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP,
@@ -398,25 +418,26 @@ def pairing_gram(kmax: int, mmax: int, p: DeformParams,
 
 
 def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
-                  tol: float | None = None) -> IdentityReport:
+                  tol: float | None = None, gram: np.ndarray | None = None) -> IdentityReport:
     """Compare the dual-multiplication pairing with the closed form.
 
+    The table compared is 'gram' when the caller already holds
+    pairing_gram(kmax, mmax, p, cap), and is evaluated here otherwise.
     The raw residual is the largest absolute deviation; the normalized one
     divides it by max(1, largest |closed form|) over the table, because the
     entries grow like n!/gamma^n and an absolute test would fail on
     rounding alone for q near 1.
     """
     tol = tol if tol is not None else p.tol
-    dev = scale = 0.0
-    for k in range(kmax + 1):
-        for m in range(mmax + 1):
-            f = DualElement.basis(k, m)
-            for l in range(kmax + 1):
-                for n in range(mmax + 1):
-                    got = eval_functional(f, PlusElement.tie_basis(l, n), p, cap)
-                    want = pairing_closed_form(k, m, l, n, p)
-                    dev = max(dev, abs(got - want))
-                    scale = max(scale, abs(want))
+    pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
+    G = pairing_gram(kmax, mmax, p, cap) if gram is None else gram
+    if G.shape != (len(pairs), len(pairs)):
+        raise ParameterError(f"pairing table has shape {G.shape}, expected "
+                             f"{(len(pairs), len(pairs))} for kmax={kmax}, mmax={mmax}")
+    want = np.array([[pairing_closed_form(k, m, l, n, p) for l, n in pairs]
+                     for k, m in pairs])
+    dev = float(np.abs(G - want).max())
+    scale = float(np.abs(want).max())
     return make_report("pairing_eqn", {"kmax": kmax, "mmax": mmax, "q": str(p.q)},
                        [kmax + 1, mmax + 1], kmax, dev, dev / max(1.0, scale), tol)
 
@@ -543,10 +564,10 @@ def straighten_cross(fname: str, xname: str, p: DeformParams,
     out: dict = {}
     for (x1, x2, x3), cx in legs3.items():
         for cf, f1, f2, f3 in duals3:
-            v3 = eval_atomic(f3, x3, p)
+            v3 = _atomic_value(f3, x3, p)
             if v3 == 0:
                 continue
-            v1 = sum(ci * eval_atomic(fi, x1, p) for ci, fi in _s0_inv_atomic(f1, p))
+            v1 = sum(ci * _atomic_value(fi, x1, p) for ci, fi in _s0_inv_atomic(f1, p))
             if v1 == 0:
                 continue
             key = (x2, _dual_word_key(f2))

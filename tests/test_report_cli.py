@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,25 @@ def test_cli_pairing(tmp_path, capsys):
     assert load_matrix(tmp_path / "pairing_gram.mtx").shape == (4, 4)
 
 
+def test_cli_pairing_near_one_prints_both_residuals(monkeypatch, capsys):
+    # at q = 1.05 the table entries reach about 2e9, so the absolute deviation
+    # is far above tol while the normalized one, which decides, is not
+    pairing_gram, calls = symalg.pairing_gram, []
+
+    def counted_gram(*args, **kwargs):
+        calls.append(args)
+        return pairing_gram(*args, **kwargs)
+
+    monkeypatch.setattr(symalg, "pairing_gram", counted_gram)
+    assert main(["--q", "1.05", "pairing", "--kmax", "5", "--mmax", "5"]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    match = re.fullmatch(r"pairing max deviation: (\S+), normalized (\S+) \[pass\]", line)
+    assert match, line
+    raw, normalized = float(match[1]), float(match[2])
+    assert raw > 1e-9 and normalized <= 1e-13
+    assert len(calls) == 1
+
+
 def test_cli_scan(tmp_path):
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(FAST_CONFIG + 'scan.q_values = [1.2, 1.4]\n', encoding="utf-8")
@@ -353,7 +373,9 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
 
 def _symalg_cache_sizes():
     return (symalg._coproduct_key.cache_info().currsize,
-            symalg._eval_word_key.cache_info().currsize)
+            symalg._eval_word_key.cache_info().currsize,
+            symalg._transfer_row.cache_info().currsize,
+            symalg._atomic_value.cache_info().currsize)
 
 
 def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):

@@ -1,13 +1,19 @@
+import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson.fockrep import residual
 from qboson.symalg import (BETA, NU, NU_PRIME, DegreeOverflowError,
                            DualElement, PlusElement, TensorPlusElement,
+                           _coproduct_key, _mul_keys,
                            antipode_sym_inv, coproduct_sym, cross_terms_difference,
+                           dual_basis_factors,
                            dual_bracket_check, dual_hopf_check, eval_atomic,
                            eval_functional, eval_word, multiply, pairing_check,
                            pairing_closed_form,
@@ -21,6 +27,64 @@ E = PlusElement.basis
 
 def assert_elements_close(x: PlusElement, y: PlusElement, tol=1e-12):
     assert (x - y).max_abs() <= tol, f"{x} != {y}"
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the coproduct as a chain of tensor products and
+# the dual word evaluated on it leg by leg
+
+
+def _tensor_multiply(xt: TensorPlusElement, yt: TensorPlusElement,
+                     p: DeformParams, cap: int) -> TensorPlusElement:
+    out: dict = {}
+    for (a1, a2), ca in xt.terms.items():
+        for (b1, b2), cb in yt.terms.items():
+            left = _mul_keys(a1, b1, p, cap)
+            right = _mul_keys(a2, b2, p, cap)
+            for kl, cl in left.items():
+                for kr, cr in right.items():
+                    key = (kl, kr)
+                    out[key] = out.get(key, 0.0) + ca * cb * cl * cr
+    return TensorPlusElement(out)
+
+
+def chain_coproduct_key(key, p: DeformParams, cap: int) -> TensorPlusElement:
+    """Delta(E[k, m, s]) = Delta(q**(sN/2)) Delta(Np)**m Delta(adag)**k, one
+    factor at a time."""
+    k, m, t = key
+    unit_key = (0, 0, 0)
+    phase = complex(np.exp(-1j * (t / 4.0) * p.alpha))
+    out = TensorPlusElement({((0, 0, t), (0, 0, t)): phase})
+    dn = TensorPlusElement({((0, 1, 0), unit_key): 1.0, (unit_key, (0, 1, 0)): 1.0})
+    for _ in range(m):
+        out = _tensor_multiply(out, dn, p, cap)
+    ph = complex(np.exp(-1j * p.alpha / 2.0))
+    da = TensorPlusElement({((1, 0, 0), (0, 0, 2)): ph,
+                            ((0, 0, -2), (1, 0, 0)): 1j * ph})
+    for _ in range(k):
+        out = _tensor_multiply(out, da, p, cap)
+    return out
+
+
+def recursive_gram(kmax: int, mmax: int, p: DeformParams, cap: int) -> np.ndarray:
+    """The pairing table by left splitting over the chain coproduct, with
+    every atomic value computed where it is used."""
+    coproduct = functools.cache(lambda key: chain_coproduct_key(key, p, cap))
+
+    @functools.cache
+    def word_value(factors, key):
+        if len(factors) == 1:
+            return eval_atomic(factors[0], key, p)
+        total = 0.0 + 0.0j
+        for (k1, k2), c in coproduct(key).terms.items():
+            v = eval_atomic(factors[0], k1, p)
+            if v != 0:
+                total += c * v * word_value(factors[1:], k2)
+        return total
+
+    pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
+    return np.array([[word_value(dual_basis_factors(k, m), (l, n, 2 * l)) for l, n in pairs]
+                     for k, m in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +227,12 @@ def test_coproduct_powers_gaussian_binomial(params):
 
     def tensor_power(base, k):
         out = TensorPlusElement({((0, 0, 0), (0, 0, 0)): 1.0})
-        from qboson.symalg import _tensor_multiply
         for _ in range(k):
             out = _tensor_multiply(out, base, params, 8)
         return out
 
     X = tensor_of(PlusElement.unit(), A())
     Y = tensor_of(A(), E(0, 0, 2), -1j)
-    from qboson.symalg import _tensor_multiply
     for k in (2, 3):
         ak = PlusElement.unit()
         for _ in range(k):
@@ -200,6 +262,24 @@ def test_coproduct_coassociativity(params):
         keys = set(left) | set(right)
         dev = max(abs(left.get(k, 0) - right.get(k, 0)) for k in keys)
         assert dev <= 1e-12
+
+
+_moduli = st.floats(0.5, 0.9) | st.floats(1.1, 2.2)
+_q_values = (st.sampled_from([1.05, 0.95]) | _moduli
+             | st.builds(lambda r, t: r * cmath.exp(1j * t), _moduli, st.floats(0.05, 1.2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=_q_values, k=st.integers(0, 8), m=st.integers(0, 8), two_s=st.integers(-12, 20))
+def test_closed_form_coproduct_matches_product_chain(q, k, m, two_s):
+    # odd two_s is a half-integer s
+    p = DeformParams(q=q)
+    key = (k, m, two_s)
+    got = _coproduct_key(key, p, 8).terms
+    want = chain_coproduct_key(key, p, 8).terms
+    assert set(got) == set(want)
+    scale = max(abs(c) for c in want.values())
+    assert max(abs(got[x] - want[x]) for x in want) <= 1e-13 * scale
 
 
 def test_coproduct_matches_representation(params):
@@ -331,6 +411,14 @@ def test_pairing_gram_diagonal(params):
     assert np.all(np.abs(diag) > 1e-6)
     off = G - np.diag(diag)
     assert np.abs(off).max() <= 1e-10
+
+
+@pytest.mark.parametrize("q", [1.3, 0.7 + 0.2j, 1.05, 0.6 + 0.6j])
+def test_pairing_gram_matches_recursive_evaluator(q):
+    p = DeformParams(q=q)
+    want = recursive_gram(5, 5, p, 12)
+    got = pairing_gram(5, 5, p, 12)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_dual_bracket(params):
