@@ -488,7 +488,10 @@ def _expected_for(report: IdentityReport, patterns) -> str:
 
 
 def run_suite(config: SuiteConfig) -> list[IdentityReport]:
-    """Execute all sections in order; case errors become info entries."""
+    """Execute all sections in order; case errors become info entries.
+
+    The rmatrix cases share each R, which is held for this run only.
+    """
     p = config.params()
     cases = []
     cases += _qscalars_cases(config, p)
@@ -518,11 +521,14 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
         return reports
 
     workers = int(os.environ.get("QBOSON_WORKERS", "0") or "0")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_one, cases))
-    else:
-        chunks = [run_one(case) for case in cases]
+    try:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                chunks = list(pool.map(run_one, cases))
+        else:
+            chunks = [run_one(case) for case in cases]
+    finally:
+        rmatrix.clear_caches()
     reports = [rep for chunk in chunks for rep in chunk]
     for rep in reports:
         if rep.verdict != "info":

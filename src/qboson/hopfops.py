@@ -2,18 +2,12 @@
 
 The coproduct is defined once, on the generators, as an explicit sum of
 tensor products of generator words (the Sweedler summands of
-sweedler_letter).  Its matrix on a tensor product multiplies the
-matrixized images of a word's letters (Delta is an algebra
-homomorphism).  The multiplication map m in the antipode axiom and the
-leg-wise counit contractions are not conjugations of the representation,
-so they act on the Sweedler expansion itself.
-
-The axiom suite forms no tensor-product operator at all.  Every leg word
-has a definite total-number degree, so coassociativity is compared on
-the window entries of the word's degree only, each the Sweedler sum of
-products of D x D leg-word entries; the leg-word matrices and their
-antipode images are built once per call and shared by the coassociativity,
-counit and antipode checks.
+sweedler_letter); its matrix multiplies the matrixized images of a
+word's letters (Delta is an algebra homomorphism).  The multiplication
+map in the antipode axiom and the leg-wise counit contractions act on
+the Sweedler expansion itself.  The axiom suite forms no tensor-product
+operator: coassociativity is compared on the window entries of the
+word's total-number degree only, from D x D leg-word matrices.
 
 The general structure family is parameterized by a half-integer m, an
 integer K and a sign choice; the canonical structure is the point
@@ -28,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -62,9 +57,7 @@ class GenWord:
 
     @property
     def name(self) -> str:
-        if not self.letters:
-            return "1"
-        return ".".join(l if isinstance(l, str) else f"q^{l[1]}N" for l in self.letters)
+        return ".".join(l if isinstance(l, str) else f"q^{l[1]}N" for l in self.letters) or "1"
 
 
 def word(*letters) -> GenWord:
@@ -91,9 +84,8 @@ class HopfFamily:
             raise ParameterError("sign must be 'upper' or 'lower'")
         if abs(2 * self.m - round(2 * self.m)) > 1e-12:
             raise ParameterError("m must be an integer or half-integer")
-        object.__setattr__(
-            self, "beta_const",
-            1j * math.pi * (2 * self.K + 1) / (2 * self.params.gamma))
+        object.__setattr__(self, "beta_const",
+                           1j * math.pi * (2 * self.K + 1) / (2 * self.params.gamma))
 
     @classmethod
     def canonical(cls, p: DeformParams) -> "HopfFamily":
@@ -140,16 +132,6 @@ class HopfFamily:
 # representation of abstract words
 
 
-def rep_letter(letter, rep: FockRep, p: DeformParams) -> np.ndarray:
-    if letter == "N":
-        return rep.matN
-    if letter == "a":
-        return rep.matA
-    if letter == "adag":
-        return rep.matAdag
-    return np.diag(q_power(letter[1] * rep.n_diag(), p))
-
-
 def _letter_product(prefactor: complex, letters, dim: int, image) -> np.ndarray:
     """prefactor times the product of image(letter) over letters, in order:
     the matrix of a word under a (anti)homomorphism given on its letters."""
@@ -165,18 +147,19 @@ def _letter_product(prefactor: complex, letters, dim: int, image) -> np.ndarray:
 def rep_word(w: GenWord, rep: FockRep, p: DeformParams | None = None) -> np.ndarray:
     """Matrix of a word; q-powers use p (defaults to the rep's parameters)."""
     p = p or rep.params
+    mats = {"N": rep.matN, "a": rep.matA, "adag": rep.matAdag}
+    qdiag = lambda s: np.diag(q_power(s * rep.n_diag(), p))
     return _letter_product(w.prefactor, w.letters, rep.dim,
-                           lambda ltr: rep_letter(ltr, rep, p))
+                           lambda ltr: mats[ltr] if isinstance(ltr, str) else qdiag(ltr[1]))
 
 
 # ---------------------------------------------------------------------------
 # coproduct / counit / antipode on letters and words
 
 
-def coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily,
-                 check_params: bool = True) -> np.ndarray:
+def coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
     """Delta(w) on the tensor square: the two-leg iterated coproduct."""
-    if check_params and not (rep1.params.q == rep2.params.q == fam.params.q):
+    if not rep1.params.q == rep2.params.q == fam.params.q:
         raise ParameterError("representations and family must share DeformParams")
     return iterated_coproduct(w, (rep1, rep2), fam)
 
@@ -215,52 +198,28 @@ def antipode_op(w: GenWord, rep: FockRep, fam: HopfFamily) -> np.ndarray:
                            lambda ltr: antipode_letter(ltr, rep, fam))
 
 
-def opposite_coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep,
-                          fam: HopfFamily, check_params: bool = True) -> np.ndarray:
-    """T.Delta: the coproduct conjugated by the tensor swap (needs D1 = D2).
-
-    The conjugation is an index permutation, <i j| T.Delta |k l> =
-    <j i| Delta |l k>, so no permutation matrix is formed.
-    """
-    if rep1.dim != rep2.dim:
-        raise ParameterError("opposite coproduct needs equal factor dimensions")
-    D = rep1.dim
-    delta = coproduct_op(w, rep2, rep1, fam, check_params)
-    return delta.reshape(D, D, D, D).transpose(1, 0, 3, 2).reshape(D * D, D * D)
-
-
-def qbar_coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily,
-                      kappa_override: int | None = None) -> np.ndarray:
-    """Coproduct with DeformParams rebuilt at 1/q, on the same rep matrices.
-
-    gamma negates under the rebuild, so the constant i*alpha/gamma flips
-    sign.  The branch integer is held fixed by default; overriding it
-    re-chooses the canonical branch of the rebuilt structure (for a
-    canonical family the integer enters through K = -2*kappa - 1).
-    """
+def qbar_family(fam: HopfFamily, kappa_override: int | None = None) -> HopfFamily:
+    """The family with DeformParams rebuilt at 1/q; gamma negates, so the
+    constant i*alpha/gamma flips sign.  The branch integer is held fixed
+    unless overridden, which re-chooses the canonical branch (for a
+    canonical family it enters through K = -2*kappa - 1)."""
     p = fam.params
     kappa = p.kappa if kappa_override is None else kappa_override
     pbar = DeformParams(q=1.0 / p.q, kappa=kappa, tol=p.tol)
     if fam.is_canonical():
-        fam_bar = HopfFamily.canonical(pbar)
-    else:
-        fam_bar = HopfFamily(m=fam.m, K=fam.K, sign=fam.sign, params=pbar)
-    return coproduct_op(w, rep1, rep2, fam_bar, check_params=False)
+        return HopfFamily.canonical(pbar)
+    return HopfFamily(m=fam.m, K=fam.K, sign=fam.sign, params=pbar)
 
 
 # ---------------------------------------------------------------------------
 # symbolic Sweedler expansion
 
 
-def _one() -> GenWord:
-    return GenWord()
-
-
 def sweedler_letter(letter, fam: HopfFamily) -> list[tuple[complex, GenWord, GenWord]]:
     """Delta(letter) as an explicit sum of two-leg tensor words."""
     if letter == "N":
-        return [(1.0, word("N"), _one()), (1.0, _one(), word("N")),
-                (fam.beta_const, _one(), _one())]
+        return [(1.0, word("N"), word()), (1.0, word(), word("N")),
+                (fam.beta_const, word(), word())]
     if isinstance(letter, tuple):
         s = letter[1]
         scale = complex(np.exp(s * fam.beta_const * fam.params.gamma))
@@ -276,7 +235,7 @@ def sweedler_letter(letter, fam: HopfFamily) -> list[tuple[complex, GenWord, Gen
 
 def sweedler_expand(w: GenWord, fam: HopfFamily) -> list[tuple[complex, GenWord, GenWord]]:
     """Delta(w) as a sum of tensor products of generator words."""
-    terms = [(complex(w.prefactor), _one(), _one())]
+    terms = [(complex(w.prefactor), word(), word())]
     for ltr in w.letters:
         expansion = sweedler_letter(ltr, fam)
         terms = [(c0 * c1, u0 * u1, v0 * v1)
@@ -319,11 +278,8 @@ def multileg_coproduct_letter(letter, reps: tuple[FockRep, ...], fam: HopfFamily
 
 def iterated_coproduct(w: GenWord, reps: tuple[FockRep, ...], fam: HopfFamily,
                        dim_cap: int = 1 << 16, iterate: str = "left") -> np.ndarray:
-    """Iterated coproduct Delta_n on n+1 representation factors.
-
-    Delta_n is an algebra homomorphism, so words multiply letterwise;
-    only single letters need the explicit Sweedler expansion.
-    """
+    """Iterated coproduct Delta_n on n+1 representation factors; Delta_n is an
+    algebra homomorphism, so only single letters need the Sweedler expansion."""
     total = int(np.prod([r.dim for r in reps]))
     if total > dim_cap:
         raise ParameterError(f"tensor dimension {total} exceeds cap {dim_cap}")
@@ -338,13 +294,8 @@ def iterated_coproduct(w: GenWord, reps: tuple[FockRep, ...], fam: HopfFamily,
 
 
 def default_axiom_words(max_len: int = 3) -> list[GenWord]:
-    gens = ["N", "a", "adag"]
-    words = []
-    from itertools import product
-    for n in range(1, max_len + 1):
-        for combo in product(gens, repeat=n):
-            words.append(word(*combo))
-    return words
+    return [word(*combo) for n in range(1, max_len + 1)
+            for combo in product(("N", "a", "adag"), repeat=n)]
 
 
 def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
@@ -353,18 +304,12 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
                       tol: float | None = None) -> list[IdentityReport]:
     """Residuals of the coassociativity, counit and antipode axioms.
 
-    The multiplication map in the antipode axiom acts on the explicit
-    Sweedler expansion: X (x) Y summands are mapped to X*Y, which is
-    exact bookkeeping because the expansions here are finite.
-
-    Coassociativity is evaluated on the window entries alone.  Each leg
-    word has a definite total-number degree, so Delta_2(w) moves the
-    total n1 + n2 + n3 by deg(w): the window entries (r, c) with
-    total(r) = total(c) + deg(w) are the Sweedler sums
-    coeff * U[i1, j1] * V[i2, j2] * X[i3, j3] of the D x D leg-word
-    matrices (the truncated Kronecker product, factorwise by the
-    mixed-product rule), and every other entry is an exact zero on both
-    sides.  No D^3 x D^3 operator is formed.
+    The multiplication map in the antipode axiom maps the (finite)
+    Sweedler summands X (x) Y to X*Y.  Delta_2(w) moves the total
+    n1 + n2 + n3 by deg(w), so coassociativity compares only the window
+    entries (r, c) with total(r) = total(c) + deg(w), each the Sweedler
+    sum coeff * U[i1, j1] * V[i2, j2] * X[i3, j3] of D x D leg-word
+    matrices; every other entry is an exact zero on both sides.
     """
     if sample is None:
         sample = default_axiom_words()
@@ -372,8 +317,7 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
     D = rep.dim
     reports = []
     fam_tag = {"m": fam.m, "K": fam.K, "sign": fam.sign, "q": str(fam.params.q)}
-    # leg-word matrices and their antipode images, shared by all three axioms
-    # and every word of the sample
+    # leg-word matrices and their antipode images, shared by every axiom and word
     leg = cache(lambda u: rep_word(u, rep, fam.params))
     s_leg = cache(lambda u: antipode_op(u, rep, fam))
     states = np.indices((D, D, D)).reshape(3, -1)
@@ -382,7 +326,6 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
         guard = max(1, len(w.letters))
         win = window or Window(max(0, D - 1 - guard), guard=guard)
         wname = w.name
-
         win.validate(D, D, D)
         inside = states[:, (states <= win.max_index).all(axis=0)]
         total = inside.sum(axis=0)

@@ -61,6 +61,13 @@ class DeformParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "gamma", complex(np.log(q)))
         object.__setattr__(self, "alpha", 2.0 * self.kappa * math.pi + math.pi / 2.0)
+        # the generated hash rebuilds a tuple of every field on each call, and
+        # every cache keyed by these parameters pays it; equality stays fieldwise
+        object.__setattr__(self, "_hash",
+                           hash((self.q, self.kappa, self.tol, self.gamma, self.alpha)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ialpha_over_gamma(self) -> complex:

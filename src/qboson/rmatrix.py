@@ -15,34 +15,36 @@ with u_k a dressed raising word and v_k a dressed lowering word:
 * the general family, parameterized like the coproduct family.
 
 _series holds each candidate's series data; it is the only place the
-kind is read.  R and the leg maps applied to it (coproduct, antipode,
-counit) are all one sum, pref * sum_k c_k L_k (x) R_k (_series_sum).
+kind is read.  A term u_k (x) v_k has leg degrees (+k, -k), so an entry
+of a series sum takes its value from the one k read off its indices
+(k = i - i' = j' - j for R at row (i, j), column (i', j')): _series_sum
+gathers it from the legs' stacked ladder powers.  The lowering power
+annihilates the truncated second factor beyond k = D2 - 1, so the series
+termination is exact.
 
-The lowering power annihilates the whole truncated second factor beyond
-k = D2 - 1, so the series termination is exact, not approximate.  Every
-verdict applies to a leak-free window only; the Yang-Baxter and fusion
-products raise the middle factor by up to the window size, so their
-windows obey 2W <= D - 1 rather than the pairwise W + 1 <= D - 1.
-
-Every series term u_k (x) v_k has total-number degree zero, so R and
-every product of its leg embeddings is block-diagonal in the total
-n1 + n2 + n3 of the triple tensor.  The Yang-Baxter and fusion checks
-therefore evaluate the same truncated products one total-number sector
-at a time, gathering each sector block of a tensor product straight from
-its factors; no triple-tensor operator is ever formed.
+R conserves n1 + n2; it is held as pair-sector blocks, once per (spec,
+rep pair) until clear_caches().  Delta(a) maps pair sector s to s - 1,
+Delta(adag) to s + 1 and Delta(N) keeps it, so the pairwise residuals
+are small (s + deg, s) block products.  The triple products are
+block-diagonal in n1 + n2 + n3: Yang-Baxter and fusion run one such
+sector at a time, reading their R-leg blocks from the held blocks.
+Verdicts hold on a leak-free window; the triple products raise the
+middle factor by up to the window size, so there 2W <= D - 1 rather
+than the pairwise W + 1 <= D - 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import FockRep, Window, frobenius, residual, window_block
-from .hopfops import (GenWord, HopfFamily, antipode_op, coproduct_op, counit,
-                      opposite_coproduct_op, qbar_coproduct_op, qpow, word)
+from .fockrep import FockRep, Window, frobenius, residual
+from .hopfops import (GenWord, HopfFamily, antipode_op, coproduct_op, counit, qbar_family,
+                      qpow, rep_word, sweedler_expand, word)
 from .qscalars import DeformParams, ParameterError, half_index_product, q_power
 from .report import IdentityReport, make_report
 
@@ -83,11 +85,10 @@ def family_for(spec: RSpec, p: DeformParams) -> HopfFamily:
 
 @dataclass(frozen=True)
 class RSeries:
-    """One candidate's series data: c_k = coefficient(k), the raising word
-    u_k = q^{k su N} adag^k, the lowering word v_k = q^{k sv N} a^k, and the
-    prefactor exponent as an outer function of two N-eigenvalue arrays.  The
-    exponent is polynomial in N legwise, so it also takes N's image under
-    any leg map."""
+    """One candidate's series data: c_k = coefficient(k), the words
+    u_k = q^{k su N} adag^k and v_k = q^{k sv N} a^k, and the prefactor
+    exponent as an outer function of two N-eigenvalue arrays (polynomial in
+    N legwise, so it also takes N's image under any leg map)."""
 
     coefficient: Callable[[int], complex]
     su: float
@@ -120,71 +121,159 @@ def _series(spec: RSpec, p: DeformParams) -> RSeries:
                    spec.m, -spec.m, lambda X, Y: -pm * outer(X + beta, Y + beta))
 
 
-def _series_sum(series: RSeries, pref, raising, lowering, kron) -> np.ndarray:
-    """pref * sum_k c_k kron(raising_k, lowering_k), k running as far as the legs.
-
-    pref multiplies entrywise and broadcasts (the prefactor diagonal is a
-    row scale); kron is np.kron or gathers some entries of its product.
-    """
-    return pref * sum(series.coefficient(k) * kron(A, B)
-                      for k, (A, B) in enumerate(zip(raising, lowering)))
+def _series_sum(series: RSeries, pref, raising: np.ndarray, lowering: np.ndarray,
+                k, up, low) -> np.ndarray:
+    """pref * c_k * raising[k][up] * lowering[k][low] at every entry, with k
+    the entry's one series term and up, low its (row, column) indices into
+    each leg's (K, D, D) stack; zero where k falls outside 0..K-1."""
+    K = len(raising)
+    inside = (k >= 0) & (k < K)
+    k = np.where(inside, k, 0)
+    c = np.array([series.coefficient(n) for n in range(K)], dtype=complex)
+    return np.where(inside, pref * (c[k] * (raising[(k, *up)] * lowering[(k, *low)])), 0)
 
 
 def _dressed_powers(step: np.ndarray, s: float, ndiag: np.ndarray, kmax: int,
-                    p: DeformParams):
-    """q^{k s N} step^k for k < kmax, one matrix product per k.
-
-    N enters through its eigenvalues ndiag (a coproduct image for a
-    two-factor step), so the dressing is a row scale.
-    """
-    power = np.eye(step.shape[0], dtype=complex)
+                    p: DeformParams, keep: np.ndarray | None = None) -> np.ndarray:
+    """The stack of q^{k s N} step^k for k < kmax, one matrix product per k, on
+    the rows and columns keep (default all); N enters through its eigenvalues
+    ndiag, so the dressing is a row scale."""
+    keep = np.arange(len(step)) if keep is None else keep
+    powers = np.empty((kmax, len(keep), len(keep)), dtype=complex)
+    power = np.eye(len(step), dtype=complex)
     for k in range(kmax):
         if k:
             power = power @ step
-        yield q_power(k * s * ndiag, p)[:, None] * power
+        powers[k] = q_power(k * s * ndiag[keep], p)[:, None] * power[np.ix_(keep, keep)]
+    return powers
 
 
-def build_r(spec: RSpec, rep1: FockRep, rep2: FockRep) -> np.ndarray:
-    """Assemble the candidate on the tensor square; k runs 0..D2-1."""
-    if rep1.params.q != rep2.params.q:
-        raise ParameterError("representations must share DeformParams")
-    p = rep1.params
-    series = _series(spec, p)
-    N1, N2, D2 = rep1.n_diag(), rep2.n_diag(), rep2.dim
-    return _series_sum(series, q_power(series.exponent(N1, N2), p).reshape(-1, 1),
-                       _dressed_powers(rep1.matAdag, series.su, N1, D2, p),
-                       _dressed_powers(rep2.matA, series.sv, N2, D2, p), np.kron)
+# ---------------------------------------------------------------------------
+# pair-sector blocks: an operator of pair-number degree deg is held as a stack,
+# block s mapping sector s to s + deg in the slots of _pair_sectors
 
 
-def _embed_r13(Rpair: np.ndarray, D1: int, D2: int, D3: int) -> np.ndarray:
-    """Embed an operator on factors (1, 3) into the triple product."""
-    M = np.kron(Rpair, np.eye(D2, dtype=complex))  # acts on ordering (1, 3, 2)
-    M = M.reshape(D1, D3, D2, D1, D3, D2).transpose(0, 2, 1, 3, 5, 4)
-    return M.reshape(D1 * D2 * D3, D1 * D2 * D3)
+@functools.cache
+def _pair_sectors(D1: int, D2: int):
+    """The pair sectors n1 + n2 = s of a D1 x D2 tensor, padded to one size:
+    (i, j, valid, slot), slot a of sector s holding the state (i[s, a],
+    j[s, a]) in order of i, state (n1, n2) in slot[n1, n2] of its sector,
+    padding slots clipped into range with valid False."""
+    s = np.arange(D1 + D2 - 1)[:, None]
+    i = np.maximum(0, s - D2 + 1) + np.arange(min(D1, D2))
+    valid = i <= np.minimum(s, D1 - 1)
+    i = np.minimum(i, D1 - 1)
+    n1, n2 = np.indices((D1, D2))
+    return i, np.clip(s - i, 0, D2 - 1), valid, n1 - np.maximum(0, n1 + n2 - D2 + 1)
 
 
-def _gen_word(gen: str) -> GenWord:
-    if gen not in ("N", "a", "adag"):
-        raise ParameterError(f"generator must be N, a or adag, not {gen!r}")
-    return word(gen)
+def _shift(blocks: np.ndarray, deg: int) -> np.ndarray:
+    """blocks[s + deg] for every sector s, zero where s + deg is no sector."""
+    pad = np.zeros((abs(deg), *blocks.shape[1:]), dtype=blocks.dtype)
+    return np.concatenate((blocks[deg:], pad) if deg >= 0 else (pad, blocks[:deg]))
 
 
-def _echo(spec: RSpec, p: DeformParams, extra: dict | None = None) -> dict:
-    out = {"rspec": spec.label(), "q": str(p.q), "kappa": p.kappa}
-    if p.on_unit_circle:
-        out["unit_modulus_q"] = True
-    if extra:
-        out.update(extra)
+def _mask(dims: tuple[int, int], deg: int = 0, W: int | None = None) -> np.ndarray:
+    """The entries of a degree-deg stack that join two states (two window
+    states n1, n2 <= W when W is given)."""
+    i, j, valid, _ = _pair_sectors(*dims)
+    if W is not None:
+        valid = valid & (i <= W) & (j <= W)
+    return _shift(valid, deg)[:, :, None] & valid[:, None, :]
+
+
+def _pair_op(dims: tuple[int, int], deg: int, entries) -> np.ndarray:
+    """The block stack of a degree-deg operator whose entries at rows
+    (ir, jr) and columns (ic, jc) are entries(ir, jr, ic, jc)."""
+    i, j, _, _ = _pair_sectors(*dims)
+    rows = np.clip(np.arange(len(i)) + deg, 0, len(i) - 1)  # the mask drops the rest
+    return np.where(_mask(dims, deg), entries(i[rows][:, :, None], j[rows][:, :, None],
+                                              i[:, None, :], j[:, None, :]), 0)
+
+
+def _dense(blocks: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The D1 D2 x D1 D2 matrix of a degree-0 stack, (n1, n2) at n1 * D2 + n2."""
+    i, j, _, _ = _pair_sectors(*dims)
+    rows, cols = np.broadcast_arrays((i * dims[1] + j)[:, :, None], (i * dims[1] + j)[:, None, :])
+    mask, out = _mask(dims), np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+    out[rows[mask], cols[mask]] = blocks[mask]
     return out
 
 
-def _pair_residual(lhs: np.ndarray, rhs: np.ndarray, R: np.ndarray, dg: np.ndarray,
-                   dims: tuple[int, int], win: Window) -> tuple[float, float]:
-    """Windowed ||lhs - rhs||_F, raw and over ||R||_F ||Delta(gen)||_F."""
-    raw = frobenius(window_block(lhs - rhs, dims, win))
-    den = max(frobenius(window_block(R, dims, win))
-              * frobenius(window_block(dg, dims, win)), 1e-300)
-    return raw, raw / den
+def _coproduct_blocks(w: GenWord, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+                      opposite: bool = False) -> np.ndarray:
+    """Delta(w), or T.Delta(w) with the tensor swap, as a block stack gathered
+    from its Sweedler terms c u (x) v: entries sum c u[i, i'] v[j, j']."""
+    if opposite and rep1.dim != rep2.dim:
+        raise ParameterError("opposite coproduct needs equal factor dimensions")
+    legs = [(c, rep_word(u, rep1, fam.params), rep_word(v, rep2, fam.params))
+            for c, u, v in sweedler_expand(w, fam)]
+    legs = [(c, v, u) for c, u, v in legs] if opposite else legs
+    return _pair_op((rep1.dim, rep2.dim), w.letters.count("adag") - w.letters.count("a"),
+                    lambda ir, jr, ic, jc: sum(c * (u[ir, ic] * v[jr, jc]) for c, u, v in legs))
+
+
+_HELD_R: dict = {}  # (spec, contents of both reps) -> R's block stack
+
+
+def clear_caches() -> None:
+    """Drop the held R-matrices (keyed by q among other things)."""
+    _HELD_R.clear()
+
+
+def _held_r(spec: RSpec, rep1: FockRep, rep2: FockRep) -> np.ndarray:
+    """R's block stack, entries pref[i, j] c_k U[k, i, i'] V[k, j, j'] at
+    k = i - i', built once per (spec, rep pair) until clear_caches()."""
+    key = (spec, *((r.params, r.matN.tobytes(), r.matA.tobytes(), r.matAdag.tobytes())
+                   for r in (rep1, rep2)))
+    if (held := _HELD_R.get(key)) is None:  # threads racing here build equal copies
+        if rep1.params.q != rep2.params.q:
+            raise ParameterError("representations must share DeformParams")
+        p, N1, N2, D2 = rep1.params, rep1.n_diag(), rep2.n_diag(), rep2.dim
+        series = _series(spec, p)
+        pref = q_power(series.exponent(N1, N2), p)
+        U = _dressed_powers(rep1.matAdag, series.su, N1, D2, p)
+        V = _dressed_powers(rep2.matA, series.sv, N2, D2, p)
+        held = _HELD_R.setdefault(key, _pair_op((rep1.dim, D2), 0, lambda ir, jr, ic, jc:
+                                                _series_sum(series, pref[ir, jr], U, V, ir - ic,
+                                                            (ir, ic), (jr, jc))))
+    return held
+
+
+def build_r(spec: RSpec, rep1: FockRep, rep2: FockRep) -> np.ndarray:
+    """The candidate on the tensor square (k runs 0..D2-1), as a dense
+    matrix scattered from its held blocks."""
+    return _dense(_held_r(spec, rep1, rep2), (rep1.dim, rep2.dim))
+
+
+def _echo(spec: RSpec, p: DeformParams, extra: dict | None = None) -> dict:
+    unit = {"unit_modulus_q": True} if p.on_unit_circle else {}
+    return {"rspec": spec.label(), "q": str(p.q), "kappa": p.kappa, **unit, **(extra or {})}
+
+
+def _pair_setup(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+                window: Window | None, gen: str = ""):
+    """(held R, validated window, Delta(gen) blocks or without gen the identity's)."""
+    if not rep1.params.q == rep2.params.q == fam.params.q:
+        raise ParameterError("representations and family must share DeformParams")
+    if gen not in ("", "N", "a", "adag"):
+        raise ParameterError(f"generator must be N, a or adag, not {gen!r}")
+    (win := window or Window(min(rep1.dim, rep2.dim) - 2, guard=1)).validate(rep1.dim, rep2.dim)
+    return (_held_r(spec, rep1, rep2), win,
+            _coproduct_blocks(word(gen) if gen else word(), fam, rep1, rep2))
+
+
+def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.ndarray,
+                    R: np.ndarray, right: np.ndarray, dims: tuple[int, int], W: int,
+                    tol: float | None, verdict: str | None = None) -> IdentityReport:
+    """The report of left R - R right, block stacks of gen's degree, on the
+    window: raw and over ||R||_F ||right||_F (floored at 1e-300)."""
+    deg = {"N": 0, "a": -1, "adag": 1}[gen]
+    win = _mask(dims, deg, W)
+    raw = frobenius((left @ R - _shift(R, deg) @ right)[win])
+    nrm = raw / max(frobenius(R[_mask(dims, 0, W)]) * frobenius(right[win]), 1e-300)
+    return make_report(f"{name}_{gen}", _echo(spec, fam.params, {"gen": gen}), list(dims), W,
+                       raw, nrm, tol if tol is not None else fam.params.tol, verdict=verdict)
 
 
 def check_intertwiner(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
@@ -192,68 +281,48 @@ def check_intertwiner(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep
                       tol: float | None = None) -> IdentityReport:
     """Residual of (T Delta(gen)) R - R Delta(gen) on the window,
     normalized by ||R||_F ||Delta(gen)||_F so scalar rescalings of R drop out."""
-    p = fam.params
-    tol = tol if tol is not None else p.tol
-    D1, D2 = rep1.dim, rep2.dim
-    win = window or Window(min(D1, D2) - 2, guard=1)
-    R = build_r(spec, rep1, rep2)
-    w = _gen_word(gen)
-    dg = coproduct_op(w, rep1, rep2, fam)
-    tdg = opposite_coproduct_op(w, rep1, rep2, fam)
-    raw, nrm = _pair_residual(tdg @ R, R @ dg, R, dg, (D1, D2), win)
-    return make_report(f"intertwiner_{gen}", _echo(spec, p, {"gen": gen}),
-                       [D1, D2], win.max_index, raw, nrm, tol)
+    R, win, dg = _pair_setup(spec, fam, rep1, rep2, window, gen)
+    tdg = _coproduct_blocks(word(gen), fam, rep1, rep2, opposite=True)
+    return _twisted_report("intertwiner", spec, fam, gen, tdg, R, dg, (rep1.dim, rep2.dim),
+                           win.max_index, tol)
 
 
-def _triple_window(dims: tuple[int, int, int]) -> Window:
+def _triple_window(dims: tuple[int, int, int], window: Window | None) -> Window:
     wmax = (min(dims) - 1) // 2  # the middle factor rises by up to W
-    return Window(wmax, guard=wmax)
+    (window := window or Window(wmax, guard=wmax)).validate(*dims)
+    return window
 
 
-def _kron_block(A: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Block of A (x) I on a set of states, gathered from A.
-
-    ia are the states' indices into A and ib into the identity leg, which
-    becomes an equality mask.
-    """
-    return A[ia[:, None], ia] * (ib[:, None] == ib)
+def _leg_block(R: np.ndarray, dims: tuple[int, int], i: np.ndarray, j: np.ndarray,
+               other: np.ndarray) -> np.ndarray:
+    """Block of R on legs (i, j), identity on the third, on a set of triple
+    states.  The identity leg is an equality mask on other; where it holds,
+    row and column share a pair sector, whose block holds the entry."""
+    M = R.shape[1]
+    slot = _pair_sectors(*dims)[3][i, j]
+    entries = R.reshape(-1, M)[((i + j) * M + slot)[:, None], slot]
+    return entries * (other[:, None] == other)
 
 
 def _r_leg_sectors(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
                    wmax: int):
-    """R12, R13 and R23 one total-number sector s <= 3*wmax at a time.
-
-    Sector s of the truncated triple tensor holds the states with
-    n_i <= D_i - 1 and n1 + n2 + n3 = s.  Yields the sector's states as
-    index arrays (n1, n2, n3), the positions w among them of the window
-    states (every n_i <= wmax), and the three R-leg blocks, gathered from
-    R on each factor pair (built once per distinct pair of reps).
-    """
-    D1, D2, D3 = dims = rep1.dim, rep2.dim, rep3.dim
-    R12 = build_r(spec, rep1, rep2)
-    R13 = R12 if rep3 is rep2 else build_r(spec, rep1, rep3)
-    R23 = R13 if rep2 is rep1 else build_r(spec, rep2, rep3)
-    states = np.indices(dims).reshape(3, -1)
+    """R12, R13 and R23 on each triple sector n1 + n2 + n3 = s <= 3*wmax:
+    yields the sector's states (n1, n2, n3), the positions w among them of
+    the window states (every n_i <= wmax) and the three R-leg blocks."""
+    R12, R13, R23 = ((_held_r(spec, a, b), (a.dim, b.dim))
+                     for a, b in ((rep1, rep2), (rep1, rep3), (rep2, rep3)))
+    states = np.indices((rep1.dim, rep2.dim, rep3.dim)).reshape(3, -1)
     total = states.sum(axis=0)
     for s in range(3 * wmax + 1):
         n1, n2, n3 = sector = states[:, total == s]
         w = np.flatnonzero((sector <= wmax).all(axis=0))
-        yield (n1, n2, n3), w, (_kron_block(R12, n1 * D2 + n2, n3),
-                                _kron_block(R13, n1 * D3 + n3, n2),
-                                _kron_block(R23, n2 * D3 + n3, n1))
+        yield (n1, n2, n3), w, (_leg_block(*R12, n1, n2, n3), _leg_block(*R13, n1, n3, n2),
+                                _leg_block(*R23, n2, n3, n1))
 
 
 def _sector_residual(sides) -> tuple[float, float]:
-    """(raw, normalized) residual from window blocks (lhs, rhs), one pair per
-    sector or every sector's entries in one pair.
-
-    Numerator and denominator are square roots of the summed per-sector
-    sums of squares, i.e. Frobenius norms over the whole window.  The
-    normalization is by ||rhs||_F with no unit floor: for identities
-    between products of R-matrices the absolute scale is meaningless (R
-    carries an overall exp(-alpha**2/gamma)-type factor), so a unit floor
-    would mask genuine failures.
-    """
+    """(raw, over ||rhs||_F) window Frobenius residual of (lhs, rhs) blocks; no
+    unit floor, since R's absolute scale (exp(-alpha**2/gamma)-type) is moot."""
     num = den = 0.0
     for lhs, rhs in sides:
         diff = lhs - rhs
@@ -267,18 +336,16 @@ def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
                       window: Window | None = None, tol: float | None = None,
                       dim_cap: int = 1 << 16) -> IdentityReport:
     """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor, per sector."""
-    p = rep1.params
-    tol = tol if tol is not None else p.tol
+    tol = tol if tol is not None else rep1.params.tol
     dims = D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
     if D1 * D2 * D3 > dim_cap:
         raise ParameterError(f"triple tensor dimension {D1 * D2 * D3} exceeds cap")
-    window = window or _triple_window(dims)
-    window.validate(*dims)
+    window = _triple_window(dims, window)
     raw, nrm = _sector_residual(
         (b12[w] @ b13 @ b23[:, w], b23[w] @ b13 @ b12[:, w])
         for _, w, (b12, b13, b23) in _r_leg_sectors(spec, rep1, rep2, rep3,
                                                     window.max_index))
-    return make_report("yang_baxter", _echo(spec, p), [D1, D2, D3],
+    return make_report("yang_baxter", _echo(spec, rep1.params), [D1, D2, D3],
                        window.max_index, raw, nrm, tol)
 
 
@@ -287,17 +354,13 @@ def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                  tol: float | None = None) -> list[IdentityReport]:
     """(Delta (x) I)R = R13 R23 and (I (x) Delta)R = R13 R12, per sector.
 
-    Delta acts on the explicit series summands (it is not a conjugation
-    of the representation): Delta(u_k) and Delta(v_k) are built one
-    ladder product per k, and their q^{sN} dressing and the diagonal
-    prefactor legs go through exponents evaluated on coproduct-image N
-    eigenvalues.
-    """
+    Delta acts on the explicit series summands, its ladder powers dressed
+    on coproduct-image N eigenvalues; the series side is one gather with
+    k = n3(col) - n3(row) on the left, n1(row) - n1(col) on the right."""
     p = fam.params
     tol = tol if tol is not None else p.tol
     dims = D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
-    window = window or _triple_window(dims)
-    window.validate(*dims)
+    window = _triple_window(dims, window)
     states, left, right = [], [], []
     for sector, w, (b12, b13, b23) in _r_leg_sectors(spec, rep1, rep2, rep3,
                                                      window.max_index):
@@ -310,61 +373,64 @@ def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
     total = n1 + n2 + n3
     r, c = np.nonzero(total[:, None] == total)
     series = _series(spec, p)
-    N1, N3 = rep1.n_diag(), rep3.n_diag()
+    N1, N3, W, kmax = rep1.n_diag(), rep3.n_diag(), window.max_index, min(D2, D3)
     dn12 = (np.add.outer(N1, rep2.n_diag()).reshape(-1) + fam.beta_const)
     dn23 = (np.add.outer(rep2.n_diag(), N3).reshape(-1) + fam.beta_const)
-    kmax = min(D2, D3)
+    # the coproduct legs are kept on the window pair states, at n_a (W + 1) + n_b
+    win12, win23 = ((np.arange(W + 1)[:, None] * D + np.arange(W + 1)).ravel() for D in (D2, D3))
     sides = (
-        ("fusion_left", n1 * D2 + n2, n3, left, q_power(series.exponent(dn12, N3), p),
-         _dressed_powers(coproduct_op(word("adag"), rep1, rep2, fam), series.su, dn12, D3, p),
-         _dressed_powers(rep3.matA, series.sv, N3, D3, p)),
-        ("fusion_right", n1, n2 * D3 + n3, right, q_power(series.exponent(N1, dn23), p),
+        ("fusion_left", n1 * (W + 1) + n2, n3, n3[c] - n3[r], left,
+         q_power(series.exponent(dn12[win12], N3), p),
+         _dressed_powers(coproduct_op(word("adag"), rep1, rep2, fam), series.su, dn12, D3, p,
+                         win12), _dressed_powers(rep3.matA, series.sv, N3, D3, p)),
+        ("fusion_right", n1, n2 * (W + 1) + n3, n1[r] - n1[c], right,
+         q_power(series.exponent(N1, dn23[win23]), p),
          _dressed_powers(rep1.matAdag, series.su, N1, kmax, p),
-         _dressed_powers(coproduct_op(word("a"), rep2, rep3, fam), series.sv, dn23, kmax, p)))
+         _dressed_powers(coproduct_op(word("a"), rep2, rep3, fam), series.sv, dn23, kmax, p,
+                         win23)))
     reports = []
-    for name, ia, ib, rhs, pref, raising, lowering in sides:
-        lhs = _series_sum(series, pref[ia[r], ib[r]], raising, lowering,
-                          lambda A, B: A[ia[r], ia[c]] * B[ib[r], ib[c]])
+    for name, ia, ib, k, rhs, pref, raising, lowering in sides:
+        lhs = _series_sum(series, pref[ia[r], ib[r]], raising, lowering, k,
+                          (ia[r], ia[c]), (ib[r], ib[c]))
         raw, nrm = _sector_residual([(lhs, np.concatenate(rhs))])
         reports.append(make_report(name, _echo(spec, p), [D1, D2, D3],
                                    window.max_index, raw, nrm, tol))
     return reports
 
 
-def antipode_leg(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> np.ndarray:
-    """(S (x) I)R computed term-by-term on the explicit series.
-
-    S reverses the first leg's products, so each term is (S(u_k) (x) I)
-    q**exponent(S(N), N) (I (x) v_k): entrywise, S(u_k) (x) v_k times
-    pref[i', j] at row (i, j) and column (i', j').
-    """
+def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> np.ndarray:
+    """(S (x) I)R as sector blocks: each series term (S(u_k) (x) I)
+    q**exponent(S(N), N) (I (x) v_k) is S(u_k) (x) v_k times pref[i', j],
+    and S(u_k) = S(adag)^k S(q^{k su N}) is a transposed dressed power."""
     p = fam.params
-    D1, D2 = rep1.dim, rep2.dim
     series = _series(spec, p)
     sn = -rep1.n_diag() + fam.antipode_N_shift()  # diagonal of S(N)
     pref = q_power(series.exponent(sn, rep2.n_diag()), p)
-    between = np.broadcast_to(pref.T[None, :, :, None], (D1, D2, D1, D2))
-    return _series_sum(series, between.reshape(D1 * D2, -1),
-                       (antipode_op(series.words(k)[0], rep1, fam) for k in range(D2)),
-                       _dressed_powers(rep2.matA, series.sv, rep2.n_diag(), D2, p), np.kron)
+    SU = _dressed_powers(antipode_op(word("adag"), rep1, fam).T, series.su, sn, rep2.dim,
+                         p).transpose(0, 2, 1)
+    V = _dressed_powers(rep2.matA, series.sv, rep2.n_diag(), rep2.dim, p)
+    return _pair_op((rep1.dim, rep2.dim), 0, lambda ir, jr, ic, jc: _series_sum(
+        series, pref[ic, jr], SU, V, ir - ic, (ir, ic), (jr, jc)))
 
 
-def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep,
-                           rep2: FockRep, window: Window | None = None,
-                           tol: float | None = None,
+def antipode_leg(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> np.ndarray:
+    """(S (x) I)R as a dense matrix, scattered from its sector blocks."""
+    return _dense(_antipode_blocks(spec, fam, rep1, rep2), (rep1.dim, rep2.dim))
+
+
+def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+                           window: Window | None = None, tol: float | None = None,
                            verdict_override: str | None = None) -> IdentityReport:
-    """R ((S (x) I)R) = ((S (x) I)R) R = I on the window."""
+    """R ((S (x) I)R) = ((S (x) I)R) R = I on the window, per pair sector;
+    normalized like fockrep.residual, by max(1, ||I||_F) on the window."""
     p = fam.params
-    tol = tol if tol is not None else p.tol
-    D1, D2 = rep1.dim, rep2.dim
-    win = window or Window(min(D1, D2) - 2, guard=1)
-    R = build_r(spec, rep1, rep2)
-    Rinv = antipode_leg(spec, fam, rep1, rep2)
-    eye = np.eye(D1 * D2, dtype=complex)
-    raw1, nrm1 = residual(R @ Rinv, eye, (D1, D2), win)
-    raw2, nrm2 = residual(Rinv @ R, eye, (D1, D2), win)
-    return make_report("antipode_inverse", _echo(spec, p), [D1, D2], win.max_index,
-                       max(raw1, raw2), max(nrm1, nrm2), tol,
+    R, win, eye = _pair_setup(spec, fam, rep1, rep2, window)
+    Rinv = _antipode_blocks(spec, fam, rep1, rep2)
+    inside = _mask((rep1.dim, rep2.dim), 0, win.max_index)
+    raw = max(frobenius((prod - eye)[inside]) for prod in (R @ Rinv, Rinv @ R))
+    nrm = raw / max(1.0, frobenius(eye[inside]))
+    return make_report("antipode_inverse", _echo(spec, p), [rep1.dim, rep2.dim],
+                       win.max_index, raw, nrm, tol if tol is not None else p.tol,
                        verdict=verdict_override)
 
 
@@ -375,33 +441,31 @@ def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
 
     Both hold only because the prefactor pairs counit-shifted number
     operators: the counit image of the exponent vanishes identically.
-    The counit leg of each term is its scalar counit, a 1 x 1 factor.
+    Each term's counit leg is a 1 x 1 factor, so each side is a series
+    gathered at k = col - row (left) or row - col (right).
     """
-    p = fam.params
-    tol = tol if tol is not None else p.tol
-    D1, D2 = rep1.dim, rep2.dim
-    series = _series(spec, p)
-    words = [series.words(k) for k in range(D2)]
-    eps = [[np.array([[counit(w, fam)]]) for w in leg] for leg in zip(*words)]
-    eps_n, N1, N2 = np.array([fam.counit_N()]), rep1.n_diag(), rep2.n_diag()
-    sides = (("counit_left", D2, q_power(series.exponent(eps_n, N2), p), eps[0],
-              _dressed_powers(rep2.matA, series.sv, N2, D2, p)),
-             ("counit_right", D1, q_power(series.exponent(N1, eps_n), p),
-              _dressed_powers(rep1.matAdag, series.su, N1, D2, p), eps[1]))
+    p, series = fam.params, _series(spec, fam.params)
+    D1, D2, N1, N2 = rep1.dim, rep2.dim, rep1.n_diag(), rep2.n_diag()
+    eps_n = np.array([fam.counit_N()])
+    eps = np.array([[counit(w, fam) for w in series.words(k)] for k in range(D2)])[..., None, None]
     reports = []
-    for name, D, pref, raising, lowering in sides:
-        got = _series_sum(series, pref.reshape(-1, 1), raising, lowering, np.kron)
+    for name, D, pref, raising, lowering, sign in (
+            ("counit_left", D2, q_power(series.exponent(eps_n, N2), p)[0],
+             eps[:, 0], _dressed_powers(rep2.matA, series.sv, N2, D2, p), -1),
+            ("counit_right", D1, q_power(series.exponent(N1, eps_n), p)[:, 0],
+             _dressed_powers(rep1.matAdag, series.su, N1, D2, p), eps[:, 1], 1)):
+        row, col = np.indices((D, D))
+        up, low = ((row, col) if len(leg[0]) > 1 else (0, 0) for leg in (raising, lowering))
+        got = _series_sum(series, pref[row], raising, lowering, sign * (row - col), up, low)
         raw, nrm = residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))
-        reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1,
-                                   raw, nrm, tol, verdict=verdict_override))
+        reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1, raw, nrm,
+                                   tol if tol is not None else p.tol, verdict=verdict_override))
     return reports
 
 
 def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                       gen: str, window: Window | None = None,
-                       tol: float | None = None,
-                       kappa_override: int | None = None,
-                       strip_constant: bool = False,
+                       gen: str, window: Window | None = None, tol: float | None = None,
+                       kappa_override: int | None = None, strip_constant: bool = False,
                        verdict_override: str | None = None) -> IdentityReport:
     """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q.
 
@@ -410,20 +474,13 @@ def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRe
     the failure is carried by that constant alone (for the number
     operator, all of it: both series commute with N (x) I + I (x) N).
     """
-    p = fam.params
-    tol = tol if tol is not None else p.tol
-    D1, D2 = rep1.dim, rep2.dim
-    win = window or Window(min(D1, D2) - 2, guard=1)
-    R = build_r(spec, rep1, rep2)
-    w = _gen_word(gen)
-    dg = coproduct_op(w, rep1, rep2, fam)
-    dbar = qbar_coproduct_op(w, rep1, rep2, fam, kappa_override=kappa_override)
+    R, win, dg = _pair_setup(spec, fam, rep1, rep2, window, gen)
+    dbar = _coproduct_blocks(word(gen), qbar_family(fam, kappa_override), rep1, rep2)
     if strip_constant:
         if gen != "N":
             raise ParameterError("strip_constant applies to the number operator only")
-        eye = np.eye(D1 * D2, dtype=complex)
+        eye = _coproduct_blocks(word(), fam, rep1, rep2)
         dg = dg - fam.beta_const * eye
         dbar = dbar + fam.beta_const * eye  # the rebuilt constant is negated
-    raw, nrm = _pair_residual(R @ dg, dbar @ R, R, dg, (D1, D2), win)
-    return make_report(f"yan_relation_{gen}", _echo(spec, p, {"gen": gen}),
-                       [D1, D2], win.max_index, raw, nrm, tol, verdict=verdict_override)
+    return _twisted_report("yan_relation", spec, fam, gen, dbar, R, dg, (rep1.dim, rep2.dim),
+                           win.max_index, tol, verdict_override)

@@ -606,20 +606,6 @@ def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
 # representation bridge
 
 
-def to_matrix(x: PlusElement, rep: FockRep) -> np.ndarray:
-    """Represent a symbolic element on a truncated Fock space."""
-    p = rep.params
-    nd = rep.n_diag()
-    npr = np.diag(rep.nprime_diag())
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for (k, m, t), c in x.terms.items():
-        term = np.diag(q_power((t / 4.0) * nd, p))
-        term = term @ np.linalg.matrix_power(npr, m)
-        term = term @ np.linalg.matrix_power(rep.matAdag, k)
-        out += c * term
-    return out
-
-
 def quotient_cross_check(rep: FockRep, window: Window | None = None,
                          tol: float | None = None) -> IdentityReport:
     """Cross relations of the double under nu -> N, beta -> a.

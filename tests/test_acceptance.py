@@ -10,13 +10,14 @@ from qboson import DeformParams, Window, build_rep, q_number
 from qboson.fockrep import (casimir, check_relation, classical_limit_residual,
                             window_block, window_indices)
 from qboson.hopfops import (HopfFamily, check_hopf_axioms, coproduct_op,
-                            default_axiom_words, opposite_coproduct_op, word)
+                            default_axiom_words, word)
 from qboson.rmatrix import (RSpec, build_r, check_antipode_inverse, check_counit,
                             check_fusion, check_intertwiner, check_yan_relation,
                             check_yang_baxter, family_for)
 from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
                               realize_sl2, witness_projection_residual)
 from qboson.symalg import dual_bracket_check, pairing_check
+from test_hopfops import opposite_coproduct_op
 
 Q_BOTH = (1.3, 0.7 + 0.2j)
 QD = RSpec(kind="quantum_double")
@@ -203,7 +204,7 @@ def test_criterion_10_exactness_policy():
             eye = np.eye(D, dtype=complex)
             R12 = np.kron(R, eye)
             R23 = np.kron(eye, R)
-            from qboson.rmatrix import _embed_r13
+            from test_rmatrix import _embed_r13
             R13 = _embed_r13(R, D, D, D)
             return R12 @ R13 @ R23, R23 @ R13 @ R12
 

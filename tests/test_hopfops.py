@@ -11,10 +11,24 @@ from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson.fockrep import residual, window_indices
 from qboson.hopfops import (HopfFamily, antipode_op, check_hopf_axioms,
                             coproduct_op, counit, default_axiom_words,
-                            iterated_coproduct, opposite_coproduct_op,
-                            qbar_coproduct_op, qpow, rep_word, sweedler_expand,
-                            sweedler_expand_n, word)
+                            iterated_coproduct, qbar_family, qpow, rep_word,
+                            sweedler_expand, sweedler_expand_n, word)
 from qboson.report import verdict_of
+
+
+def opposite_coproduct_op(w, rep1, rep2, fam):
+    """T.Delta: the dense coproduct conjugated by the tensor swap (D1 = D2),
+    <i j| T.Delta |k l> = <j i| Delta |l k>."""
+    if rep1.dim != rep2.dim:
+        raise ParameterError("opposite coproduct needs equal factor dimensions")
+    D = rep1.dim
+    delta = coproduct_op(w, rep2, rep1, fam)
+    return delta.reshape(D, D, D, D).transpose(1, 0, 3, 2).reshape(D * D, D * D)
+
+
+def qbar_coproduct_op(w, rep1, rep2, fam, kappa_override=None):
+    """The dense coproduct of qbar_family(fam) on the same rep matrices."""
+    return iterated_coproduct(w, (rep1, rep2), qbar_family(fam, kappa_override))
 
 
 def canonical_oracle(rep, p):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 
 import numpy as np
 import pytest
@@ -15,6 +16,16 @@ def test_params_derived_constants():
     assert p.alpha == pytest.approx(np.pi / 2)
     p2 = DeformParams(q=1.3, kappa=3)
     assert p2.alpha == pytest.approx(6 * np.pi + np.pi / 2)
+
+
+def test_params_hash_is_fieldwise_and_hits_one_cache_entry():
+    # the hash is computed once; equal parameters hash equal, equality is fieldwise
+    a, b = DeformParams(q=1.3), DeformParams(q=1.3 + 0j, kappa=0, tol=1e-9)
+    assert a == b and hash(a) == hash(b)
+    assert a != DeformParams(q=1.3, kappa=1) and a != DeformParams(q=1.3, tol=1e-8)
+    cached = functools.lru_cache(maxsize=None)(lambda p: object())
+    assert cached(a) is cached(b)
+    assert cached.cache_info().hits == 1 and cached.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", [0, 1, -1, -2.5, 1j, cmath.exp(2j * cmath.pi / 7)])

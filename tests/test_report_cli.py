@@ -1,10 +1,11 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qboson import cli, symalg
+from qboson import cli, rmatrix, symalg
 from qboson.cli import (ConfigError, _expected_for, _qscalars_cases, emit_report,
                         exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
@@ -403,3 +404,38 @@ def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
     assert one_point[0] > 0 and one_point[1] > 0
     assert last_point == one_point
     assert all(two <= one for two, one in zip(after_two, after_one))
+
+
+def test_run_suite_builds_each_r_once(fast_config, monkeypatch):
+    # every rmatrix case of a suite reads the same held R per (spec, rep pair)
+    builds = Counter()
+
+    class CountingDict(dict):
+        def setdefault(self, key, value):
+            builds[key] += 1
+            return super().setdefault(key, value)
+
+    monkeypatch.setattr(rmatrix, "_HELD_R", CountingDict())
+    run_suite(fast_config)
+    # the pair checks use dims.pair, Yang-Baxter and fusion dims.triple
+    assert len(builds) == 2 * len(fast_config.rspecs)
+    assert set(builds.values()) == {1}
+    assert not rmatrix._HELD_R  # nothing outlives the suite run
+
+
+def test_scan_points_match_separate_verify_runs(tmp_path):
+    # a held R keyed without q would leak from one scan point into the next
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + "scan.q_values = [1.3, 0.7+0.2i]\n", encoding="utf-8")
+
+    def results(path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for rep in doc["results"]:
+            rep.pop("wall_time")
+        return doc["results"]
+
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "s.json"), "scan"]) == 0
+    for idx, q in enumerate(("1.3", "0.7+0.2i")):
+        out = tmp_path / f"v{idx}.json"
+        assert main(["--config", str(cfg), "--q", q, "--out", str(out), "verify"]) == 0
+        assert results(tmp_path / f"s_{idx}.json") == results(out)

@@ -1,22 +1,32 @@
 import cmath
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import DeformParams, ParameterError, Window, build_rep, q_power
-from qboson.fockrep import window_block, window_indices
-from qboson.hopfops import HopfFamily, antipode_op, coproduct_op, rep_word
+from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rmatrix
+from qboson.fockrep import residual, window_block, window_indices
+from qboson.hopfops import HopfFamily, antipode_op, coproduct_op, counit, rep_word, word
 from qboson.report import verdict_of
-from qboson.rmatrix import (RSpec, _embed_r13, _series, antipode_leg, build_r,
+from qboson.rmatrix import (RSpec, _dressed_powers, _series, antipode_leg, build_r,
                             check_antipode_inverse, check_counit, check_fusion,
                             check_intertwiner, check_yan_relation, check_yang_baxter,
                             family_for)
+from test_hopfops import opposite_coproduct_op, qbar_coproduct_op
 
 QD = RSpec(kind="quantum_double")
 YAN = RSpec(kind="yan_claimed")
+
+
+def _embed_r13(Rpair: np.ndarray, D1: int, D2: int, D3: int) -> np.ndarray:
+    """Embed an operator on factors (1, 3) into the triple product."""
+    M = np.kron(Rpair, np.eye(D2, dtype=complex))  # acts on ordering (1, 3, 2)
+    M = M.reshape(D1, D3, D2, D1, D3, D2).transpose(0, 2, 1, 3, 5, 4)
+    return M.reshape(D1 * D2 * D3, D1 * D2 * D3)
 
 
 def test_rspec_validation():
@@ -389,3 +399,137 @@ def test_three_way_split_at_large_triple_dimension(params):
                 assert rpt.verdict == "fail"
             else:
                 assert rpt.verdict == "pass", (spec.kind, rpt.identity, rpt.normalized_residual)
+
+
+# ---------------------------------------------------------------------------
+# the pair-sector checks against the dense D^2 x D^2 products they replaced
+
+
+def dense_r(spec, rep1, rep2):
+    """pref * sum_k c_k kron(U_k, V_k) over the dressed ladder powers."""
+    p = rep1.params
+    series = _series(spec, p)
+    N1, N2, D2 = rep1.n_diag(), rep2.n_diag(), rep2.dim
+    U = _dressed_powers(rep1.matAdag, series.su, N1, D2, p)
+    V = _dressed_powers(rep2.matA, series.sv, N2, D2, p)
+    pref = q_power(series.exponent(N1, N2), p).reshape(-1, 1)
+    return pref * sum(series.coefficient(k) * np.kron(U[k], V[k]) for k in range(D2))
+
+
+def dense_antipode_leg(spec, fam, rep1, rep2):
+    """(S (x) I)R as sum_k c_k kron(S(u_k), v_k), times pref[i', j] entrywise."""
+    p, D1, D2 = fam.params, rep1.dim, rep2.dim
+    series = _series(spec, p)
+    sn = -rep1.n_diag() + fam.antipode_N_shift()
+    pref = q_power(series.exponent(sn, rep2.n_diag()), p)
+    between = np.broadcast_to(pref.T[None, :, :, None], (D1, D2, D1, D2)).reshape(D1 * D2, -1)
+    V = _dressed_powers(rep2.matA, series.sv, rep2.n_diag(), D2, p)
+    return between * sum(series.coefficient(k)
+                         * np.kron(antipode_op(series.words(k)[0], rep1, fam), V[k])
+                         for k in range(D2))
+
+
+def dense_pair_checks(spec, fam, rep, window):
+    """{identity: (raw, normalization, rounding scale)} of the pairwise checks
+    from dense D^2 x D^2 products.  The rounding scale bounds the products'
+    rounding error over u: ||A||_F ||B||_F summed over the products formed."""
+    D = rep.dim
+    win = window or Window(D - 2, guard=1)
+    R = dense_r(spec, rep, rep)
+    norm = np.linalg.norm
+
+    def twisted(left, right, dg, right_is_r=False):
+        lhs, rhs = (R @ dg, right @ R) if right_is_r else (left @ R, R @ dg)
+        den = norm(window_block(R, (D, D), win)) * norm(window_block(dg, (D, D), win))
+        return (norm(window_block(lhs - rhs, (D, D), win)), max(den, 1e-300),
+                norm(R) * (norm(left) + norm(right)))
+
+    out, eye = {}, np.eye(D * D, dtype=complex)
+    for gen in ("N", "a", "adag"):
+        dg = coproduct_op(word(gen), rep, rep, fam)
+        out[f"intertwiner_{gen}"] = twisted(opposite_coproduct_op(word(gen), rep, rep, fam),
+                                            dg, dg)
+        if gen != "adag":
+            dbar = qbar_coproduct_op(word(gen), rep, rep, fam)
+            out[f"yan_relation_{gen}"] = twisted(dg, dbar, dg, right_is_r=True)
+    dg = coproduct_op(word("N"), rep, rep, fam) - fam.beta_const * eye
+    dbar = qbar_coproduct_op(word("N"), rep, rep, fam) + fam.beta_const * eye
+    out["yan_relation_N_stripped"] = twisted(dg, dbar, dg, right_is_r=True)
+    Rinv = dense_antipode_leg(spec, fam, rep, rep)
+    raws = [residual(prod, eye, (D, D), win)[0] for prod in (R @ Rinv, Rinv @ R)]
+    out["antipode_inverse"] = (max(raws), max(1.0, norm(window_block(eye, (D, D), win))),
+                               2 * norm(R) * norm(Rinv))
+    series, n = _series(spec, fam.params), rep.n_diag()
+    eps_n = np.array([fam.counit_N()])
+    for name, pref, leg_k in (
+            ("counit_left", series.exponent(eps_n, n),
+             lambda k: counit(series.words(k)[0], fam) * rep_word(series.words(k)[1], rep)),
+            ("counit_right", series.exponent(n, eps_n),
+             lambda k: rep_word(series.words(k)[0], rep) * counit(series.words(k)[1], fam))):
+        got = q_power(pref, fam.params).reshape(-1, 1) * sum(
+            series.coefficient(k) * leg_k(k) for k in range(D))
+        raw = residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))[0]
+        out[name] = (raw, max(1.0, math.sqrt(D)), norm(got) + math.sqrt(D))
+    return out
+
+
+ZONES = ("pass", "info", "fail")  # verdicts in order of the normalized residual
+_pair_q = (st.floats(0.5, 0.9) | st.floats(1.1, 2.2)
+           | st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.5, 2.2), st.floats(0.05, 1.2))
+           | st.just(0.8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=_pair_q, D=st.integers(4, 12), spec=st.sampled_from([QD, YAN, GF]),
+       W=st.none() | st.integers(0, 10))
+def test_pair_sector_checks_match_dense_oracle(q, D, spec, W):
+    # the sector blocks change only the summation order: raw residuals agree
+    # to 1e-13 of the larger of the residual and the products' rounding
+    # scale, normalized ones likewise over the same normalization, and the
+    # verdict is the dense one up to that difference
+    p = DeformParams(q=q)
+    rep = build_rep(D, 0.5, p)
+    fam = family_for(spec, p)
+    window = None if W is None else Window(min(W, D - 2), guard=1)
+    reports = [check_intertwiner(spec, fam, rep, rep, g, window) for g in ("N", "a", "adag")]
+    reports += [check_yan_relation(spec, fam, rep, rep, g, window) for g in ("N", "a")]
+    stripped = check_yan_relation(spec, fam, rep, rep, "N", window, strip_constant=True)
+    reports += [stripped, check_antipode_inverse(spec, fam, rep, rep, window),
+                *check_counit(spec, fam, rep, rep)]
+    names = [r.identity for r in reports]
+    names[5] = "yan_relation_N_stripped"
+    dense = dense_pair_checks(spec, fam, rep, window)
+    assert sorted(names) == sorted(dense)
+    for name, rpt in zip(names, reports):
+        raw, den, scale = (float(x) for x in dense[name])
+        allowed = 1e-13 * max(raw, scale)
+        assert abs(rpt.raw_residual - raw) <= allowed, (name, rpt.raw_residual, raw)
+        # (an empty window has the 1e-300 floor: these bounds may be inf)
+        assert abs(rpt.normalized_residual - raw / den) <= allowed / den, name
+        lo, hi = (ZONES.index(verdict_of(max(raw + d, 0.0) / den, p.tol))
+                  for d in (-allowed, allowed))
+        assert lo <= ZONES.index(rpt.verdict) <= hi, name
+
+
+def test_build_r_is_the_dense_series(params):
+    # the dense R a dump writes is the scatter of the held blocks
+    for spec in (QD, YAN, GF):
+        for D1, D2 in ((7, 7), (5, 8), (8, 5)):
+            rep1, rep2 = build_rep(D1, 0.5, params), build_rep(D2, 0.5, params)
+            want = dense_r(spec, rep1, rep2)
+            assert np.abs(build_r(spec, rep1, rep2) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_held_r_is_shared_across_threads(params):
+    # threads racing on a first use may each build R, but all get the held copy
+    rep = build_rep(8, 0.5, params)
+    rmatrix.clear_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            held = list(pool.map(lambda _: rmatrix._held_r(QD, rep, rep), range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        rmatrix.clear_caches()
+    assert len(held) == 32 and all(h is held[0] for h in held)

@@ -18,7 +18,22 @@ from qboson.symalg import (BETA, NU, NU_PRIME, DegreeOverflowError,
                            eval_functional, eval_word, multiply, pairing_check,
                            pairing_closed_form,
                            pairing_gram, qnu, quotient_cross_check,
-                           straighten_cross, to_matrix)
+                           straighten_cross)
+
+
+def to_matrix(x: PlusElement, rep) -> np.ndarray:
+    """Represent a symbolic element on a truncated Fock space."""
+    p = rep.params
+    nd = rep.n_diag()
+    npr = np.diag(rep.nprime_diag())
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for (k, m, t), c in x.terms.items():
+        term = np.diag(q_power((t / 4.0) * nd, p))
+        term = term @ np.linalg.matrix_power(npr, m)
+        term = term @ np.linalg.matrix_power(rep.matAdag, k)
+        out += c * term
+    return out
+
 
 NP = PlusElement.n_prime
 A = PlusElement.a_dressed
