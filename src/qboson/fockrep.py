@@ -10,6 +10,7 @@ test); feasibility means W + g <= D - 1 in every tensor factor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -104,15 +105,20 @@ def build_rep(D: int, c: complex, p: DeformParams) -> FockRep:
 # windowing and residuals
 
 
+@functools.cache
 def window_indices(dims: tuple[int, ...], max_index: int) -> np.ndarray:
-    """Flat indices of the tensor-product basis with every factor <= max_index."""
+    """Flat indices of the tensor-product basis with every factor <= max_index.
+
+    Built once per (dims, max_index) and shared, so the array is read-only."""
     keep = []
     for tup in itertools.product(*(range(min(d, max_index + 1)) for d in dims)):
         flat = 0
         for t, d in zip(tup, dims):
             flat = flat * d + t
         keep.append(flat)
-    return np.array(sorted(keep), dtype=int)
+    idx = np.array(sorted(keep), dtype=int)
+    idx.setflags(write=False)
+    return idx
 
 
 def window_block(mat: np.ndarray, dims: tuple[int, ...], window: Window) -> np.ndarray:

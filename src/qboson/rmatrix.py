@@ -226,7 +226,7 @@ def _held_r(spec: RSpec, rep1: FockRep, rep2: FockRep) -> np.ndarray:
     k = i - i', built once per (spec, rep pair) until clear_caches()."""
     key = (spec, *((r.params, r.matN.tobytes(), r.matA.tobytes(), r.matAdag.tobytes())
                    for r in (rep1, rep2)))
-    if (held := _HELD_R.get(key)) is None:  # threads racing here build equal copies
+    if (held := _HELD_R.get(key)) is None:
         if rep1.params.q != rep2.params.q:
             raise ParameterError("representations must share DeformParams")
         p, N1, N2, D2 = rep1.params, rep1.n_diag(), rep2.n_diag(), rep2.dim

@@ -128,6 +128,18 @@ def test_window_indices_tensor():
     assert list(idx) == [0, 1, 3, 4]  # (0,0), (0,1), (1,0), (1,1)
 
 
+@pytest.mark.parametrize("dims, max_index", [((6,), 3), ((5, 5, 5), 2), ((4, 7), 5), ((3, 2, 4), 9)])
+def test_window_indices_cached_and_read_only(dims, max_index):
+    # the flat indices of every basis tuple with all factors <= max_index
+    want = sorted(int(np.ravel_multi_index(t, dims)) for t in np.ndindex(*dims)
+                  if max(t) <= max_index)
+    idx = window_indices(dims, max_index)
+    assert idx.tolist() == want
+    assert window_indices(dims, max_index) is idx  # one array per (dims, max_index)
+    with pytest.raises(ValueError):
+        idx[0] = 1
+
+
 def test_residual_normalization():
     lhs = np.eye(4) * 2.0
     rhs = np.eye(4)

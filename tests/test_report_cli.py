@@ -362,8 +362,8 @@ def test_workers_env_preserves_results(fast_config, monkeypatch):
 
 
 def test_sampled_cases_do_not_depend_on_run_order(fast_config):
-    # the thread pool may run the cases in any order; each case's samples
-    # are drawn when the cases are built
+    # each case's samples are drawn when the cases are built, so the cases
+    # may run in any order
     p = fast_config.params()
     forward = [fn().as_dict() for _, fn in _qscalars_cases(fast_config, p)]
     backward = [fn().as_dict() for _, fn in reversed(_qscalars_cases(fast_config, p))]
