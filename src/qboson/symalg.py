@@ -28,13 +28,15 @@ test suite before anything else relies on them.
 
 Products of functionals are evaluated through the coproduct: a word
 f1 f2 ... fr applied to x is (f1 (x) ... (x) fr)(Delta_{r-1}(x)),
-computed by recursive two-leg splitting.  The coproduct of a basis
-monomial has a closed form (q-binomial expansion of Delta(adag)**k, see
-_coproduct_key), and each split reads a cached transfer row: the nonzero
-(other-leg key, coefficient * atomic value) pairs of one functional on
-one side of one monomial's coproduct.  The pairing table, the dual
-bracket, the dual Hopf duality and the cross straightening share this
-path; clear_caches() empties its caches.
+computed by splitting off one functional at a time.  The coproduct of a
+basis monomial has a closed form (q-binomial expansion of
+Delta(adag)**k, see _coproduct_key).  A word is held as its vector of
+values on a grid of basis keys (k, m, t), sized by the keys asked about;
+splitting off f is one batched product of that vector with f's transfer
+weights, a lower-triangular (m, m') matrix per (k, t).  Vectors are
+memoized by suffix, so the words of one table share their tails.  The
+pairing table, the dual bracket and the cross straightening evaluate
+through this path; clear_caches() empties its caches.
 """
 
 from __future__ import annotations
@@ -64,17 +66,37 @@ def _check_cap(k: int, m: int, cap: int) -> None:
             f"degree (k={k}, m={m}) exceeds cap {cap}; raise the cap explicitly")
 
 
-class PlusElement:
-    """Finite linear combination of E[k, m, s] basis monomials."""
+class _Combination:
+    """Finite linear combination of basis keys, dropping zero coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         self.terms = {key: complex(c) for key, c in (terms or {}).items() if c != 0}
 
-    @classmethod
-    def zero(cls) -> "PlusElement":
-        return cls()
+    def items(self):
+        return self.terms.items()
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0.0) + c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1.0)
+
+    def scaled(self, z: complex):
+        return type(self)({key: z * c for key, c in self.terms.items()})
+
+    def max_abs(self) -> float:
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+
+class PlusElement(_Combination):
+    """Finite linear combination of E[k, m, s] basis monomials."""
+
+    __slots__ = ()
 
     @classmethod
     def unit(cls) -> "PlusElement":
@@ -102,58 +124,16 @@ class PlusElement:
         """A = q**(N/2) adag."""
         return cls.basis(1, 0, 1)
 
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other: "PlusElement") -> "PlusElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return PlusElement(out)
-
-    def __sub__(self, other: "PlusElement") -> "PlusElement":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, z: complex) -> "PlusElement":
-        return PlusElement({key: z * c for key, c in self.terms.items()})
-
-    def coeff(self, k: int, m: int, s: float) -> complex:
-        return self.terms.get((k, m, round(2 * s)), 0.0)
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def __repr__(self):
         body = " + ".join(f"({c:.4g})*E[{k},{m},{t / 2:g}]"
                           for (k, m, t), c in sorted(self.terms.items()))
         return body or "0"
 
 
-class TensorPlusElement:
+class TensorPlusElement(_Combination):
     """Element of the tensor square, keyed by pairs of basis keys."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {key: complex(c) for key, c in (terms or {}).items() if c != 0}
-
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other: "TensorPlusElement") -> "TensorPlusElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return TensorPlusElement(out)
-
-    def __sub__(self, other: "TensorPlusElement") -> "TensorPlusElement":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, z: complex) -> "TensorPlusElement":
-        return TensorPlusElement({key: z * c for key, c in self.terms.items()})
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +173,37 @@ def multiply(x: PlusElement, y: PlusElement, p: DeformParams,
 
 
 @functools.lru_cache(maxsize=None)
+def _split_row(k: int, p: DeformParams) -> tuple:
+    """c_r(k, 0) = e^{-i k alpha/2} [k r]_w i**(k-r) q**(r(k-r)/2), r = 0..k.
+
+    The Gaussian binomials [k r]_w in w = 1/q come from the Pascal rule
+    [n r] = [n-1 r-1] + w**r [n-1 r], which divides by nothing: the product
+    formula's 1 - w**j factors lose digits for q near 1.
+    """
+    w_pow = [q_power(-r, p) for r in range(k + 1)]
+    gauss = [1.0 + 0.0j]
+    for n in range(1, k + 1):
+        gauss = [(gauss[r - 1] if r else 0.0) + (w_pow[r] * gauss[r] if r < n else 0.0)
+                 for r in range(n + 1)]
+    # the phase of Delta(adag), once per factor
+    phase = complex(np.exp(-1j * p.alpha / 2.0)) ** k
+    return tuple(phase * gauss[r] * 1j ** (k - r) * q_power(r * (k - r) / 2.0, p)
+                 for r in range(k + 1))
+
+
+def _cexp(z):
+    """exp(z), elementwise on arrays; a Python complex for a scalar z, so that
+    scalar products round as the complex type's do, not as numpy's."""
+    return np.exp(z) if isinstance(z, np.ndarray) else complex(np.exp(z))
+
+
+def _coproduct_coeff(k: int, r: int, t, p: DeformParams):
+    """c_r(k, t) = e^{-i t alpha/4} c_r(k, 0), the phase of Delta(q**(sN/2))
+    put on; elementwise when t is an integer array."""
+    return _cexp(-1j * (t / 4.0) * p.alpha) * _split_row(k, p)[r]
+
+
+@functools.lru_cache(maxsize=None)
 def _coproduct_key(key: Key, p: DeformParams, cap: int) -> TensorPlusElement:
     """Delta(E[k, m, s]) expanded in the tensor basis, in closed form.
 
@@ -202,27 +213,15 @@ def _coproduct_key(key: Key, p: DeformParams, cap: int) -> TensorPlusElement:
     Y = i q**(-N/2) (x) adag.  Since YX = q**(-1) XY, (X + Y)**k expands
     with the Gaussian binomials [k r]_w in w = 1/q; with t = 2s,
 
-        Delta(E[k, m, t]) = e^{-i t alpha/4} e^{-i k alpha/2}
-            sum_{r<=k} sum_{j<=m} C(m, j) [k r]_w i**(k-r) q**(r(k-r)/2)
-            E[r, j, t - 2(k-r)] (x) E[k-r, m-j, t + 2r].
-
-    The binomials come from the Pascal rule [n r] = [n-1 r-1] + w**r [n-1 r],
-    which divides by nothing: the product formula's 1 - w**j factors lose
-    digits for q near 1.
+        Delta(E[k, m, t]) = sum_{r<=k} sum_{j<=m} C(m, j) c_r(k, t)
+            E[r, j, t - 2(k-r)] (x) E[k-r, m-j, t + 2r],
+        c_r(k, t) = e^{-i t alpha/4} e^{-i k alpha/2} [k r]_w i**(k-r) q**(r(k-r)/2).
     """
     k, m, t = key
     _check_cap(k, m, cap)
-    # the phase of Delta(q**(sN/2)) times that of Delta(adag), once per factor
-    phase = (complex(np.exp(-1j * (t / 4.0) * p.alpha))
-             * complex(np.exp(-1j * p.alpha / 2.0)) ** k)
-    w_pow = [q_power(-r, p) for r in range(k + 1)]
-    gauss = [1.0 + 0.0j]
-    for n in range(1, k + 1):
-        gauss = [(gauss[r - 1] if r else 0.0) + (w_pow[r] * gauss[r] if r < n else 0.0)
-                 for r in range(n + 1)]
     out: dict = {}
     for r in range(k + 1):
-        c_r = phase * gauss[r] * 1j ** (k - r) * q_power(r * (k - r) / 2.0, p)
+        c_r = _coproduct_coeff(k, r, t, p)
         for j in range(m + 1):
             out[((r, j, t - 2 * (k - r)), (k - r, m - j, t + 2 * r))] = c_r * math.comb(m, j)
     return TensorPlusElement(out)
@@ -265,36 +264,29 @@ def qnu(c: float) -> tuple:
     return ("qnu", float(c))
 
 
-def eval_atomic(f: tuple, key: Key, p: DeformParams) -> complex:
-    """Closed-form value of one atomic functional on one basis monomial."""
+def eval_atomic(f: tuple, key: Key, p: DeformParams):
+    """Closed-form value of one atomic functional on one basis monomial.
+
+    t = 2s may be an integer array: the value is then elementwise, or a
+    scalar zero where the functional vanishes for every t."""
     k, m, t = key
     s = t / 2.0
     iag = p.ialpha_over_gamma
-    half_phase = complex(np.exp(1j * s * p.alpha / 2.0))
+    half_phase = _cexp(1j * s * p.alpha / 2.0)
     name = f[0]
     if name == "eps":
         return half_phase if (k == 0 and m == 0) else 0.0
-    if name == "nu":
-        if k != 0:
+    if name in ("nu", "nu_prime"):  # nu' = nu - i alpha/gamma eps
+        if k != 0 or m > 1:
             return 0.0
-        if m == 0:
-            return half_phase * (iag + s / 2.0)
         if m == 1:
             return half_phase / p.gamma
-        return 0.0
-    if name == "nu_prime":
-        if k != 0:
-            return 0.0
-        if m == 0:
-            return half_phase * (s / 2.0)
-        if m == 1:
-            return half_phase / p.gamma
-        return 0.0
+        return half_phase * ((iag if name == "nu" else 0.0) + s / 2.0)
     if name == "beta":
         if k != 1:
             return 0.0
         sigma = s - 1.0  # off-tie deviation relative to the tie s = k = 1
-        ext = complex(np.exp(1j * sigma * p.alpha / 2.0)) * q_power(sigma / 4.0, p)
+        ext = _cexp(1j * sigma * p.alpha / 2.0) * q_power(sigma / 4.0, p)
         return ext * complex(np.exp(-1j * p.alpha / 2.0)) / (2.0 ** m) / (1.0 + 1.0 / p.q)
     if name == "qnu":
         c = f[1]
@@ -305,53 +297,95 @@ def eval_atomic(f: tuple, key: Key, p: DeformParams) -> complex:
     raise ParameterError(f"unknown atomic functional {f!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _atomic_value(f: tuple, key: Key, p: DeformParams) -> complex:
-    return eval_atomic(f, key, p)
+# ---------------------------------------------------------------------------
+# dual words on the (k, m, t) key grid
+#
+# A grid box (K, M, t0, nt) holds the keys k <= K, m <= M, t0 <= t < t0 + nt;
+# a word vector v_w[k, t - t0, m] is the word's value on E[k, m, t].
+
+
+def _degree(f: tuple) -> int:
+    """The one raising degree of a leg off which f vanishes: 1 for beta, 0 else."""
+    return 1 if f == BETA else 0
+
+
+def _grid_box(keys, cap: int, split: str) -> tuple:
+    """The smallest box holding every key a word splits the given keys into:
+    the rest of a word is read at (k - d, ., t + 2d) after a left split, at
+    (k - d, ., t - 2d) after a right one, and the degrees d add up to <= k."""
+    kmax, mmax = max(k for k, _, _ in keys), max(m for _, m, _ in keys)
+    _check_cap(kmax, mmax, cap)
+    tmin, tmax = min(t for _, _, t in keys), max(t for _, _, t in keys)
+    t0 = tmin if split == "left" else tmin - 2 * kmax
+    return kmax, mmax, t0, tmax - tmin + 2 * kmax + 1
+
+
+def _atomic_vector(f: tuple, box: tuple, p: DeformParams) -> np.ndarray:
+    K, M, t0, nt = box
+    v = np.zeros((K + 1, nt, M + 1), dtype=complex)
+    d, t = _degree(f), np.arange(t0, t0 + nt)
+    for m in range(M + 1):
+        v[d:d + 1, :, m] = eval_atomic(f, (d, m, t), p)  # empty when d > K
+    return v
 
 
 @functools.lru_cache(maxsize=None)
-def _transfer_row(f: tuple, key: Key, p: DeformParams, cap: int, side: str) -> tuple:
-    """The nonzero pairs (other-leg key, c * f(leg)) of Delta(E[key]).
+def _transfer_weights(f: tuple, box: tuple, p: DeformParams, split: str) -> np.ndarray:
+    """W[k, t, m, m'] with (f . w)[k, m, t] = sum_m' W[k, t, m, m'] w[k-d, m', t+2d].
 
-    f is applied to the left leg of every term c * leg (x) other when side
-    is 'left', to the right leg otherwise.  Every atomic functional vanishes
-    off one raising degree of its leg (1 for beta, 0 for the others), so
-    only that slice of the coproduct is visited.
+    Left: f takes the leg E[d, m-m', t-2(k-d)] of Delta(E[k, m, t]) with
+    coefficient C(m, m') c_d(k, t).  Right, the mirror: (w . f) has f on
+    E[d, m-m', t+2(k-d)] with c_{k-d}(k, t), and w read at t - 2d.
     """
-    degree = 1 if f == BETA else 0
-    row = []
-    for (k1, k2), c in _coproduct_key(key, p, cap).terms.items():
-        leg, other = (k1, k2) if side == "left" else (k2, k1)
-        if leg[0] == degree:
-            v = _atomic_value(f, leg, p)
-            if v != 0:
-                row.append((other, c * v))
-    return tuple(row)
+    K, M, t0, nt = box
+    d, left = _degree(f), split == "left"
+    W = np.zeros((K + 1, nt, M + 1, M + 1), dtype=complex)
+    ks, t = np.arange(d, K + 1), np.arange(t0, t0 + nt)
+    c = np.array([_coproduct_coeff(k, d if left else k - d, t, p) for k in ks]).reshape(-1, nt)
+    leg_t = t - 2 * (ks[:, None] - d) if left else t + 2 * (ks[:, None] - d)
+    for j in range(M + 1):  # the Np power of f's leg; m' = m - j
+        c_leg = c * eval_atomic(f, (d, j, leg_t), p)
+        for m in range(j, M + 1):
+            W[d:, :, m, m - j] = math.comb(m, j) * c_leg
+    W.flags.writeable = False
+    return W
 
 
-@functools.lru_cache(maxsize=None)
-def _eval_word_key(factors: tuple, key: Key, p: DeformParams, cap: int,
-                   split: str) -> complex:
-    if not factors:
-        return _atomic_value(EPS, key, p)
-    if len(factors) == 1:
-        return _atomic_value(factors[0], key, p)
-    if split == "left":
-        f, rest = factors[0], factors[1:]
-    else:
-        rest, f = factors[:-1], factors[-1]
-    return sum((cv * _eval_word_key(rest, other, p, cap, split)
-                for other, cv in _transfer_row(f, key, p, cap, split)), start=0.0 + 0.0j)
+def _word_vector(factors: tuple, box: tuple, p: DeformParams, split: str,
+                 memo: dict) -> np.ndarray:
+    """The word's values on every key of the box, memoized by suffix in memo.
+
+    The rest is read at (k - d, t +- 2d) by rolling its vector; what rolls
+    in across the box's edges lands on keys no asked-for key splits into.
+    """
+    if factors not in memo:
+        if len(factors) <= 1:
+            memo[factors] = _atomic_vector(factors[0] if factors else EPS, box, p)
+        else:
+            f, rest = (factors[0], factors[1:]) if split == "left" else (factors[-1], factors[:-1])
+            d = _degree(f)
+            w = np.roll(_word_vector(rest, box, p, split, memo),
+                        (d, -2 * d if split == "left" else 2 * d), axis=(0, 1))
+            memo[factors] = np.einsum("ktab,ktb->kta", _transfer_weights(f, box, p, split), w)
+    return memo[factors]
+
+
+def _word_table(words, keys, p: DeformParams, cap: int, split: str = "left") -> np.ndarray:
+    """Values of the dual words on the basis keys, shape (len(words), len(keys))."""
+    box = _grid_box(keys, cap, split)
+    k, m, t = (np.array(axis) for axis in zip(*keys))
+    memo: dict = {}
+    return np.array([_word_vector(tuple(w), box, p, split, memo)[k, t - box[2], m]
+                     for w in words])
 
 
 def clear_caches() -> None:
-    """Empty the coproduct, atomic-value, transfer-row and word caches.
+    """Empty the coproduct, split-coefficient and transfer-weight caches.
 
     Their keys hold DeformParams, so entries made at one q are never
     reused at another; a sweep over q clears them after each point.
     """
-    for cache in (_coproduct_key, _atomic_value, _transfer_row, _eval_word_key):
+    for cache in (_coproduct_key, _split_row, _transfer_weights):
         cache.cache_clear()
 
 
@@ -362,8 +396,10 @@ def eval_word(factors, x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP,
     'split' chooses the recursion side; coassociativity makes the result
     independent of it, which the tests exercise directly.
     """
-    return sum((c * _eval_word_key(tuple(factors), key, p, cap, split)
-                for key, c in x.terms.items()), start=0.0 + 0.0j)
+    if not x.terms:
+        return 0.0 + 0.0j
+    row = _word_table([factors], list(x.terms), p, cap, split)[0]
+    return sum((c * v for c, v in zip(x.terms.values(), row)), start=0.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -407,14 +443,11 @@ def pairing_closed_form(k: int, m: int, l: int, n: int, p: DeformParams) -> comp
 
 def pairing_gram(kmax: int, mmax: int, p: DeformParams,
                  cap: int = DEGREE_CAP) -> np.ndarray:
-    """Gram matrix of the pairing over (k, m), (l, n) up to the caps."""
+    """Gram matrix of the pairing over (k, m), (l, n) up to the caps, as one
+    pass over the key grid: every dual basis word on every tie key (l, n, 2l)."""
     pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
-    G = np.zeros((len(pairs), len(pairs)), dtype=complex)
-    for i, (k, m) in enumerate(pairs):
-        f = DualElement.basis(k, m)
-        for j, (l, n) in enumerate(pairs):
-            G[i, j] = eval_functional(f, PlusElement.tie_basis(l, n), p, cap)
-    return G
+    return _word_table([dual_basis_factors(k, m) for k, m in pairs],
+                       [(l, n, 2 * l) for l, n in pairs], p, cap)
 
 
 def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
@@ -434,8 +467,8 @@ def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
     if G.shape != (len(pairs), len(pairs)):
         raise ParameterError(f"pairing table has shape {G.shape}, expected "
                              f"{(len(pairs), len(pairs))} for kmax={kmax}, mmax={mmax}")
-    want = np.array([[pairing_closed_form(k, m, l, n, p) for l, n in pairs]
-                     for k, m in pairs])
+    # the closed form vanishes off the diagonal
+    want = np.diag([pairing_closed_form(k, m, k, m, p) for k, m in pairs])
     dev = float(np.abs(G - want).max())
     scale = float(np.abs(want).max())
     return make_report("pairing_eqn", {"kmax": kmax, "mmax": mmax, "q": str(p.q)},
@@ -446,14 +479,9 @@ def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4,
                        cap: int = DEGREE_CAP, tol: float | None = None) -> IdentityReport:
     """[nu, beta] + beta evaluates to zero on every tie basis element."""
     tol = tol if tol is not None else p.tol
-    dev = 0.0
-    for l in range(lmax + 1):
-        for n in range(nmax + 1):
-            x = PlusElement.tie_basis(l, n)
-            v = (eval_word((NU, BETA), x, p, cap)
-                 - eval_word((BETA, NU), x, p, cap)
-                 + eval_word((BETA,), x, p, cap))
-            dev = max(dev, abs(v))
+    keys = [(l, n, 2 * l) for l in range(lmax + 1) for n in range(nmax + 1)]
+    nu_beta, beta_nu, beta = _word_table([(NU, BETA), (BETA, NU), (BETA,)], keys, p, cap)
+    dev = float(np.abs(nu_beta - beta_nu + beta).max())
     return make_report("dual_bracket", {"lmax": lmax, "nmax": nmax, "q": str(p.q)},
                        [lmax + 1, nmax + 1], lmax, dev, dev, tol)
 
@@ -468,22 +496,26 @@ def dual_hopf_check(p: DeformParams, deg: int = 3, cap: int = DEGREE_CAP,
     tol = tol if tol is not None else p.tol
     iag = p.ialpha_over_gamma
     ph = complex(np.exp(-1j * p.alpha / 2.0))
-    basis = [PlusElement.tie_basis(l, n)
-             for l in range(deg + 1) for n in range(deg + 1)]
-    ev = lambda f, z: eval_word((f,), z, p, cap)
+    keys = [(l, n, 2 * l) for l in range(deg + 1) for n in range(deg + 1)]
+    sxs = {x: antipode_sym_inv(PlusElement({x: 1.0}), p, cap) for x in keys}
+    yxs = {(x, y): multiply(PlusElement({y: 1.0}), PlusElement({x: 1.0}), p, cap)
+           for x in keys for y in keys}
+    # each generator's value on each key met, computed once
+    met = set(keys).union(*(z.terms for z in (*sxs.values(), *yxs.values())))
+    nu, eps, beta, up, dn = ({key: eval_atomic(f, key, p) for key in met}
+                             for f in (NU, EPS, BETA, qnu(0.5), qnu(-0.5)))
+    ev = lambda values, z: sum((c * values[key] for key, c in z.items()), start=0j)
     dev = 0.0
-    for x in basis:
-        sx = antipode_sym_inv(x, p, cap)
-        dev = max(dev, abs(-ev(NU, x) + 2 * iag * ev(EPS, x) - ev(NU, sx)))
-        dev = max(dev, abs(-q_power(-0.5, p) * ev(BETA, x) - ev(BETA, sx)))
-        for y in basis:
-            yx = multiply(y, x, p, cap)
-            lhs_nu = ev(NU, x) * ev(EPS, y) + ev(EPS, x) * ev(NU, y) \
-                - iag * ev(EPS, x) * ev(EPS, y)
-            dev = max(dev, abs(lhs_nu - ev(NU, yx)))
-            lhs_beta = ph * (ev(BETA, x) * ev(qnu(0.5), y)
-                             + 1j * ev(qnu(-0.5), x) * ev(BETA, y))
-            dev = max(dev, abs(lhs_beta - ev(BETA, yx)))
+    for x in keys:
+        sx = sxs[x]
+        dev = max(dev, abs(-nu[x] + 2 * iag * eps[x] - ev(nu, sx)))
+        dev = max(dev, abs(-q_power(-0.5, p) * beta[x] - ev(beta, sx)))
+        for y in keys:
+            yx = yxs[x, y]
+            lhs_nu = nu[x] * eps[y] + eps[x] * nu[y] - iag * eps[x] * eps[y]
+            dev = max(dev, abs(lhs_nu - ev(nu, yx)))
+            lhs_beta = ph * (beta[x] * up[y] + 1j * dn[x] * beta[y])
+            dev = max(dev, abs(lhs_beta - ev(beta, yx)))
     return make_report("dual_hopf", {"deg": deg, "q": str(p.q)},
                        [deg + 1, deg + 1], deg, dev, dev, tol)
 
@@ -542,10 +574,7 @@ def _dual_word_key(f: tuple) -> tuple:
 
 def dual_word_factors(dword: tuple) -> tuple:
     two_c, npow, bpow = dword
-    fs: tuple = ()
-    if two_c:
-        fs += (qnu(two_c / 2.0),)
-    return fs + (NU,) * npow + (BETA,) * bpow
+    return (qnu(two_c / 2.0),) * bool(two_c) + (NU,) * npow + (BETA,) * bpow
 
 
 def straighten_cross(fname: str, xname: str, p: DeformParams,
@@ -564,10 +593,10 @@ def straighten_cross(fname: str, xname: str, p: DeformParams,
     out: dict = {}
     for (x1, x2, x3), cx in legs3.items():
         for cf, f1, f2, f3 in duals3:
-            v3 = _atomic_value(f3, x3, p)
+            v3 = eval_atomic(f3, x3, p)
             if v3 == 0:
                 continue
-            v1 = sum(ci * _atomic_value(fi, x1, p) for ci, fi in _s0_inv_atomic(f1, p))
+            v1 = sum(ci * eval_atomic(fi, x1, p) for ci, fi in _s0_inv_atomic(f1, p))
             if v1 == 0:
                 continue
             key = (x2, _dual_word_key(f2))
@@ -582,24 +611,17 @@ def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
     Terms are grouped by primal key and the dual parts compared by
     evaluating on all tie basis elements up to the grid degree.
     """
-    keys = set(lhs) | set(rhs)
-    primal_keys = {key[0] for key in keys}
-    dev = 0.0
-    for pk in primal_keys:
-        duals: dict = {}
-        for (xk, dw), c in lhs.items():
-            if xk == pk:
-                duals[dw] = duals.get(dw, 0.0) + c
-        for (xk, dw), c in rhs.items():
-            if xk == pk:
-                duals[dw] = duals.get(dw, 0.0) - c
-        for l in range(grid + 1):
-            for n in range(grid + 1):
-                x = PlusElement.tie_basis(l, n)
-                v = sum(c * eval_word(dual_word_factors(dw), x, p, cap)
-                        for dw, c in duals.items())
-                dev = max(dev, abs(v))
-    return dev
+    duals: dict = {}  # primal key -> {dual word key: coefficient}
+    for sign, terms in ((1.0, lhs), (-1.0, rhs)):
+        for (xk, dw), c in terms.items():
+            group = duals.setdefault(xk, {})
+            group[dw] = group.get(dw, 0.0) + sign * c
+    dwords = list(dict.fromkeys(dw for terms in duals.values() for dw in terms))
+    keys = [(l, n, 2 * l) for l in range(grid + 1) for n in range(grid + 1)]
+    table = dict(zip(dwords, _word_table([dual_word_factors(dw) for dw in dwords],
+                                         keys, p, cap)))
+    return max((float(np.abs(sum(c * table[dw] for dw, c in terms.items())).max())
+                for terms in duals.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -374,9 +374,8 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
 
 def _symalg_cache_sizes():
     return (symalg._coproduct_key.cache_info().currsize,
-            symalg._eval_word_key.cache_info().currsize,
-            symalg._transfer_row.cache_info().currsize,
-            symalg._atomic_value.cache_info().currsize)
+            symalg._split_row.cache_info().currsize,
+            symalg._transfer_weights.cache_info().currsize)
 
 
 def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
@@ -401,7 +400,7 @@ def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
 
     (one_point,), after_one = scan("1.4")
     (_, last_point), after_two = scan("1.2, 1.4")
-    assert one_point[0] > 0 and one_point[1] > 0
+    assert all(size > 0 for size in one_point)
     assert last_point == one_point
     assert all(two <= one for two, one in zip(after_two, after_one))
 

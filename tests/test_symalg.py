@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson.fockrep import residual
-from qboson.symalg import (BETA, NU, NU_PRIME, DegreeOverflowError,
+from qboson.symalg import (BETA, EPS, NU, NU_PRIME, DegreeOverflowError,
                            DualElement, PlusElement, TensorPlusElement,
                            _coproduct_key, _mul_keys,
                            antipode_sym_inv, coproduct_sym, cross_terms_difference,
@@ -79,6 +79,48 @@ def chain_coproduct_key(key, p: DeformParams, cap: int) -> TensorPlusElement:
     for _ in range(k):
         out = _tensor_multiply(out, da, p, cap)
     return out
+
+
+def word_oracle(p: DeformParams, cap: int):
+    """The dual-word recursion that the key-grid engine replaced, kept as its
+    oracle, on the product-chain coproduct instead of the closed form.
+
+    A word splits off one functional at a time (the first for a left split,
+    the last for a right one) and reads that functional's transfer row: the
+    nonzero pairs (other-leg key, c * f(leg)) of the coproduct.  Returns
+    word_value(factors, key, split) -> (value, term scale), the scale being
+    the same recursion over the absolute values of the terms.
+    """
+    coproduct = functools.cache(lambda key: chain_coproduct_key(key, p, cap))
+
+    @functools.cache
+    def _transfer_row(f, key, side):
+        degree = 1 if f == BETA else 0
+        row = []
+        for (k1, k2), c in coproduct(key).terms.items():
+            leg, other = (k1, k2) if side == "left" else (k2, k1)
+            if leg[0] == degree:
+                v = eval_atomic(f, leg, p)
+                if v != 0:
+                    row.append((other, c * v))
+        return tuple(row)
+
+    @functools.cache
+    def _eval_word_key(factors, key, split):
+        if len(factors) <= 1:
+            v = eval_atomic(factors[0] if factors else EPS, key, p)
+            return v, abs(v)
+        if split == "left":
+            f, rest = factors[0], factors[1:]
+        else:
+            rest, f = factors[:-1], factors[-1]
+        value, scale = 0.0 + 0.0j, 0.0
+        for other, cv in _transfer_row(f, key, split):
+            v, s = _eval_word_key(rest, other, split)
+            value, scale = value + cv * v, scale + abs(cv) * s
+        return value, scale
+
+    return _eval_word_key
 
 
 def recursive_gram(kmax: int, mmax: int, p: DeformParams, cap: int) -> np.ndarray:
@@ -372,6 +414,37 @@ def test_qnu_closed_form_matches_series(params):
             want = np.exp(1j * c * params.alpha) * series
             got = eval_atomic(qnu(c), key, params)
             assert abs(got - want) <= 1e-10, (c, key)
+
+
+# beta drawn half the time: a word is nonzero only on raising degree k = its
+# number of betas, and the Gaussian binomials show only from two betas on
+_atomics = st.just(BETA) | st.sampled_from([EPS, NU, NU_PRIME] + [qnu(c) for c in
+                                                                 (0.5, -0.5, 1.0, -1.0)])
+
+
+@st.composite
+def _word_and_element(draw):
+    factors = draw(st.lists(_atomics, max_size=4).map(tuple))
+    degree = st.just(sum(f == BETA for f in factors))
+    # odd t is a half-integer s
+    keys = st.tuples(degree | st.integers(0, 6), st.integers(0, 6), st.integers(-9, 15))
+    coefficients = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+    return factors, PlusElement(draw(st.dictionaries(keys, coefficients, min_size=1,
+                                                     max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=_q_values, word_and_element=_word_and_element())
+def test_eval_word_matches_recursion_oracle(q, word_and_element):
+    factors, x = word_and_element
+    p = DeformParams(q=q)
+    word_value = word_oracle(p, 8)
+    for split in ("left", "right"):
+        terms = [(c, word_value(factors, key, split)) for key, c in x.terms.items()]
+        want = sum(c * v for c, (v, _) in terms)
+        scale = sum(abs(c) * s for c, (_, s) in terms)
+        got = eval_word(factors, x, p, split=split)
+        assert abs(got - want) <= 1e-13 * scale, (split, got, want, scale)
 
 
 def test_eval_word_split_independence(params):
