@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -233,8 +234,10 @@ def _validate_config(config: SuiteConfig) -> None:
             raise ConfigError("all representation dimensions must be >= 2")
     if config.dim_pair ** 2 > config.tensor_cap or config.dim_triple ** 3 > config.tensor_cap:
         raise ConfigError("configured dimensions exceed the tensor cap")
-    if config.window + 1 > config.dim_pair - 1:
-        raise ConfigError("window does not fit into the pairwise dimension")
+    if config.window < 0 or config.window + 1 > config.dim_pair - 1:
+        raise ConfigError("window must be >= 0 and fit into the pairwise dimension")
+    if config.pairing_kmax < 0 or config.pairing_mmax < 0:
+        raise ConfigError("pairing kmax and mmax must be >= 0")
 
 
 def parse_rspec(text: str) -> rmatrix.RSpec:
@@ -348,8 +351,8 @@ def _hopfops_cases(config: SuiteConfig, p: DeformParams):
         rep = fockrep.build_rep(D, 0.5, p)
         fam = hopfops.HopfFamily.canonical(p)
         gens = ["N", "a", "adag"]
-        images = {g: hopfops.multileg_coproduct_letter(g, (rep, rep), fam) for g in gens}
-        delta = lambda w: hopfops._letter_product(w.prefactor, w.letters, D * D, images.__getitem__)
+        images = {g: hopfops.coproduct_op(hopfops.word(g), rep, rep, fam) for g in gens}
+        delta = lambda w: reduce(np.matmul, [images[g] for g in w.letters])
         dev = 0.0
         win = fockrep.Window(D - 1 - 4, guard=4)
         for _ in range(6):
@@ -556,11 +559,18 @@ def emit_report(reports: list[IdentityReport], path: str | Path | None,
 # entry points
 
 
+def _parse_q(text: str, flag: str) -> complex:
+    try:
+        return complex(text.replace("i", "j"))
+    except ValueError:
+        raise ConfigError(f"{flag}: {text!r} is not a complex number") from None
+
+
 def _load_config(args) -> SuiteConfig:
     config = parse_config(args.config) if args.config else SuiteConfig()
     overrides = {}
     if getattr(args, "q", None) is not None:
-        overrides["q"] = complex(args.q.replace("i", "j"))
+        overrides["q"] = _parse_q(args.q, "--q")
     if getattr(args, "kappa", None) is not None:
         overrides["kappa"] = args.kappa
     if getattr(args, "dim", None) is not None:
@@ -588,7 +598,8 @@ def _cmd_verify(args) -> int:
     else:
         counts = {}
         for rep in reports:
-            counts[rep.verdict] = counts.get(rep.verdict, 0) + 1
+            key = rep.verdict if rep.error is None else "error"
+            counts[key] = counts.get(key, 0) + 1
         print(f"wrote {config.out_report}: " +
               ", ".join(f"{v} {k}" for k, v in sorted(counts.items())))
     return exit_code_for(reports)
@@ -608,6 +619,7 @@ def _cmd_rmatrix(args) -> int:
 
 def _cmd_pairing(args) -> int:
     config = _load_config(args)
+    _validate_config(replace(config, pairing_kmax=args.kmax, pairing_mmax=args.mmax))
     p = config.params()
     G = symalg.pairing_gram(args.kmax, args.mmax, p, config.degree_cap)
     report = symalg.pairing_check(args.kmax, args.mmax, p, config.degree_cap, gram=G)
@@ -621,11 +633,12 @@ def _cmd_pairing(args) -> int:
 
 def _cmd_scan(args) -> int:
     config = _load_config(args)
-    q_values = [complex(s.replace("i", "j")) for s in args.q_list.split(",")] \
+    q_values = [_parse_q(s, "--q-list") for s in args.q_list.split(",")] \
         if args.q_list else list(config.scan_q_values)
     if not q_values:
         print("scan: no q values given (use --q-list or scan.q_values)", file=sys.stderr)
         return 2
+    _validate_config(replace(config, scan_q_values=tuple(q_values)))
     worst = 0
     for idx, q in enumerate(q_values):
         sub = replace(config, q=q)

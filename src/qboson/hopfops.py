@@ -1,13 +1,14 @@
 """Coproduct, counit and antipode as concrete operators on tensor products.
 
 The coproduct is defined once, on the generators, as an explicit sum of
-tensor products of generator words (the Sweedler summands of
-sweedler_letter); its matrix multiplies the images of a word's letters,
-since Delta is an algebra homomorphism.  The axiom suite uses the same
-rule and forms no tensor-product operator: both iterated coproducts act
-letter by letter on the window columns, a letter's three-leg image held
-as one weight per leg displacement, and the counit and antipode sides
-are recursions over D x D letter images.
+tensor products of generator words (sweedler_letter; sweedler_expand
+extends it to words).  That rule is read in three layouts: coproduct_op
+is the dense two-leg matrix, a product of letter images, each the
+Kronecker sum of the letter's Sweedler terms; rmatrix._coproduct_blocks
+gathers the terms into pair-sector blocks; and check_hopf_axioms acts
+with both Delta_2 iterations letter by letter on the window columns, a
+letter's three-leg image held as one weight per leg displacement, the
+counit and antipode sides being recursions over D x D letter images.
 
 The general structure family is parameterized by a half-integer m, an
 integer K and a sign choice; the canonical structure is the point
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -158,11 +159,21 @@ def rep_word(w: GenWord, rep: FockRep, p: DeformParams | None = None) -> np.ndar
 # coproduct / counit / antipode on letters and words
 
 
+TENSOR_CAP = 1 << 16  # largest D1 * D2 that coproduct_op builds
+
+
 def coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
-    """Delta(w) on the tensor square: the two-leg iterated coproduct."""
+    """Delta(w) on rep1 (x) rep2.  Delta is an algebra homomorphism, so this is
+    the product of the letters' images, each the Kronecker sum of the letter's
+    Sweedler terms, built once per call."""
     if not rep1.params.q == rep2.params.q == fam.params.q:
         raise ParameterError("representations and family must share DeformParams")
-    return iterated_coproduct(w, (rep1, rep2), fam)
+    total, p = rep1.dim * rep2.dim, fam.params
+    if total > TENSOR_CAP:
+        raise ParameterError(f"tensor dimension {total} exceeds cap {TENSOR_CAP}")
+    image = cache(lambda ltr: sum(complex(c) * np.kron(rep_word(u, rep1, p), rep_word(v, rep2, p))
+                                  for c, u, v in sweedler_letter(ltr, fam)))
+    return _letter_product(w.prefactor, w.letters, total, image)
 
 
 def counit(w: GenWord, fam: HopfFamily) -> complex:
@@ -199,14 +210,11 @@ def antipode_op(w: GenWord, rep: FockRep, fam: HopfFamily) -> np.ndarray:
                            lambda ltr: antipode_letter(ltr, rep, fam))
 
 
-def qbar_family(fam: HopfFamily, kappa_override: int | None = None) -> HopfFamily:
-    """The family with DeformParams rebuilt at 1/q; gamma negates, so the
-    constant i*alpha/gamma flips sign.  The branch integer is held fixed
-    unless overridden, which re-chooses the canonical branch (for a
-    canonical family it enters through K = -2*kappa - 1)."""
+def qbar_family(fam: HopfFamily) -> HopfFamily:
+    """The family with DeformParams rebuilt at 1/q and the same branch
+    integer; gamma negates, so the constant i*alpha/gamma flips sign."""
     p = fam.params
-    kappa = p.kappa if kappa_override is None else kappa_override
-    pbar = DeformParams(q=1.0 / p.q, kappa=kappa, tol=p.tol)
+    pbar = DeformParams(q=1.0 / p.q, kappa=p.kappa, tol=p.tol)
     if fam.is_canonical():
         return HopfFamily.canonical(pbar)
     return HopfFamily(m=fam.m, K=fam.K, sign=fam.sign, params=pbar)
@@ -242,46 +250,6 @@ def sweedler_expand(w: GenWord, fam: HopfFamily) -> list[tuple[complex, GenWord,
         terms = [(c0 * c1, u0 * u1, v0 * v1)
                  for (c0, u0, v0) in terms for (c1, u1, v1) in expansion]
     return terms
-
-
-def sweedler_expand_n(w: GenWord, fam: HopfFamily, nlegs: int,
-                      iterate: str = "left") -> list[tuple[complex, tuple[GenWord, ...]]]:
-    """n-leg expansion; 'left' iterates Delta on the first leg as in
-    Delta_n = (Delta (x) id^(n-1)) Delta_(n-1), 'right' on the last leg."""
-    if nlegs < 1:
-        raise ParameterError("need at least one leg")
-    terms: list[tuple[complex, tuple[GenWord, ...]]] = [(complex(1.0), (w,))]
-    while len(terms[0][1]) < nlegs:
-        new_terms = []
-        for coeff, legs in terms:
-            pos = 0 if iterate == "left" else len(legs) - 1
-            for c, u, v in sweedler_expand(legs[pos], fam):
-                new_legs = legs[:pos] + (u, v) + legs[pos + 1:]
-                new_terms.append((coeff * c, new_legs))
-        terms = new_terms
-    return terms
-
-
-def multileg_coproduct_letter(letter, reps: tuple[FockRep, ...], fam: HopfFamily,
-                              iterate: str = "left") -> np.ndarray:
-    """Image of one generator under the iterated coproduct: the Kronecker
-    products of its Sweedler terms' leg matrices, summed."""
-    total = int(np.prod([r.dim for r in reps]))
-    out = np.zeros((total, total), dtype=complex)
-    for coeff, legs in sweedler_expand_n(word(letter), fam, len(reps), iterate):
-        out += coeff * reduce(np.kron, (rep_word(u, r, fam.params) for u, r in zip(legs, reps)))
-    return out
-
-
-def iterated_coproduct(w: GenWord, reps: tuple[FockRep, ...], fam: HopfFamily,
-                       dim_cap: int = 1 << 16, iterate: str = "left") -> np.ndarray:
-    """Iterated coproduct Delta_n on n+1 representation factors; Delta_n is an
-    algebra homomorphism, so only single letters need the Sweedler expansion."""
-    total = int(np.prod([r.dim for r in reps]))
-    if total > dim_cap:
-        raise ParameterError(f"tensor dimension {total} exceeds cap {dim_cap}")
-    return _letter_product(w.prefactor, w.letters, total, cache(
-        lambda ltr: multileg_coproduct_letter(ltr, reps, fam, iterate)))
 
 
 # ---------------------------------------------------------------------------

@@ -465,7 +465,7 @@ def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
 
 def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                        gen: str, window: Window | None = None, tol: float | None = None,
-                       kappa_override: int | None = None, strip_constant: bool = False,
+                       strip_constant: bool = False,
                        verdict_override: str | None = None) -> IdentityReport:
     """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q.
 
@@ -475,7 +475,7 @@ def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRe
     operator, all of it: both series commute with N (x) I + I (x) N).
     """
     R, win, dg = _pair_setup(spec, fam, rep1, rep2, window, gen)
-    dbar = _coproduct_blocks(word(gen), qbar_family(fam, kappa_override), rep1, rep2)
+    dbar = _coproduct_blocks(word(gen), qbar_family(fam), rep1, rep2)
     if strip_constant:
         if gen != "N":
             raise ParameterError("strip_constant applies to the number operator only")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockrep import FockRep, Window, build_rep, casimir, frobenius, residual
-from .hopfops import HopfFamily, coproduct_op, counit, rep_word, sweedler_expand, word
+from .hopfops import HopfFamily, coproduct_op, counit, qpow, rep_word, sweedler_expand, word
 from .qscalars import DeformParams, ParameterError, q_number, q_power
 from .report import IdentityReport, make_report
 
@@ -155,15 +155,11 @@ def witness_counit_leg_residual(D: int, fam: HopfFamily) -> float:
     p = fam.params
     rep = build_rep(D, 0.5, p)
 
-    def eps_contract(gen: str) -> np.ndarray:
+    def eps_contract(letter) -> np.ndarray:
         return sum(c * counit(u, fam) * rep_word(v, rep, p)
-                   for c, u, v in sweedler_expand(word(gen), fam))
+                   for c, u, v in sweedler_expand(word(letter), fam))
 
-    def eps_contract_qpow(s: float) -> np.ndarray:
-        return sum(c * counit(u, fam) * rep_word(v, rep, p)
-                   for c, u, v in sweedler_expand(word(("qpow", s)), fam))
-
-    bracket = (eps_contract_qpow(1.0) * q_power(-0.5, p)
-               - eps_contract_qpow(-1.0) * q_power(0.5, p)) / (p.q - 1.0 / p.q)
+    bracket = (eps_contract(qpow(1.0)) * q_power(-0.5, p)
+               - eps_contract(qpow(-1.0)) * q_power(0.5, p)) / (p.q - 1.0 / p.q)
     got = eps_contract("adag") @ eps_contract("a") - bracket
     return frobenius(got - casimir(rep))

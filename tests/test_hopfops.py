@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 from functools import reduce
 
@@ -9,10 +10,9 @@ from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson.fockrep import residual, window_block, window_indices
-from qboson.hopfops import (HopfFamily, antipode_op, check_hopf_axioms,
-                            coproduct_op, counit, default_axiom_words,
-                            iterated_coproduct, qbar_family, qpow, rep_word,
-                            sweedler_expand, sweedler_expand_n, word)
+from qboson.hopfops import (TENSOR_CAP, HopfFamily, antipode_op, check_hopf_axioms,
+                            coproduct_op, counit, default_axiom_words, qbar_family,
+                            qpow, rep_word, sweedler_expand, sweedler_letter, word)
 from qboson.report import verdict_of
 
 
@@ -26,9 +26,22 @@ def opposite_coproduct_op(w, rep1, rep2, fam):
     return delta.reshape(D, D, D, D).transpose(1, 0, 3, 2).reshape(D * D, D * D)
 
 
-def qbar_coproduct_op(w, rep1, rep2, fam, kappa_override=None):
+def dense_word_image(w, reps, p, letter_terms):
+    """w's matrix on the tensor product of reps (q-powers at p): its letters'
+    images multiplied from the scaled identity, each the Kronecker sum of the
+    letter's terms letter_terms(ltr) = [(c, legs)]."""
+    out = np.eye(math.prod(r.dim for r in reps), dtype=complex) * w.prefactor
+    for ltr in w.letters:
+        out = out @ sum(c * reduce(np.kron, (rep_word(u, r, p) for u, r in zip(legs, reps)))
+                        for c, legs in letter_terms(ltr))
+    return out
+
+
+def qbar_coproduct_op(w, rep1, rep2, fam):
     """The dense coproduct of qbar_family(fam) on the same rep matrices."""
-    return iterated_coproduct(w, (rep1, rep2), qbar_family(fam, kappa_override))
+    fbar = qbar_family(fam)
+    return dense_word_image(w, (rep1, rep2), fbar.params,
+                            lambda ltr: [(c, (u, v)) for c, u, v in sweedler_letter(ltr, fbar)])
 
 
 def canonical_oracle(rep, p):
@@ -66,18 +79,19 @@ def delta_oracle(letter, rep1, rep2, fam):
             + fam.sg * 1j * np.kron(qd1(-fam.m), rep2.matAdag)) * fam.phase_raise_gen
 
 
-def dense_delta2(w, rep, fam, side):
-    """Delta_2(w) as a D^3 x D^3 matrix: the dense letter-image product.
-
-    Each letter's image is the Kronecker sum of its three-leg Sweedler
-    terms; the word's image multiplies them from the scaled identity.
-    """
-    D = rep.dim
-    out = np.eye(D ** 3, dtype=complex) * w.prefactor
-    for ltr in w.letters:
-        out = out @ sum(c * reduce(np.kron, (rep_word(u, rep, fam.params) for u in legs))
-                        for c, legs in sweedler_expand_n(word(ltr), fam, 3, side))
+def delta2_terms(ltr, fam, side):
+    """Delta_2 of one letter as three-leg terms (c, legs): Delta applied again
+    to the first leg of Delta(ltr) ("left") or to the last ("right")."""
+    out = []
+    for c, u, v in sweedler_expand(word(ltr), fam):
+        for c2, x, y in sweedler_expand(u if side == "left" else v, fam):
+            out.append((c * c2, (x, y, v) if side == "left" else (u, x, y)))
     return out
+
+
+def dense_delta2(w, rep, fam, side):
+    """Delta_2(w) as a D^3 x D^3 matrix: the dense letter-image product."""
+    return dense_word_image(w, (rep,) * 3, fam.params, lambda ltr: delta2_terms(ltr, fam, side))
 
 
 def dense_coassoc(w, rep, fam, window):
@@ -305,47 +319,31 @@ def test_qbar_coproduct(params):
     assert np.allclose(got_a, want_a)
 
 
-def test_qbar_kappa_override(params_real):
-    rep = build_rep(4, 0.5, params_real)
-    fam = HopfFamily.canonical(params_real)
-    base = qbar_coproduct_op(word("N"), rep, rep, fam)
-    moved = qbar_coproduct_op(word("N"), rep, rep, fam, kappa_override=1)
-    assert np.abs(base - moved).max() > 0.1  # alpha changes with kappa
-
-
-def test_iterated_coproduct_single_and_double(params):
+def test_delta2_on_n(params):
+    # three legs: sum of N's minus twice the structure constant, either way
     rep = build_rep(4, 0.5, params)
     fam = HopfFamily.canonical(params)
-    assert np.allclose(iterated_coproduct(word("a"), (rep,), fam),
-                       rep_word(word("a"), rep))
-    assert np.allclose(iterated_coproduct(word("a"), (rep, rep), fam),
-                       delta_oracle("a", rep, rep, fam))
-
-
-def test_iterated_coproduct_on_n(params):
-    # three legs: sum of N's minus twice the structure constant
-    rep = build_rep(4, 0.5, params)
-    fam = HopfFamily.canonical(params)
-    got = iterated_coproduct(word("N"), (rep, rep, rep), fam)
     n = rep.n_diag()
     want = (n[:, None, None] + n[None, :, None] + n[None, None, :]
             - 2 * params.ialpha_over_gamma).reshape(-1)
-    assert np.allclose(got, np.diag(want))
+    for side in ("left", "right"):
+        assert np.allclose(dense_delta2(word("N"), rep, fam, side), np.diag(want))
 
 
-def test_iterated_coproduct_dim_cap(params_real):
-    rep = build_rep(10, 0.5, params_real)
+def test_coproduct_dim_cap(params_real):
+    # rejected before any letter image is built
     fam = HopfFamily.canonical(params_real)
-    with pytest.raises(ParameterError):
-        iterated_coproduct(word("N"), (rep,) * 3, fam, dim_cap=100)
+    rep1, rep2 = build_rep(256, 0.5, params_real), build_rep(257, 0.5, params_real)
+    assert rep1.dim * rep2.dim > TENSOR_CAP
+    with pytest.raises(ParameterError, match="exceeds cap"):
+        coproduct_op(word("N"), rep1, rep2, fam)
 
 
 def test_coassociativity_of_a(params):
     rep = build_rep(5, 0.5, params)
     fam = HopfFamily.canonical(params)
-    from qboson.hopfops import multileg_coproduct_letter
-    left = multileg_coproduct_letter("a", (rep,) * 3, fam, "left")
-    right = multileg_coproduct_letter("a", (rep,) * 3, fam, "right")
+    left = dense_delta2(word("a"), rep, fam, "left")
+    right = dense_delta2(word("a"), rep, fam, "right")
     _, nrm = residual(left, right, (5, 5, 5), Window(3, guard=1))
     assert nrm <= 1e-12
 

@@ -290,7 +290,7 @@ def test_cli_non_finite_q_exits_2(tmp_path):
     assert main(["--config", str(cfg), "scan"]) == 2
 
 
-def test_cli_errored_cases_exit_1(tmp_path):
+def test_cli_errored_cases_exit_1(tmp_path, capsys):
     # axioms.dim = 2 leaves no leak-free window for the Hopf-axiom words:
     # those cases raise, and a run that proved nothing must not exit 0
     cfg = tmp_path / "suite.cfg"
@@ -299,6 +299,39 @@ def test_cli_errored_cases_exit_1(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
     errors = [r for r in json.loads(out.read_text())["results"] if "error" in r]
     assert errors and all(r["error"].startswith("WindowError") for r in errors)
+    # the summary line counts them as errors, not as informational verdicts
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    counts = {k: int(v) for v, k in re.findall(r"(\d+) (\w+)", line)}
+    assert counts.get("error") == len(errors)
+    assert sum(counts.values()) == len(json.loads(out.read_text())["results"])
+
+
+def assert_config_error(argv, capsys):
+    """argv is rejected as configuration input: exit 2, an 'error:' line on
+    stderr, nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_cli_q_values_validated_up_front(capsys):
+    # before any q point runs: a bad last point must not let the first one print
+    assert_config_error(["scan", "--q-list", "1.3,nan"], capsys)
+    assert_config_error(["scan", "--q-list", "1.3,x"], capsys)
+    assert_config_error(["--q", "x", "verify"], capsys)
+
+
+def test_cli_negative_window_is_config_error(capsys):
+    assert_config_error(["--window", "-1", "verify"], capsys)
+
+
+def test_cli_negative_pairing_degree_is_config_error(tmp_path, capsys):
+    assert_config_error(["pairing", "--kmax", "-1"], capsys)
+    assert_config_error(["pairing", "--mmax", "-1"], capsys)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + "pairing.mmax = -1\n", encoding="utf-8")
+    assert_config_error(["--config", str(cfg), "verify"], capsys)
 
 
 def test_cli_rmatrix_dump(tmp_path):

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rmatrix
 from qboson.fockrep import residual, window_block, window_indices
-from qboson.hopfops import HopfFamily, antipode_op, coproduct_op, counit, rep_word, word
+from qboson.hopfops import HopfFamily, antipode_op, coproduct_op, counit, qpow, rep_word, word
 from qboson.report import verdict_of
-from qboson.rmatrix import (RSpec, _dressed_powers, _series, antipode_leg, build_r,
+from qboson.rmatrix import (RSpec, _coproduct_blocks, _dressed_powers, _mask, _pair_sectors,
+                            _series, antipode_leg, build_r,
                             check_antipode_inverse, check_counit, check_fusion,
                             check_intertwiner, check_yan_relation, check_yang_baxter,
                             family_for)
@@ -509,6 +510,33 @@ def test_pair_sector_checks_match_dense_oracle(q, D, spec, W):
         lo, hi = (ZONES.index(verdict_of(max(raw + d, 0.0) / den, p.tol))
                   for d in (-allowed, allowed))
         assert lo <= ZONES.index(rpt.verdict) <= hi, name
+
+
+def scatter(blocks, dims, deg):
+    """The dense D1 D2 x D1 D2 matrix of a degree-deg block stack."""
+    i, j, _, _ = _pair_sectors(*dims)
+    flat = i * dims[1] + j
+    rows = flat[np.clip(np.arange(len(i)) + deg, 0, len(i) - 1)]
+    rows, cols = np.broadcast_arrays(rows[:, :, None], flat[:, None, :])
+    mask, out = _mask(dims, deg), np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+    out[rows[mask], cols[mask]] = blocks[mask]
+    return out
+
+
+def test_coproduct_blocks_match_coproduct_op(params):
+    # one Delta in two layouts: the pair-sector gather, scattered to dense, is
+    # the dense letter-image product, and with opposite=True its tensor swap
+    fams = (HopfFamily.canonical(params), family_for(GF, params))
+    words = [(word(), 0), (word("N"), 0), (word("a"), -1), (word("adag"), 1),
+             (word(qpow(0.5)), 0)]
+    for fam in fams:
+        for (D1, D2), opposite in (((5, 3), False), ((3, 5), False), ((4, 4), True)):
+            rep1, rep2 = build_rep(D1, 0.5, params), build_rep(D2, 0.5, params)
+            for w, deg in words:
+                got = scatter(_coproduct_blocks(w, fam, rep1, rep2, opposite), (D1, D2), deg)
+                want = (opposite_coproduct_op if opposite else coproduct_op)(w, rep1, rep2, fam)
+                assert np.abs(want).max() > 0.1
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (w.name, D1, D2)
 
 
 def test_build_r_is_the_dense_series(params):
