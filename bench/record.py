@@ -23,6 +23,7 @@ each side's root, with run.py's own run length:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -48,6 +49,18 @@ SLOPE_COLUMNS = ("dims_triple", "yang_baxter_s", "fusion_s", "rmatrix_self_s")
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def commit_of(rev: str) -> str:
+    return git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+
+
+@contextlib.contextmanager
+def archived(rev: str):
+    """A temporary directory holding ``git archive rev``, removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="bench_parent_") as parent:
+        tarfile.open(fileobj=io.BytesIO(git("archive", rev))).extractall(parent)
+        yield Path(parent)
 
 
 def perfbench(checkout: Path, script: str, *args: str) -> str:
@@ -116,11 +129,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="the parent's git revision")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
+    parent_rev = commit_of(args.parent)
     src_diff = git("diff", "--binary", "HEAD", "--", "src")
-    with tempfile.TemporaryDirectory(prefix="bench_parent_") as parent:
-        tarfile.open(fileobj=io.BytesIO(git("archive", parent_rev))).extractall(parent)
-        sides = {"parent": Path(parent), "change": ROOT}
+    with archived(parent_rev) as parent:
+        sides = {"parent": parent, "change": ROOT}
         doc = {
             "what": ("perfbench/run.py end-to-end metrics of the parent and the change in "
                      "alternated pairs; per-run values are each run's median over its "

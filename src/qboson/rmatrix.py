@@ -265,7 +265,7 @@ def _pair_setup(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
 
 def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.ndarray,
                     R: np.ndarray, right: np.ndarray, dims: tuple[int, int], W: int,
-                    tol: float | None, verdict: str | None = None) -> IdentityReport:
+                    tol: float | None) -> IdentityReport:
     """The report of left R - R right, block stacks of gen's degree, on the
     window: raw and over ||R||_F ||right||_F (floored at 1e-300)."""
     deg = {"N": 0, "a": -1, "adag": 1}[gen]
@@ -273,7 +273,7 @@ def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.
     raw = frobenius((left @ R - _shift(R, deg) @ right)[win])
     nrm = raw / max(frobenius(R[_mask(dims, 0, W)]) * frobenius(right[win]), 1e-300)
     return make_report(f"{name}_{gen}", _echo(spec, fam.params, {"gen": gen}), list(dims), W,
-                       raw, nrm, tol if tol is not None else fam.params.tol, verdict=verdict)
+                       raw, nrm, tol if tol is not None else fam.params.tol)
 
 
 def check_intertwiner(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
@@ -419,8 +419,8 @@ def antipode_leg(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> 
 
 
 def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                           window: Window | None = None, tol: float | None = None,
-                           verdict_override: str | None = None) -> IdentityReport:
+                           window: Window | None = None,
+                           tol: float | None = None) -> IdentityReport:
     """R ((S (x) I)R) = ((S (x) I)R) R = I on the window, per pair sector;
     normalized like fockrep.residual, by max(1, ||I||_F) on the window."""
     p = fam.params
@@ -430,13 +430,11 @@ def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: Fo
     raw = max(frobenius((prod - eye)[inside]) for prod in (R @ Rinv, Rinv @ R))
     nrm = raw / max(1.0, frobenius(eye[inside]))
     return make_report("antipode_inverse", _echo(spec, p), [rep1.dim, rep2.dim],
-                       win.max_index, raw, nrm, tol if tol is not None else p.tol,
-                       verdict=verdict_override)
+                       win.max_index, raw, nrm, tol if tol is not None else p.tol)
 
 
 def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                 tol: float | None = None,
-                 verdict_override: str | None = None) -> list[IdentityReport]:
+                 tol: float | None = None) -> list[IdentityReport]:
     """(eps (x) id)R = I and (id (x) eps)R = I.
 
     Both hold only because the prefactor pairs counit-shifted number
@@ -459,14 +457,13 @@ def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
         got = _series_sum(series, pref[row], raising, lowering, sign * (row - col), up, low)
         raw, nrm = residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))
         reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1, raw, nrm,
-                                   tol if tol is not None else p.tol, verdict=verdict_override))
+                                   tol if tol is not None else p.tol))
     return reports
 
 
 def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                        gen: str, window: Window | None = None, tol: float | None = None,
-                       strip_constant: bool = False,
-                       verdict_override: str | None = None) -> IdentityReport:
+                       strip_constant: bool = False) -> IdentityReport:
     """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q.
 
     strip_constant is a diagnostic for gen = N: it removes the scalar
@@ -483,4 +480,4 @@ def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRe
         dg = dg - fam.beta_const * eye
         dbar = dbar + fam.beta_const * eye  # the rebuilt constant is negated
     return _twisted_report("yan_relation", spec, fam, gen, dbar, R, dg, (rep1.dim, rep2.dim),
-                           win.max_index, tol, verdict_override)
+                           win.max_index, tol)

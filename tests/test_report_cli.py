@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from qboson import cli, rmatrix, symalg
-from qboson.cli import (ConfigError, _expected_for, _qscalars_cases, emit_report,
+from qboson.cli import (ConfigError, _cases, _expected_for, _run_case, emit_report,
                         exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
                            verdict_of)
@@ -183,6 +184,29 @@ def test_run_suite_fast(fast_config):
     assert yan_fail and yan_fail[0].verdict == "fail" and yan_fail[0].expected == "fail"
     # no error entries
     assert not [r for r in reports if r.error]
+    # every row's window is bound when the table is built
+    assert [r.window for r in reports if r.identity == "casimir_scalar"] == [4]
+    # verdict policy: the published candidate's antipode and counit legs are
+    # not claimed, and the Yan relation is claimed for that candidate only
+    by_spec = {}
+    for r in reports:
+        by_spec.setdefault(r.params.get("rspec"), {})[r.identity] = r
+    yan = by_spec.pop("yan_claimed")
+    assert [yan[name].verdict for name in ("antipode_inverse", "counit_left",
+                                           "counit_right")] == ["info"] * 3
+    for name in ("yan_relation_N", "yan_relation_a"):
+        assert yan[name].verdict == verdict_of(yan[name].normalized_residual,
+                                               fast_config.tol) == "fail"
+        assert yan[name].expected == "fail"
+    assert {"quantum_double", "general_family(m=0.5,K=-1,lower)"} <= set(by_spec)
+    for spec, named in by_spec.items():
+        if spec is None:
+            continue
+        for name in ("yan_relation_N", "yan_relation_a"):
+            assert named[name].verdict == "info" and named[name].expected is None
+        # the double does not satisfy the relation either; only the policy
+        # keeps that from counting as a failure
+        assert named["yan_relation_N"].normalized_residual > 100 * fast_config.tol
 
 
 def test_runner_times_every_report(fast_config):
@@ -350,6 +374,30 @@ def test_cli_pairing(tmp_path, capsys):
     assert load_matrix(tmp_path / "pairing_gram.mtx").shape == (4, 4)
 
 
+def test_flags_override_config_fields(tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG, encoding="utf-8")
+    # a flag that is absent or None leaves the config's value
+    assert cli._load_config(argparse.Namespace(config=str(cfg), q=None)) == parse_config(cfg)
+    config = cli._load_config(argparse.Namespace(
+        config=str(cfg), q="1.2", kappa=1, dim=7, window=2, seed=3, out="r.json",
+        dump_dir="d", kmax=2, mmax=0))
+    assert (config.q, config.kappa, config.dim_pair, config.rep_dims, config.window,
+            config.seed, config.out_report, config.dump_dir, config.pairing_kmax,
+            config.pairing_mmax) == (1.2, 1, 7, (7, 7), 2, 3, "r.json", "d", 2, 0)
+
+
+def test_cli_pairing_reads_config_degrees(tmp_path):
+    # pairing.kmax and pairing.mmax size the table; --kmax overrides one of them
+    cfg = tmp_path / "pairing.cfg"
+    cfg.write_text("q = 1.3\npairing.kmax = 1\npairing.mmax = 1\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--dump-dir", str(tmp_path / "a"), "pairing"]) == 0
+    assert load_matrix(tmp_path / "a" / "pairing_gram.mtx").shape == (4, 4)
+    assert main(["--config", str(cfg), "--dump-dir", str(tmp_path / "b"), "pairing",
+                 "--kmax", "2"]) == 0
+    assert load_matrix(tmp_path / "b" / "pairing_gram.mtx").shape == (6, 6)
+
+
 def test_cli_pairing_near_one_prints_both_residuals(monkeypatch, capsys):
     # at q = 1.05 the table entries reach about 2e9, so the absolute deviation
     # is far above tol while the normalized one, which decides, is not
@@ -385,24 +433,24 @@ def test_cli_scan_without_values_errors(tmp_path):
     assert main(["--config", str(cfg), "scan"]) == 2
 
 
-def test_workers_env_preserves_results(fast_config, monkeypatch):
-    serial = run_suite(fast_config)
-    monkeypatch.setenv("QBOSON_WORKERS", "4")
-    parallel = run_suite(fast_config)
-    assert [r.identity for r in serial] == [r.identity for r in parallel]
-    assert [r.normalized_residual for r in serial] == \
-        [r.normalized_residual for r in parallel]
-
-
 def test_sampled_cases_do_not_depend_on_run_order(fast_config):
-    # each case's samples are drawn when the cases are built, so the cases
-    # may run in any order
+    # each row binds its inputs when the table is built, so the cases may run
+    # in any order
     p = fast_config.params()
-    forward = [fn().as_dict() for _, fn in _qscalars_cases(fast_config, p)]
-    backward = [fn().as_dict() for _, fn in reversed(_qscalars_cases(fast_config, p))]
-    for rep in forward + backward:
-        rep.pop("wall_time")
-    assert forward == backward[::-1]
+
+    def run(rows):
+        rmatrix.clear_caches()
+        symalg.clear_caches()
+        return [(case_id, [r.as_dict(include_timing=False) for r in _run_case(case_id, fn, ov)])
+                for case_id, fn, ov in rows]
+
+    forward = run(_cases(fast_config, p))
+    backward = run(reversed(_cases(fast_config, p)))[::-1]
+    rmatrix.clear_caches()
+    assert len(forward) == len(backward) == 51
+    assert not [case for case, reps in forward if any("error" in r for r in reps)]
+    for (case_id, reports), (_, again) in zip(forward, backward):
+        assert again == reports, case_id
 
 
 def _symalg_cache_sizes():
