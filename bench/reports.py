@@ -14,14 +14,17 @@ from its own root with PYTHONPATH=src, on the same configurations:
 * one errored configuration (axioms.dim = 2), whose ten ``axioms_*``
   cases and ``hopf_homomorphism_random`` raise.
 
-Every report drops ``wall_time`` and the config's ``out_report`` path; then
-each differing field and each run's exit codes are printed.  The exit code
-is 1 on any difference in a report or an exit code, 0 otherwise.
+Every report drops ``wall_time`` and the config's ``out_report`` path.  The
+two sides' reports are aligned by (identity, params), so a report that only
+one side has is one difference and does not shift the reports after it;
+then each differing field and each run's exit codes are printed.  The exit
+code is 1 on any difference in a report or an exit code, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -83,6 +86,28 @@ def differences(path: str, a, b):
         yield path, a, b
 
 
+def result_differences(a: list, b: list):
+    """differences() of two report lists aligned by (identity, params).
+
+    Matched reports are compared field by field under the parent's index;
+    a report only the parent has, or only the change has, is one difference.
+    """
+    def keys(reports):
+        return [json.dumps([rep["identity"], rep["params"]], sort_keys=True)
+                for rep in reports]
+
+    blocks = difflib.SequenceMatcher(None, keys(a), keys(b), autojunk=False)
+    for tag, i1, i2, j1, j2 in blocks.get_opcodes():
+        if tag == "equal":
+            for i, j in zip(range(i1, i2), range(j1, j2)):
+                yield from differences(f".results[{i}]", a[i], b[j])
+            continue
+        for i in range(i1, i2):
+            yield f".results[{i}]", a[i], MISSING
+        for j in range(j1, j2):
+            yield f".results[change {j}]", MISSING, b[j]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent's git revision")
@@ -97,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
             (code_p, doc_p), (code_c, doc_c) = (
                 verify(side, cli_args, Path(tmp) / f"{i}_{label}.json")
                 for label, side in (("parent", parent), ("change", ROOT)))
-            found = list(differences("", doc_p, doc_c))
+            found = [*differences("", {**doc_p, "results": []}, {**doc_c, "results": []}),
+                     *result_differences(doc_p["results"], doc_c["results"])]
             if code_p != code_c:
                 found.append((" exit code", code_p, code_c))
             errors = sum("error" in rep for rep in doc_c["results"])

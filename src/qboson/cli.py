@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import fockrep, hopfops, rmatrix, sl2bridge, symalg
 from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
-from .report import IdentityReport, dump_matrix, make_report
+from .report import IdentityReport, dump_matrix, make_report, worst
 
 DEFAULT_EXPECT_FAIL = (
     "yan_claimed:intertwiner_a",
@@ -263,10 +265,8 @@ def parse_rspec(text: str) -> rmatrix.RSpec:
 
 
 def _largest(name: str, p: DeformParams, dims, window: int, deviations) -> IdentityReport:
-    """The report of the largest of deviations(), a running max from 0.0."""
-    dev = 0.0
-    for d in deviations():
-        dev = max(dev, d)
+    """The report of the largest of deviations(); a NaN deviation fails it."""
+    dev = worst(deviations())
     return make_report(name, {"q": str(p.q)}, dims, window, dev, dev, p.tol)
 
 
@@ -354,8 +354,10 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
              ("classical_limit", classical, None)]
 
     words = hopfops.default_axiom_words(config.axiom_max_word_len)
-    fams = [canonical] + [hopfops.HopfFamily(m=m, K=K, sign=s, params=p) for m, K, s
-                          in zip(config.family_m, config.family_K, config.family_signs)]
+    # the canonical family may also be on the grid; each family runs once
+    fams = dict.fromkeys([canonical] + [
+        hopfops.HopfFamily(m=m, K=K, sign=s, params=p)
+        for m, K, s in zip(config.family_m, config.family_K, config.family_signs)])
     rows += [(f"axioms_m{fam.m}_K{fam.K}_{fam.sign}", partial(axioms, fam, words), None)
              for fam in fams]
     rows += [largest("hopf_homomorphism_random", [Da, Da], Da - 1 - 4, homomorphism),
@@ -466,9 +468,13 @@ def emit_report(reports: list[IdentityReport], path: str | Path | None,
            "results": [r.as_dict(include_timing=include_timing) for r in reports]}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is not None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
     return text
+
+
+def _write(path: str | Path, text: str) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +556,88 @@ def _cmd_scan(args) -> int:
         print("scan: no q values given (use --q-list or scan.q_values)", file=sys.stderr)
         return 2
     _validate_config(replace(config, scan_q_values=tuple(q_values)))
-    worst = 0
-    for idx, q in enumerate(q_values):
+    results = _scan_points(config, q_values)
+    for idx, (q, (text, _)) in enumerate(zip(q_values, results)):
+        if not config.out_report:
+            sys.stdout.write(text)
+            continue
+        stem = Path(config.out_report)
+        out = stem.with_name(f"{stem.stem}_{idx}{stem.suffix or '.json'}")
+        _write(out, text)
+        print(f"q={q}: wrote {out}")
+    return max(code for _, code in results)
+
+
+def _scan_points(config: SuiteConfig, q_values: list) -> list[tuple[str, int]]:
+    """Each point's (report text, exit code), in q order.
+
+    The points run on the CPUs of this process's affinity mask, one process
+    per CPU: of n workers, worker w takes the points w::n.  This process
+    runs share 0; each other share runs in a forked child, which sends its
+    results back over a pipe.  Every child is reaped before this returns or
+    raises, and a child's exception is raised here.
+    """
+    n = min(len(q_values), len(os.sched_getaffinity(0)))
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, statuses = [], []
+    try:
+        for w in range(1, n):
+            children.append(_fork_share(config, q_values[w::n]))
+        results = [None] * len(q_values)
+        results[0::n] = _scan_share(config, q_values[0::n])
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for w, (data, status) in enumerate(zip(payloads, statuses), start=1):
+        if not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"scan worker {w} sent no result ({how})")
+        payload = pickle.loads(data)
+        if isinstance(payload, BaseException):
+            raise payload
+        results[w::n] = payload
+    return results
+
+
+def _scan_share(config: SuiteConfig, q_values: list) -> list[tuple[str, int]]:
+    """Run and render the suite at each q, in this process."""
+    out = []
+    for q in q_values:
         sub = replace(config, q=q)
         try:
             reports = run_suite(sub)
         finally:
             symalg.clear_caches()  # their entries are keyed by q: none is reused
-        out = None
-        if config.out_report:
-            stem = Path(config.out_report)
-            out = stem.with_name(f"{stem.stem}_{idx}{stem.suffix or '.json'}")
-        text = emit_report(reports, out, sub.echo())
-        if out is None:
-            sys.stdout.write(text)
-        else:
-            print(f"q={q}: wrote {out}")
-        worst = max(worst, exit_code_for(reports))
-    return worst
+        out.append((emit_report(reports, None, sub.echo()), exit_code_for(reports)))
+    return out
+
+
+def _fork_share(config: SuiteConfig, q_values: list):
+    """(pid, read end of its pipe) of a child that runs _scan_share and sends
+    the result, or the exception that stopped it, as one pickle."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    try:  # the child never returns into its caller
+        os.close(read_fd)
+        try:
+            payload = _scan_share(config, q_values)
+        except BaseException as exc:
+            payload = exc
+            try:
+                pickle.loads(pickle.dumps(exc))  # it must unpickle in the parent too
+            except Exception:
+                payload = RuntimeError(repr(exc))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe)
+    finally:
+        os._exit(0)
 
 
 def main(argv: list[str] | None = None) -> int:

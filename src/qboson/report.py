@@ -24,6 +24,12 @@ def verdict_of(normalized: float, tol: float) -> str:
     return "info"
 
 
+def worst(values) -> float:
+    """The largest of values, 0.0 when there are none; NaN when any is NaN,
+    so a NaN residual is never dropped from a check's verdict."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
+
+
 @dataclass
 class IdentityReport:
     """One record per checked identity."""

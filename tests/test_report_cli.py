@@ -1,12 +1,14 @@
 import argparse
 import json
+import math
+import os
 import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from qboson import cli, rmatrix, symalg
+from qboson import DeformParams, cli, rmatrix, symalg
 from qboson.cli import (ConfigError, _cases, _expected_for, _run_case, emit_report,
                         exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
@@ -277,6 +279,17 @@ def test_exit_code_errored_case():
     assert exit_code_for([ok, crashed]) == 1
 
 
+def test_largest_fails_on_nan():
+    # a NaN deviation is the largest, wherever it falls among the samples
+    p = DeformParams(q=1.3)
+    for devs in ([math.nan, 1e-12], [1e-12, math.nan], [math.nan]):
+        rep = cli._largest("x", p, [1], 0, lambda: iter(devs))
+        assert rep.verdict == "fail" and math.isnan(rep.raw_residual), devs
+    rep = cli._largest("x", p, [1], 0, lambda: [1e-12, 0.0])
+    assert (rep.verdict, rep.raw_residual) == ("pass", 1e-12)
+    assert cli._largest("x", p, [1], 0, lambda: []).raw_residual == 0.0
+
+
 def test_expected_for_patterns():
     rpt = make_report("intertwiner_a", {"rspec": "yan_claimed"}, [8], 3, 1.0, 1.0, 1e-9)
     assert _expected_for(rpt, ("yan_claimed:intertwiner_a",)) == "fail"
@@ -447,7 +460,8 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
     forward = run(_cases(fast_config, p))
     backward = run(reversed(_cases(fast_config, p)))[::-1]
     rmatrix.clear_caches()
-    assert len(forward) == len(backward) == 51
+    assert len(forward) == len(backward) == 50
+    assert len({case_id for case_id, _ in forward}) == 50  # each case runs once
     assert not [case for case, reps in forward if any("error" in r for r in reps)]
     for (case_id, reports), (_, again) in zip(forward, backward):
         assert again == reports, case_id
@@ -470,6 +484,9 @@ def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
         return reports
 
     monkeypatch.setattr(cli, "run_suite", traced_run_suite)
+    # a forked child's cache sizes cannot be seen here: run every point in
+    # this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def scan(values):
         cfg = tmp_path / "suite.cfg"
@@ -519,3 +536,86 @@ def test_scan_points_match_separate_verify_runs(tmp_path):
         out = tmp_path / f"v{idx}.json"
         assert main(["--config", str(cfg), "--q", q, "--out", str(out), "verify"]) == 0
         assert results(tmp_path / f"s_{idx}.json") == results(out)
+
+
+# the scan runs its points w::n in n processes, one per CPU of the affinity
+# mask; these tests set the mask, so they fork on a one-CPU machine too
+SCAN_POINTS = "scan.q_values = [1.2, 0.7+0.2i, 1.4]\n"
+
+
+@pytest.mark.parametrize("values, cpus", [
+    ("1.2, 0.7+0.2i, 1.4", {0, 1}),
+    ("1.2, 0.7+0.2i, 1.4, 0.9-0.3i, 1.3", {0, 1, 2}),
+], ids=["3_points_2_cpus", "5_points_3_cpus"])
+def test_forked_scan_matches_one_process(tmp_path, monkeypatch, capsys, values, cpus):
+    # uneven shares: with two CPUs, points 0 and 2 run here and point 1 in a
+    # child; with three, the children run points 1, 4 and 2.  The child's
+    # unexpected verdict at point 1 must decide the exit code.
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + f"scan.q_values = [{values}]\n", encoding="utf-8")
+    n_points = len(values.split(","))
+
+    def planted_run_suite(config):
+        reports = run_suite(config)
+        if config.q == 0.7 + 0.2j:
+            reports[0].verdict = "fail"
+        return reports
+
+    monkeypatch.setattr(cli, "run_suite", planted_run_suite)
+
+    def scan(mask):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
+        code = main(["--config", str(cfg), "--out", str(tmp_path / "s.json"), "scan"])
+        docs = [json.loads((tmp_path / f"s_{i}.json").read_text(encoding="utf-8"))
+                for i in range(n_points)]
+        for doc in docs:
+            for rep in doc["results"]:
+                rep.pop("wall_time")
+        return code, docs, capsys.readouterr().out
+
+    forked, serial = scan(cpus), scan({0})
+    assert forked == serial
+    assert forked[0] == 1
+    assert [doc["config"]["q"] for doc in forked[1]] == \
+        [str(complex(q.replace("i", "j"))) for q in values.split(",")]
+    assert [line.partition(":")[0] for line in forked[2].splitlines()] == \
+        [f"q={doc['config']['q']}" for doc in forked[1]]
+
+
+class _Unpicklable(RuntimeError):
+    """An exception whose pickling fails, as for one that holds a lock."""
+
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize("q, plant, message", [
+    (0.7 + 0.2j, "raise", "runtime error: RuntimeError: planted"),
+    (1.2, "raise", "runtime error: RuntimeError: planted"),
+    (0.7 + 0.2j, "exit", "runtime error: RuntimeError: scan worker 1 sent no result "
+                         "(exit status 3)"),
+    (0.7 + 0.2j, "unpicklable", "runtime error: RuntimeError: _Unpicklable('planted')"),
+], ids=["child_raises", "parent_raises", "child_exits", "child_raises_unpicklable"])
+def test_forked_scan_errors_leave_no_child(tmp_path, monkeypatch, capsys, q, plant, message):
+    # a failure in any share is a runtime error, and every child is reaped
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + SCAN_POINTS, encoding="utf-8")
+    test_pid = os.getpid()
+
+    def planted_run_suite(config):
+        if config.q != q:
+            return run_suite(config)
+        if plant == "raise":
+            raise RuntimeError("planted")
+        assert os.getpid() != test_pid, "the child's point ran in the parent"
+        if plant == "exit":
+            os._exit(3)
+        raise _Unpicklable("planted")
+
+    monkeypatch.setattr(cli, "run_suite", planted_run_suite)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "s.json"), "scan"]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not list(tmp_path.glob("s_*.json"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

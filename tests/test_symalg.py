@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
+from qboson import symalg
 from qboson.fockrep import residual
 from qboson.symalg import (BETA, EPS, NU, NU_PRIME, DegreeOverflowError,
                            DualElement, PlusElement, TensorPlusElement,
@@ -559,6 +560,22 @@ def test_quotient_cross_check(params):
     assert report.normalized_residual <= 1e-12
     with pytest.raises(ParameterError):
         quotient_cross_check(build_rep(6, 1.0, params))
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_quotient_cross_check_fails_on_nan(params, monkeypatch, position):
+    # a NaN residual of any one check is the report's residual, and fails it
+    calls = []
+
+    def nan_at_position(*args):
+        calls.append(args)
+        return (math.nan, math.nan) if len(calls) - 1 == position else residual(*args)
+
+    monkeypatch.setattr(symalg, "residual", nan_at_position)
+    report = quotient_cross_check(build_rep(12, 0.5, params))
+    assert len(calls) == 3
+    assert report.verdict == "fail"
+    assert math.isnan(report.raw_residual) and math.isnan(report.normalized_residual)
 
 
 def test_dual_to_lowering_isomorphism(params):
