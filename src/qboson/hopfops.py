@@ -9,6 +9,9 @@ gathers the terms into pair-sector blocks; and check_hopf_axioms acts
 with both Delta_2 iterations letter by letter on the window columns, a
 letter's three-leg image held as one weight per leg displacement, the
 counit and antipode sides being recursions over D x D letter images.
+closed_coproduct_letter writes the generators' two-leg images in closed
+form, apart from that rule, as the reference the homomorphism check
+compares coproduct_op against.
 
 The general structure family is parameterized by a half-integer m, an
 integer K and a sign choice; the canonical structure is the point
@@ -174,6 +177,27 @@ def coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> n
     image = cache(lambda ltr: sum(complex(c) * np.kron(rep_word(u, rep1, p), rep_word(v, rep2, p))
                                   for c, u, v in sweedler_letter(ltr, fam)))
     return _letter_product(w.prefactor, w.letters, total, image)
+
+
+def closed_coproduct_letter(letter, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
+    """Delta(letter) on rep1 (x) rep2 from the closed two-leg formulas of the
+    generators, written out here and independent of the Sweedler table
+    (sweedler_letter): a wrong coproduct term shows as a difference from
+    coproduct_op."""
+    p = fam.params
+    I1, I2 = np.eye(rep1.dim, dtype=complex), np.eye(rep2.dim, dtype=complex)
+    if letter == "N":
+        return np.kron(rep1.matN, I2) + np.kron(I1, rep2.matN) + fam.beta_const * np.kron(I1, I2)
+    if isinstance(letter, tuple):  # q^{sN}: exact diagonal exponential of Delta(N)
+        dn = np.add.outer(rep1.n_diag(), rep2.n_diag()).reshape(-1) + fam.beta_const
+        return np.diag(q_power(letter[1] * dn, p))
+    qd1 = lambda s: np.diag(q_power(s * rep1.n_diag(), p))
+    qd2 = lambda s: np.diag(q_power(s * rep2.n_diag(), p))
+    if letter == "a":
+        return (np.kron(rep1.matA, qd2(fam.m))
+                + fam.sg * 1j * np.kron(qd1(fam.r), rep2.matA)) * fam.phase_lower_gen
+    return (np.kron(rep1.matAdag, qd2(-fam.r))
+            + fam.sg * 1j * np.kron(qd1(-fam.m), rep2.matAdag)) * fam.phase_raise_gen
 
 
 def counit(w: GenWord, fam: HopfFamily) -> complex:

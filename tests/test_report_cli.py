@@ -3,12 +3,16 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qboson import DeformParams, cli, rmatrix, symalg
+from qboson import DeformParams, cli, hopfops, rmatrix, symalg
 from qboson.cli import (ConfigError, _cases, _expected_for, _run_case, emit_report,
                         exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
@@ -363,6 +367,11 @@ def test_cli_negative_window_is_config_error(capsys):
     assert_config_error(["--window", "-1", "verify"], capsys)
 
 
+def test_cli_negative_seed_is_config_error(capsys):
+    # random.Random seeds with |seed|, so -7 would silently repeat seed 7
+    assert_config_error(["--seed", "-7", "verify"], capsys)
+
+
 def test_cli_negative_pairing_degree_is_config_error(tmp_path, capsys):
     assert_config_error(["pairing", "--kmax", "-1"], capsys)
     assert_config_error(["pairing", "--mmax", "-1"], capsys)
@@ -465,6 +474,61 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
     assert not [case for case, reps in forward if any("error" in r for r in reps)]
     for (case_id, reports), (_, again) in zip(forward, backward):
         assert again == reports, case_id
+
+
+SAMPLED_CASES = ("qscalars_qpower_additivity", "qscalars_qnum_inversion",
+                 "hopf_homomorphism_random")
+
+
+def _sampled_reports(config):
+    rows = {row[0]: row for row in _cases(config, config.params())}
+    return {case_id: _run_case(*rows[case_id])[0].as_dict(include_timing=False)
+            for case_id in SAMPLED_CASES}
+
+
+def test_sampled_inputs_follow_the_seed(fast_config):
+    # the same seed draws the same inputs; another seed draws others, and the
+    # identities hold for every input
+    seven = _sampled_reports(fast_config)
+    assert _sampled_reports(fast_config) == seven
+    eight = _sampled_reports(replace(fast_config, seed=8))
+    assert any(eight[c]["raw_residual"] != seven[c]["raw_residual"] for c in SAMPLED_CASES)
+    assert {rep["verdict"] for rep in (*seven.values(), *eight.values())} == {"pass"}
+
+
+def test_homomorphism_case_catches_a_wrong_coproduct(fast_config, monkeypatch):
+    # a Sweedler table that drops the sg * 1j factor of Delta(a)'s second term;
+    # the closed letter images do not read the table, so the case must fail
+    sweedler_letter = hopfops.sweedler_letter
+
+    def planted(letter, fam):
+        terms = sweedler_letter(letter, fam)
+        if letter == "a":
+            (c0, u0, v0), (c1, u1, v1) = terms
+            terms = [(c0, u0, v0), (c1 / (fam.sg * 1j), u1, v1)]
+        return terms
+
+    assert _sampled_reports(fast_config)["hopf_homomorphism_random"]["verdict"] == "pass"
+    monkeypatch.setattr(hopfops, "sweedler_letter", planted)
+    assert _sampled_reports(fast_config)["hopf_homomorphism_random"]["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("command", [["verify"], ["scan", "--q-list", "0.7+0.2i,1.3"]],
+                         ids=["verify", "scan"])
+def test_cli_run_loads_no_numpy_random(tmp_path, command):
+    # the sampled checks draw from the standard library's generator; numpy.random
+    # would load nine extension modules and libcrypto into every run
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG, encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "qboson.cli",
+                           "--config", str(cfg), "--out", str(tmp_path / "r.json"), *command],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "import time:" in done.stderr
+    assert [ln for ln in done.stderr.splitlines() if "numpy.random" in ln] == []
 
 
 def _symalg_cache_sizes():
