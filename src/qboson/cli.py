@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import gc
 import json
 import os
 import pickle
 import random
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -435,12 +437,17 @@ def _run_case(case_id: str, fn, override: str | None) -> list[IdentityReport]:
     return reports
 
 
-def _expected_for(report: IdentityReport, patterns) -> str:
+def _expect_fail_regex(patterns) -> re.Pattern:
+    """The expect_fail patterns as one regex: the fnmatch translation of each,
+    joined; with no pattern it matches nothing."""
+    return re.compile("|".join(map(fnmatch.translate, patterns)) or "(?!)")
+
+
+def _expected_for(report: IdentityReport, regex: re.Pattern) -> str:
+    """fail when the regex matches the report's rspec:identity key or its bare
+    identity, else pass."""
     key = f"{report.params.get('rspec', '-')}:{report.identity}"
-    for pattern in patterns:
-        if fnmatch.fnmatch(key, pattern) or fnmatch.fnmatch(report.identity, pattern):
-            return "fail"
-    return "pass"
+    return "fail" if regex.match(key) or regex.match(report.identity) else "pass"
 
 
 def run_suite(config: SuiteConfig) -> list[IdentityReport]:
@@ -454,9 +461,10 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
         reports = [rep for row in rows for rep in _run_case(*row)]
     finally:
         rmatrix.clear_caches()
+    expect_fail = _expect_fail_regex(config.expect_fail)
     for rep in reports:
         if rep.verdict != "info":
-            rep.expected = _expected_for(rep, config.expect_fail)
+            rep.expected = _expected_for(rep, expect_fail)
     return reports
 
 
@@ -682,6 +690,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # runtime error contract
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.freeze()  # frozen objects are not scanned, so exit skips a full collector pass
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ R conserves n1 + n2; it is held as pair-sector blocks, once per (spec,
 rep pair) until clear_caches().  Delta(a) maps pair sector s to s - 1,
 Delta(adag) to s + 1 and Delta(N) keeps it, so the pairwise residuals
 are small (s + deg, s) block products.  The triple products are
-block-diagonal in n1 + n2 + n3: Yang-Baxter and fusion run one such
-sector at a time, reading their R-leg blocks from the held blocks.
+block-diagonal in n1 + n2 + n3, where R12, R13 and R23 are direct sums
+of pair-sector blocks: Yang-Baxter and fusion multiply through those
+(_r_chains), and fusion's Delta ladders are pair-sector stacks (_ladder).
 Verdicts hold on a leak-free window; the triple products raise the
 middle factor by up to the window size, so there 2W <= D - 1 rather
 than the pairwise W + 1 <= D - 1.
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockrep import FockRep, Window, frobenius, residual
-from .hopfops import (GenWord, HopfFamily, antipode_op, coproduct_op, counit, qbar_family,
-                      qpow, rep_word, sweedler_expand, word)
+from .hopfops import (GenWord, HopfFamily, antipode_op, counit, qbar_family, qpow,
+                      rep_word, sweedler_expand, word)
 from .qscalars import DeformParams, ParameterError, half_index_product, q_power
 from .report import IdentityReport, make_report
 
@@ -124,8 +125,8 @@ def _series(spec: RSpec, p: DeformParams) -> RSeries:
 def _series_sum(series: RSeries, pref, raising: np.ndarray, lowering: np.ndarray,
                 k, up, low) -> np.ndarray:
     """pref * c_k * raising[k][up] * lowering[k][low] at every entry, with k
-    the entry's one series term and up, low its (row, column) indices into
-    each leg's (K, D, D) stack; zero where k falls outside 0..K-1."""
+    the entry's one series term and up, low its (sector of a block stack,
+    row, column) indices into each leg's stack; zero where k is not 0..K-1."""
     K = len(raising)
     inside = (k >= 0) & (k < K)
     k = np.where(inside, k, 0)
@@ -134,17 +135,16 @@ def _series_sum(series: RSeries, pref, raising: np.ndarray, lowering: np.ndarray
 
 
 def _dressed_powers(step: np.ndarray, s: float, ndiag: np.ndarray, kmax: int,
-                    p: DeformParams, keep: np.ndarray | None = None) -> np.ndarray:
-    """The stack of q^{k s N} step^k for k < kmax, one matrix product per k, on
-    the rows and columns keep (default all); N enters through its eigenvalues
-    ndiag, so the dressing is a row scale."""
-    keep = np.arange(len(step)) if keep is None else keep
-    powers = np.empty((kmax, len(keep), len(keep)), dtype=complex)
-    power = np.eye(len(step), dtype=complex)
+                    p: DeformParams, deg: int = 0) -> np.ndarray:
+    """The stack of q^{k s N} step^k for k < kmax, one product per k, step a
+    matrix or a block stack of degree deg (power k maps sector t to t + k deg);
+    N's eigenvalues ndiag are laid out like step's rows: a row scale."""
+    powers = np.empty((kmax, *step.shape), dtype=complex)
+    power = np.broadcast_to(np.eye(step.shape[-1], dtype=complex), step.shape)
     for k in range(kmax):
         if k:
-            power = power @ step
-        powers[k] = q_power(k * s * ndiag[keep], p)[:, None] * power[np.ix_(keep, keep)]
+            power = _shift(power, deg) @ step
+        powers[k] = q_power(k * s * _shift(ndiag, k * deg), p)[..., None] * power
     return powers
 
 
@@ -191,15 +191,6 @@ def _pair_op(dims: tuple[int, int], deg: int, entries) -> np.ndarray:
                                               i[:, None, :], j[:, None, :]), 0)
 
 
-def _dense(blocks: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """The D1 D2 x D1 D2 matrix of a degree-0 stack, (n1, n2) at n1 * D2 + n2."""
-    i, j, _, _ = _pair_sectors(*dims)
-    rows, cols = np.broadcast_arrays((i * dims[1] + j)[:, :, None], (i * dims[1] + j)[:, None, :])
-    mask, out = _mask(dims), np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-    out[rows[mask], cols[mask]] = blocks[mask]
-    return out
-
-
 def _coproduct_blocks(w: GenWord, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                       opposite: bool = False) -> np.ndarray:
     """Delta(w), or T.Delta(w) with the tensor swap, as a block stack gathered
@@ -242,8 +233,13 @@ def _held_r(spec: RSpec, rep1: FockRep, rep2: FockRep) -> np.ndarray:
 
 def build_r(spec: RSpec, rep1: FockRep, rep2: FockRep) -> np.ndarray:
     """The candidate on the tensor square (k runs 0..D2-1), as a dense
-    matrix scattered from its held blocks."""
-    return _dense(_held_r(spec, rep1, rep2), (rep1.dim, rep2.dim))
+    matrix scattered from its held blocks, (n1, n2) at n1 * D2 + n2."""
+    dims = rep1.dim, rep2.dim
+    i, j, _, _ = _pair_sectors(*dims)
+    rows, cols = np.broadcast_arrays((i * dims[1] + j)[:, :, None], (i * dims[1] + j)[:, None, :])
+    mask, out = _mask(dims), np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+    out[rows[mask], cols[mask]] = _held_r(spec, rep1, rep2)[mask]
+    return out
 
 
 def _echo(spec: RSpec, p: DeformParams, extra: dict | None = None) -> dict:
@@ -293,60 +289,89 @@ def _triple_window(dims: tuple[int, int, int], window: Window | None) -> Window:
     return window
 
 
-def _leg_block(R: np.ndarray, dims: tuple[int, int], i: np.ndarray, j: np.ndarray,
-               other: np.ndarray) -> np.ndarray:
-    """Block of R on legs (i, j), identity on the third, on a set of triple
-    states.  The identity leg is an equality mask on other; where it holds,
-    row and column share a pair sector, whose block holds the entry."""
-    M = R.shape[1]
-    slot = _pair_sectors(*dims)[3][i, j]
-    entries = R.reshape(-1, M)[((i + j) * M + slot)[:, None], slot]
-    return entries * (other[:, None] == other)
+@functools.cache
+def _triple_layout(dims: tuple[int, int, int], wmax: int) -> tuple:
+    """The triple sectors n1 + n2 + n3 <= 3 wmax, independent of q.  R_ab raises
+    n_a and lowers n_b by the same k, so along a product of R-legs n1 only
+    rises, n3 only falls and n2 rises by at most what n3 falls: between window
+    states (every n_i <= wmax) it passes only through states with n1, n3 <=
+    wmax and n2 <= 2 wmax.  Returns those states by sector; the window states'
+    positions w, columns in their sector's block and (row, column) pairs over
+    each block; and for R12, R13, R23 a grid of pair-sector blocks (legs, each
+    row's pair sector and slots, the states there or -1, each state's place)."""
+    n = np.indices((wmax + 1, min(2 * wmax + 1, dims[1]), wmax + 1)).reshape(3, -1)
+    n = n[:, n.sum(axis=0) <= 3 * wmax]
+    states = n[:, np.argsort(n.sum(axis=0), kind="stable")]
+    total, w = states.sum(axis=0), np.flatnonzero((states <= wmax).all(axis=0))
+    legs = []
+    for a, b, f in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):  # R_ab leaves leg f alone
+        slot = _pair_sectors(dims[a], dims[b])[3][states[a], states[b]]
+        key = total * dims[f] + states[f]
+        order = np.lexsort((slot, key))
+        keys, first, count = np.unique(key[order], return_index=True, return_counts=True)
+        rank = np.arange(count.max())
+        take, pad = np.minimum(first[:, None] + rank, len(order) - 1), rank >= count[:, None]
+        pos, place = np.where(pad, -1, order[take]), np.full(len(order) + 1, pad.size)
+        place[pos[~pad]] = np.flatnonzero(~pad)
+        legs.append((a, b, keys // dims[f] - keys % dims[f], slot[order][take], pos, place))
+    col = np.arange(len(w)) - np.searchsorted(total[w], total[w])
+    return states, w, col, np.nonzero(total[w][:, None] == total[w]), legs
 
 
-def _r_leg_sectors(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
-                   wmax: int):
-    """R12, R13 and R23 on each triple sector n1 + n2 + n3 = s <= 3*wmax:
-    yields the sector's states (n1, n2, n3), the positions w among them of
-    the window states (every n_i <= wmax) and the three R-leg blocks."""
-    R12, R13, R23 = ((_held_r(spec, a, b), (a.dim, b.dim))
-                     for a, b in ((rep1, rep2), (rep1, rep3), (rep2, rep3)))
-    states = np.indices((rep1.dim, rep2.dim, rep3.dim)).reshape(3, -1)
-    total = states.sum(axis=0)
-    for s in range(3 * wmax + 1):
-        n1, n2, n3 = sector = states[:, total == s]
-        w = np.flatnonzero((sector <= wmax).all(axis=0))
-        yield (n1, n2, n3), w, (_leg_block(*R12, n1, n2, n3), _leg_block(*R13, n1, n3, n2),
-                                _leg_block(*R23, n2, n3, n1))
+def _r_chains(spec: RSpec, reps: tuple[FockRep, FockRep, FockRep], wmax: int, *chains):
+    """Every window-block entry of products of R-legs, all sectors at once:
+    (row states, column states, per chain of legs 0, 1, 2 for R12, R13, R23
+    the entries of their product); a leg is one batched product on its grid."""
+    states, w, col, (r, c), legs = _triple_layout(tuple(x.dim for x in reps), wmax)
+    blocks = []
+    for a, b, sec, slot, pos, _ in legs:
+        R = _held_r(spec, reps[a], reps[b])[sec[:, None, None], slot[:, :, None], slot[:, None, :]]
+        blocks.append(np.where(pos[:, None, :] >= 0, R, 0))  # padding columns read zeros
+    def product(chain: tuple[int, ...]) -> np.ndarray:
+        z = place = None  # the last leg's result on its grid, plus a zero row
+        for leg in chain[::-1]:
+            (G, P, _), (*_, pos, at) = blocks[leg].shape, legs[leg]
+            out = np.zeros((G * P + 1, col.max() + 1), dtype=complex)
+            if z is None:  # on the window's unit columns the product is a gather
+                g, p = np.divmod(at[w], P)
+                out[:-1].reshape(G, P, -1)[g, :, col] = blocks[leg][g, :, p]
+            else:
+                np.matmul(blocks[leg], z[place[pos]], out=out[:-1].reshape(G, P, -1))
+            z, place = out, at
+        return z[place[w]][r, col[c]]
+    return states[:, w[r]], states[:, w[c]], [product(chain) for chain in chains]
 
 
-def _sector_residual(sides) -> tuple[float, float]:
-    """(raw, over ||rhs||_F) window Frobenius residual of (lhs, rhs) blocks; no
-    unit floor, since R's absolute scale (exp(-alpha**2/gamma)-type) is moot."""
-    num = den = 0.0
-    for lhs, rhs in sides:
-        diff = lhs - rhs
-        num += np.vdot(diff, diff).real
-        den += np.vdot(rhs, rhs).real
-    raw = math.sqrt(num)
-    return raw, raw / max(math.sqrt(den), 1e-300)
+def _sector_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
+    """(raw, over ||rhs||_F) Frobenius residual of block entries; no unit
+    floor, since R's absolute scale (exp(-alpha**2/gamma)-type) is moot."""
+    raw = math.sqrt(np.vdot(lhs - rhs, lhs - rhs).real)
+    return raw, raw / max(math.sqrt(np.vdot(rhs, rhs).real), 1e-300)
 
 
 def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
                       window: Window | None = None, tol: float | None = None,
                       dim_cap: int = 1 << 16) -> IdentityReport:
     """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor, per sector."""
-    tol = tol if tol is not None else rep1.params.tol
-    dims = D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
-    if D1 * D2 * D3 > dim_cap:
-        raise ParameterError(f"triple tensor dimension {D1 * D2 * D3} exceeds cap")
-    window = _triple_window(dims, window)
-    raw, nrm = _sector_residual(
-        (b12[w] @ b13 @ b23[:, w], b23[w] @ b13 @ b12[:, w])
-        for _, w, (b12, b13, b23) in _r_leg_sectors(spec, rep1, rep2, rep3,
-                                                    window.max_index))
-    return make_report("yang_baxter", _echo(spec, rep1.params), [D1, D2, D3],
-                       window.max_index, raw, nrm, tol)
+    p, dims = rep1.params, (rep1.dim, rep2.dim, rep3.dim)
+    if math.prod(dims) > dim_cap:
+        raise ParameterError(f"triple tensor dimension {math.prod(dims)} exceeds cap")
+    W = _triple_window(dims, window).max_index
+    _, _, sides = _r_chains(spec, (rep1, rep2, rep3), W, (0, 1, 2), (2, 1, 0))
+    return make_report("yang_baxter", _echo(spec, p), list(dims), W, *_sector_residual(*sides),
+                       tol if tol is not None else p.tol)
+
+
+def _ladder(gen: str, s: float, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+            W: int) -> np.ndarray:
+    """q^{k s Delta(N)} Delta(gen)^k for k <= W, gen a or adag, as block stacks
+    on the window pair states (n1, n2 <= W) of sectors up to 2W: a ladder
+    between window states passes only through states between them."""
+    dims, deg = (rep1.dim, rep2.dim), {"a": -1, "adag": 1}[gen]
+    i, j, _, _ = _pair_sectors(*dims)
+    dn = rep1.n_diag()[i] + rep2.n_diag()[j] + fam.beta_const  # Delta(N) in the slots
+    step = np.where(_mask(dims, deg, W), _coproduct_blocks(word(gen), fam, rep1, rep2), 0)
+    return _dressed_powers(step[:2 * W + 1], s, dn[:2 * W + 1], W + 1, fam.params, deg)
 
 
 def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
@@ -354,48 +379,28 @@ def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                  tol: float | None = None) -> list[IdentityReport]:
     """(Delta (x) I)R = R13 R23 and (I (x) Delta)R = R13 R12, per sector.
 
-    Delta acts on the explicit series summands, its ladder powers dressed
-    on coproduct-image N eigenvalues; the series side is one gather with
+    Delta acts on the explicit series summands, its ladder powers _ladder
+    stacks; the series side gathers each sector-block entry at
     k = n3(col) - n3(row) on the left, n1(row) - n1(col) on the right."""
-    p = fam.params
-    tol = tol if tol is not None else p.tol
-    dims = D1, D2, D3 = rep1.dim, rep2.dim, rep3.dim
-    window = _triple_window(dims, window)
-    states, left, right = [], [], []
-    for sector, w, (b12, b13, b23) in _r_leg_sectors(spec, rep1, rep2, rep3,
-                                                     window.max_index):
-        states.append(np.array(sector)[:, w])  # the window states
-        left.append((b13[w] @ b23[:, w]).ravel())
-        right.append((b13[w] @ b12[:, w]).ravel())
-    n1, n2, n3 = np.concatenate(states, axis=1)
-    # (r, c): every entry of the sector blocks, in the order of the raveled
-    # blocks; the series side has no products, so only these are gathered
-    total = n1 + n2 + n3
-    r, c = np.nonzero(total[:, None] == total)
-    series = _series(spec, p)
-    N1, N3, W, kmax = rep1.n_diag(), rep3.n_diag(), window.max_index, min(D2, D3)
-    dn12 = (np.add.outer(N1, rep2.n_diag()).reshape(-1) + fam.beta_const)
-    dn23 = (np.add.outer(rep2.n_diag(), N3).reshape(-1) + fam.beta_const)
-    # the coproduct legs are kept on the window pair states, at n_a (W + 1) + n_b
-    win12, win23 = ((np.arange(W + 1)[:, None] * D + np.arange(W + 1)).ravel() for D in (D2, D3))
+    p, reps, dims = fam.params, (rep1, rep2, rep3), (rep1.dim, rep2.dim, rep3.dim)
+    W = _triple_window(dims, window).max_index
+    (n1, n2, n3), (m1, m2, m3), (left, right) = _r_chains(spec, reps, W, (1, 2), (1, 0))
+    series, (N1, N2, N3) = _series(spec, p), (x.n_diag() for x in reps)
+    slot12, slot23 = _pair_sectors(*dims[:2])[3], _pair_sectors(*dims[1:])[3]
+    dn12, dn23 = (np.add.outer(a, b).reshape(-1) + fam.beta_const for a, b in ((N1, N2), (N2, N3)))
     sides = (
-        ("fusion_left", n1 * (W + 1) + n2, n3, n3[c] - n3[r], left,
-         q_power(series.exponent(dn12[win12], N3), p),
-         _dressed_powers(coproduct_op(word("adag"), rep1, rep2, fam), series.su, dn12, D3, p,
-                         win12), _dressed_powers(rep3.matA, series.sv, N3, D3, p)),
-        ("fusion_right", n1, n2 * (W + 1) + n3, n1[r] - n1[c], right,
-         q_power(series.exponent(N1, dn23[win23]), p),
-         _dressed_powers(rep1.matAdag, series.su, N1, kmax, p),
-         _dressed_powers(coproduct_op(word("a"), rep2, rep3, fam), series.sv, dn23, kmax, p,
-                         win23)))
-    reports = []
-    for name, ia, ib, k, rhs, pref, raising, lowering in sides:
-        lhs = _series_sum(series, pref[ia[r], ib[r]], raising, lowering, k,
-                          (ia[r], ia[c]), (ib[r], ib[c]))
-        raw, nrm = _sector_residual([(lhs, np.concatenate(rhs))])
-        reports.append(make_report(name, _echo(spec, p), [D1, D2, D3],
-                                   window.max_index, raw, nrm, tol))
-    return reports
+        ("fusion_left", q_power(series.exponent(dn12, N3), p), m3 - n3, left,
+         _ladder("adag", series.su, fam, rep1, rep2, W),
+         _dressed_powers(rep3.matA, series.sv, N3, W + 1, p),
+         (m1 + m2, slot12[n1, n2], slot12[m1, m2]), (n3, m3)),
+        ("fusion_right", q_power(series.exponent(N1, dn23), p), n1 - m1, right,
+         _dressed_powers(rep1.matAdag, series.su, N1, W + 1, p),
+         _ladder("a", series.sv, fam, rep2, rep3, W),
+         (n1, m1), (m2 + m3, slot23[n2, n3], slot23[m2, m3])))
+    tol = tol if tol is not None else p.tol
+    return [make_report(name, _echo(spec, p), list(dims), W, *_sector_residual(_series_sum(
+        series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs), tol)
+        for name, pref, k, rhs, raising, lowering, up, low in sides]
 
 
 def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> np.ndarray:
@@ -411,11 +416,6 @@ def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep)
     V = _dressed_powers(rep2.matA, series.sv, rep2.n_diag(), rep2.dim, p)
     return _pair_op((rep1.dim, rep2.dim), 0, lambda ir, jr, ic, jc: _series_sum(
         series, pref[ic, jr], SU, V, ir - ic, (ir, ic), (jr, jc)))
-
-
-def antipode_leg(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> np.ndarray:
-    """(S (x) I)R as a dense matrix, scattered from its sector blocks."""
-    return _dense(_antipode_blocks(spec, fam, rep1, rep2), (rep1.dim, rep2.dim))
 
 
 def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,

@@ -1,4 +1,6 @@
 import argparse
+import fnmatch
+import gc
 import json
 import math
 import os
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 from qboson import DeformParams, cli, hopfops, rmatrix, symalg
-from qboson.cli import (ConfigError, _cases, _expected_for, _run_case, emit_report,
-                        exit_code_for, main, parse_config, parse_rspec, run_suite)
+from qboson.cli import (ConfigError, _cases, _expect_fail_regex, _expected_for, _run_case,
+                        emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
                            verdict_of)
 
@@ -295,12 +297,35 @@ def test_largest_fails_on_nan():
 
 
 def test_expected_for_patterns():
+    regex = _expect_fail_regex(("yan_claimed:intertwiner_a",))
     rpt = make_report("intertwiner_a", {"rspec": "yan_claimed"}, [8], 3, 1.0, 1.0, 1e-9)
-    assert _expected_for(rpt, ("yan_claimed:intertwiner_a",)) == "fail"
+    assert _expected_for(rpt, regex) == "fail"
     rpt2 = make_report("intertwiner_a", {"rspec": "quantum_double"}, [8], 3, 0.0, 0.0, 1e-9)
-    assert _expected_for(rpt2, ("yan_claimed:intertwiner_a",)) == "pass"
+    assert _expected_for(rpt2, regex) == "pass"
     rpt3 = make_report("hopf_ideal_witness", {}, [8], 3, 1.0, 1.0, 1e-9)
-    assert _expected_for(rpt3, ("*:hopf_ideal_witness",)) == "fail"
+    assert _expected_for(rpt3, _expect_fail_regex(("*:hopf_ideal_witness",))) == "fail"
+
+
+EXPECT_KEYS = (
+    "yan_claimed:intertwiner_a", "yan_claimed:intertwiner_N", "yan_claimed:intertwiner_adag",
+    "quantum_double:intertwiner_a", "quantum_double:intertwiner_ab", "yan_claimed:yang_baxter",
+    "yan_claimed:yang_baxter\n", "yan_claimed:fusion_left", "quantum_double:fusion_right",
+    "general_family(m=0.5,K=-1,lower):yan_relation_a", "yan_claimed:yan_relation_N",
+    "-:hopf_ideal_witness", "hopf_ideal_witness", "hopf_ideal_witness_x", "-:casimir_scalar",
+    "abc", "cab", "a.b", "", "*", "[x]")
+
+
+@pytest.mark.parametrize("patterns", [
+    cli.DEFAULT_EXPECT_FAIL,
+    (*cli.DEFAULT_EXPECT_FAIL, "quantum_double:intertwiner_?", "*:fusion_[lr]*"),
+    ("general*:yan_relation_[!N]", "*a*b*", "a.b", "[[]x]", "?"),
+    ()], ids=("default", "with_marks", "classes", "none"))
+def test_expect_fail_regex_matches_like_fnmatch(patterns):
+    # one compiled alternation decides as the patterns one by one would
+    regex = _expect_fail_regex(patterns)
+    for key in EXPECT_KEYS:
+        want = any(fnmatch.fnmatch(key, pattern) for pattern in patterns)
+        assert bool(regex.match(key)) == want, (key, patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -683,3 +708,20 @@ def test_forked_scan_errors_leave_no_child(tmp_path, monkeypatch, capsys, q, pla
     assert not list(tmp_path.glob("s_*.json"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def unfrozen():
+    gc.unfreeze()
+    yield
+    gc.unfreeze()
+
+
+def test_main_freezes_the_heap(tmp_path, unfrozen):
+    # main freezes the heap once its command returns, so the interpreter's
+    # exit-time collection skips it
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG, encoding="utf-8")
+    assert gc.get_freeze_count() == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "r.json"), "verify"]) == 0
+    assert gc.get_freeze_count() > 0

@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rma
 from qboson.fockrep import residual, window_block, window_indices
 from qboson.hopfops import HopfFamily, antipode_op, coproduct_op, counit, qpow, rep_word, word
 from qboson.report import verdict_of
-from qboson.rmatrix import (RSpec, _coproduct_blocks, _dressed_powers, _mask, _pair_sectors,
-                            _series, antipode_leg, build_r,
+from qboson.rmatrix import (RSpec, _antipode_blocks, _coproduct_blocks, _dressed_powers, _ladder,
+                            _mask, _pair_sectors, _r_chains, _series, build_r,
                             check_antipode_inverse, check_counit, check_fusion,
                             check_intertwiner, check_yan_relation, check_yang_baxter,
                             family_for)
@@ -81,6 +82,11 @@ def test_build_r_matches_word_by_word(q, D, spec):
     got = build_r(spec, rep, rep)
     want = word_by_word_r(spec, rep, rep)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def antipode_leg(spec, fam, rep1, rep2):
+    """(S (x) I)R as a dense matrix, scattered from its sector blocks."""
+    return scatter(_antipode_blocks(spec, fam, rep1, rep2), (rep1.dim, rep2.dim), 0)
 
 
 @pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
@@ -551,3 +557,73 @@ def test_held_r_is_shared_across_threads(params):
         sys.setswitchinterval(interval)
         rmatrix.clear_caches()
     assert len(held) == 32 and all(h is held[0] for h in held)
+
+
+# ---------------------------------------------------------------------------
+# the ladder stacks and the sector R-leg products against their dense
+# predecessors, at fixed q (the hypothesis test above also draws q near 1)
+
+ORACLE_Q = (1.3, 0.7 + 0.2j)
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+@pytest.mark.parametrize("D", range(4, 10))
+@pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
+def test_ladder_stacks_match_dense_powers(q, D, spec):
+    # the window blocks of the ladder stacks are the dressed powers of the
+    # dense Delta(adag) and Delta(a), restricted to the window pair states
+    p = DeformParams(q=q)
+    rep, fam, series = build_rep(D, 0.5, p), family_for(spec, p), _series(spec, p)
+    W = (D - 1) // 2
+    n1, n2 = (a.ravel() for a in np.indices((W + 1, W + 1)))  # the window pair states
+    win, slot, n = n1 * D + n2, _pair_sectors(D, D)[3], rep.n_diag()
+    dn = np.add.outer(n, n).reshape(-1) + fam.beta_const
+    row, col = np.indices((len(win), len(win)))
+    for gen, s, deg in (("adag", series.su, 1), ("a", series.sv, -1)):
+        got = _ladder(gen, s, fam, rep, rep, W)
+        want = _dressed_powers(coproduct_op(word(gen), rep, rep, fam), s, dn, W + 1, p)
+        for k in range(W + 1):
+            sector = n1[col] + n2[col]
+            joined = n1[row] + n2[row] == sector + k * deg
+            dense = np.where(joined, got[k][sector, slot[n1[row], n2[row]], slot[n1[col], n2[col]]],
+                             0)
+            want_k = want[k][np.ix_(win, win)]
+            assert np.abs(dense - want_k).max() <= 1e-13 * np.abs(want_k).max(), (gen, k)
+
+
+def dense_leg_sectors(spec, rep, wmax):
+    """Per triple sector s <= 3 wmax, over every state with n1 + n2 + n3 = s:
+    s, the states, the window positions and the whole R12, R13, R23 blocks
+    read from the dense R, an identity leg as an equality mask."""
+    D = rep.dim
+    R = build_r(spec, rep, rep)
+    leg = lambda i, j, other: R[(i * D + j)[:, None], i * D + j] * (other[:, None] == other)
+    states = np.indices((D, D, D)).reshape(3, -1)
+    total = states.sum(axis=0)
+    for s in range(3 * wmax + 1):
+        n1, n2, n3 = sector = states[:, total == s]
+        w = np.flatnonzero((sector <= wmax).all(axis=0))
+        yield s, sector, w, (leg(n1, n2, n3), leg(n1, n3, n2), leg(n2, n3, n1))
+
+
+@pytest.mark.parametrize("q", ORACLE_Q)
+@pytest.mark.parametrize("D", range(4, 10))
+@pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
+def test_sector_products_match_dense_blocks(q, D, spec):
+    # the products through the pair-sector blocks on the restricted states are
+    # the window blocks of the whole triple-sector block products
+    p = DeformParams(q=q)
+    rep = build_rep(D, 0.5, p)
+    wmax = (D - 1) // 2
+    chains = ((0, 1, 2), (2, 1, 0), (1, 2), (1, 0))
+    rows, cols, products = _r_chains(spec, (rep,) * 3, wmax, *chains)
+    sizes = []
+    for s, sector, w, blocks in dense_leg_sectors(spec, rep, wmax):
+        mine, window = np.flatnonzero(rows.sum(axis=0) == s), sector[:, w]
+        assert np.array_equal(rows[:, mine], np.repeat(window, len(w), axis=1))
+        assert np.array_equal(cols[:, mine], np.tile(window, len(w)))
+        sizes.append(len(w) ** 2)
+        for chain, prod in zip(chains, products):
+            dense = reduce(np.matmul, [blocks[leg] for leg in chain])[np.ix_(w, w)].ravel()
+            assert np.abs(prod[mine] - dense).max() <= 1e-13 * np.abs(dense).max(), chain
+    assert len(sizes) == 3 * wmax + 1 and rows.shape[1] == sum(sizes)
