@@ -2,7 +2,7 @@
 quantum-double R-matrix."""
 
 from .fockrep import FockRep, Window, build_rep, casimir, check_relation, classical_limit_residual
-from .hopfops import GenWord, HopfFamily, coproduct_op, counit, antipode_op, qpow, word
+from .hopfops import GenWord, HopfFamily, counit, antipode_op, qpow, word
 from .qscalars import DeformParams, ParameterError, half_index_product, q_factorial, q_number, q_power
 from .report import IdentityReport, dump_matrix, load_matrix
 from .rmatrix import RSpec, build_r
@@ -13,7 +13,7 @@ __all__ = [
     "half_index_product", "q_power",
     "FockRep", "Window", "build_rep", "check_relation", "casimir",
     "classical_limit_residual",
-    "HopfFamily", "GenWord", "word", "qpow", "coproduct_op", "counit", "antipode_op",
+    "HopfFamily", "GenWord", "word", "qpow", "counit", "antipode_op",
     "PlusElement", "DualElement", "multiply", "eval_functional",
     "RSpec", "build_r",
     "IdentityReport", "dump_matrix", "load_matrix",

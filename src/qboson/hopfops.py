@@ -1,17 +1,18 @@
 """Coproduct, counit and antipode as concrete operators on tensor products.
 
 The coproduct is defined once, on the generators, as an explicit sum of
-tensor products of generator words (sweedler_letter; sweedler_expand
-extends it to words).  That rule is read in three layouts: coproduct_op
-is the dense two-leg matrix, a product of letter images, each the
-Kronecker sum of the letter's Sweedler terms; rmatrix._coproduct_blocks
-gathers the terms into pair-sector blocks; and check_hopf_axioms acts
+tensor products of generator words (sweedler_letter).  That rule is read in
+two layouts.  A two-leg operator of pair-number degree deg maps the pair
+sector n1 + n2 = s to s + deg, so it is held as a stack of pair-sector
+blocks (_pair_sectors): _coproduct_blocks gathers each letter's stack from
+its Sweedler terms and multiplies a word's letter stacks, and rmatrix and
+sl2bridge read the two-leg Delta only through it.  check_hopf_axioms acts
 with both Delta_2 iterations letter by letter on the window columns, a
 letter's three-leg image held as one weight per leg displacement, the
 counit and antipode sides being recursions over D x D letter images.
-closed_coproduct_letter writes the generators' two-leg images in closed
+closed_coproduct_letter writes the generators' two-leg stacks in closed
 form, apart from that rule, as the reference the homomorphism check
-compares coproduct_op against.
+(homomorphism_residuals) compares the gathered stacks against.
 
 The general structure family is parameterized by a half-integer m, an
 integer K and a sign choice; the canonical structure is the point
@@ -31,7 +32,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fockrep import FockRep, Window
+from .fockrep import FockRep, Window, frobenius
 from .qscalars import DeformParams, ParameterError, q_power
 from .report import IdentityReport, make_report
 
@@ -159,45 +160,138 @@ def rep_word(w: GenWord, rep: FockRep, p: DeformParams | None = None) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# coproduct / counit / antipode on letters and words
+# two-leg operators as pair-sector block stacks: an operator of pair-number
+# degree deg is held as a stack, block s mapping sector s to s + deg in the
+# slots of _pair_sectors
 
 
-TENSOR_CAP = 1 << 16  # largest D1 * D2 that coproduct_op builds
+_DEG = {"a": -1, "adag": 1}  # number displacement of a ladder letter
+_unit = lambda ir, jr, ic, jc: (ir == ic) & (jr == jc)  # the identity's entries, for _pair_op
 
 
-def coproduct_op(w: GenWord, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
-    """Delta(w) on rep1 (x) rep2.  Delta is an algebra homomorphism, so this is
-    the product of the letters' images, each the Kronecker sum of the letter's
-    Sweedler terms, built once per call."""
-    if not rep1.params.q == rep2.params.q == fam.params.q:
-        raise ParameterError("representations and family must share DeformParams")
-    total, p = rep1.dim * rep2.dim, fam.params
-    if total > TENSOR_CAP:
-        raise ParameterError(f"tensor dimension {total} exceeds cap {TENSOR_CAP}")
-    image = cache(lambda ltr: sum(complex(c) * np.kron(rep_word(u, rep1, p), rep_word(v, rep2, p))
-                                  for c, u, v in sweedler_letter(ltr, fam)))
-    return _letter_product(w.prefactor, w.letters, total, image)
+@cache
+def _pair_sectors(D1: int, D2: int):
+    """The pair sectors n1 + n2 = s of a D1 x D2 tensor, padded to one size:
+    (i, j, valid, slot), slot a of sector s holding the state (i[s, a],
+    j[s, a]) in order of i, state (n1, n2) in slot[n1, n2] of its sector,
+    padding slots clipped into range with valid False."""
+    s = np.arange(D1 + D2 - 1)[:, None]
+    i = np.maximum(0, s - D2 + 1) + np.arange(min(D1, D2))
+    valid = i <= np.minimum(s, D1 - 1)
+    i = np.minimum(i, D1 - 1)
+    n1, n2 = np.indices((D1, D2))
+    return i, np.clip(s - i, 0, D2 - 1), valid, n1 - np.maximum(0, n1 + n2 - D2 + 1)
+
+
+def _shift(blocks: np.ndarray, deg: int) -> np.ndarray:
+    """blocks[s + deg] for every sector s, zero where s + deg is no sector."""
+    pad = np.zeros((abs(deg), *blocks.shape[1:]), dtype=blocks.dtype)
+    return np.concatenate((blocks[deg:], pad) if deg >= 0 else (pad, blocks[:deg]))
+
+
+def _mask(dims: tuple[int, int], deg: int = 0, W: int | None = None) -> np.ndarray:
+    """The entries of a degree-deg stack that join two states (two window
+    states n1, n2 <= W when W is given)."""
+    i, j, valid, _ = _pair_sectors(*dims)
+    if W is not None:
+        valid = valid & (i <= W) & (j <= W)
+    return _shift(valid, deg)[:, :, None] & valid[:, None, :]
+
+
+def _pair_op(dims: tuple[int, int], deg: int, entries) -> np.ndarray:
+    """The block stack of a degree-deg operator whose entries at rows
+    (ir, jr) and columns (ic, jc) are entries(ir, jr, ic, jc)."""
+    i, j, _, _ = _pair_sectors(*dims)
+    rows = np.clip(np.arange(len(i)) + deg, 0, len(i) - 1)  # the mask drops the rest
+    return np.where(_mask(dims, deg), entries(i[rows][:, :, None], j[rows][:, :, None],
+                                              i[:, None, :], j[:, None, :]), 0)
+
+
+def _word_blocks(w: GenWord, dims: tuple[int, int], letter_blocks) -> np.ndarray:
+    """w's block stack under a homomorphism given by letter_blocks(letter):
+    the product of its letters' stacks, a stack A of degree dA applied after
+    a stack B of degree dB being _shift(A, dB) @ B; the identity stack for
+    the empty word."""
+    if not w.letters:
+        return complex(w.prefactor) * _pair_op(dims, 0, _unit)
+    out = letter_blocks(w.letters[0]) * complex(w.prefactor)
+    for ltr in w.letters[1:]:
+        out = _shift(out, _DEG.get(ltr, 0)) @ letter_blocks(ltr)
+    return out
+
+
+def _coproduct_blocks(w: GenWord, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+                      opposite: bool = False) -> np.ndarray:
+    """Delta(w), or T.Delta(w) with the tensor swap, as a block stack: the
+    product of its letters' stacks, each gathered from the letter's Sweedler
+    terms c u (x) v, entries sum c u[i, i'] v[j, j'].  The family may carry
+    other DeformParams than the representations (the 1/q coproduct of the
+    Yan relation acts on the q representations)."""
+    if rep1.params.q != rep2.params.q:
+        raise ParameterError("representations must share DeformParams")
+    if opposite and rep1.dim != rep2.dim:
+        raise ParameterError("opposite coproduct needs equal factor dimensions")
+    dims, p = (rep1.dim, rep2.dim), fam.params
+
+    def letter_blocks(ltr) -> np.ndarray:
+        legs = [(c, rep_word(u, rep1, p), rep_word(v, rep2, p))
+                for c, u, v in sweedler_letter(ltr, fam)]
+        legs = [(c, v, u) for c, u, v in legs] if opposite else legs
+        return _pair_op(dims, _DEG.get(ltr, 0), lambda ir, jr, ic, jc:
+                        sum(c * (u[ir, ic] * v[jr, jc]) for c, u, v in legs))
+
+    return _word_blocks(w, dims, letter_blocks)
 
 
 def closed_coproduct_letter(letter, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
-    """Delta(letter) on rep1 (x) rep2 from the closed two-leg formulas of the
-    generators, written out here and independent of the Sweedler table
-    (sweedler_letter): a wrong coproduct term shows as a difference from
-    coproduct_op."""
-    p = fam.params
-    I1, I2 = np.eye(rep1.dim, dtype=complex), np.eye(rep2.dim, dtype=complex)
+    """Delta(letter) on rep1 (x) rep2 as a block stack, from the closed two-leg
+    formulas of the generators written out entry by entry here, independent
+    of the Sweedler table (sweedler_letter): a wrong coproduct term shows as
+    a difference from _coproduct_blocks."""
+    p, n1, n2 = fam.params, rep1.n_diag(), rep2.n_diag()
     if letter == "N":
-        return np.kron(rep1.matN, I2) + np.kron(I1, rep2.matN) + fam.beta_const * np.kron(I1, I2)
-    if isinstance(letter, tuple):  # q^{sN}: exact diagonal exponential of Delta(N)
-        dn = np.add.outer(rep1.n_diag(), rep2.n_diag()).reshape(-1) + fam.beta_const
-        return np.diag(q_power(letter[1] * dn, p))
-    qd1 = lambda s: np.diag(q_power(s * rep1.n_diag(), p))
-    qd2 = lambda s: np.diag(q_power(s * rep2.n_diag(), p))
-    if letter == "a":
-        return (np.kron(rep1.matA, qd2(fam.m))
-                + fam.sg * 1j * np.kron(qd1(fam.r), rep2.matA)) * fam.phase_lower_gen
-    return (np.kron(rep1.matAdag, qd2(-fam.r))
-            + fam.sg * 1j * np.kron(qd1(-fam.m), rep2.matAdag)) * fam.phase_raise_gen
+        entries = lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc) * (n1[ir] + n2[jr] + fam.beta_const)
+    elif isinstance(letter, tuple):  # q^{sN}: exact exponential of Delta(N)
+        entries = lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc) * q_power(
+            letter[1] * (n1[ir] + n2[jr] + fam.beta_const), p)
+    elif letter == "a":
+        entries = lambda ir, jr, ic, jc: fam.phase_lower_gen * (
+            rep1.matA[ir, ic] * (jr == jc) * q_power(fam.m * n2[jr], p)
+            + fam.sg * 1j * (ir == ic) * q_power(fam.r * n1[ir], p) * rep2.matA[jr, jc])
+    else:
+        entries = lambda ir, jr, ic, jc: fam.phase_raise_gen * (
+            rep1.matAdag[ir, ic] * (jr == jc) * q_power(-fam.r * n2[jr], p)
+            + fam.sg * 1j * (ir == ic) * q_power(-fam.m * n1[ir], p) * rep2.matAdag[jr, jc])
+    return _pair_op((rep1.dim, rep2.dim), _DEG.get(letter, 0), entries)
+
+
+def block_residual(lhs: np.ndarray, rhs: np.ndarray, dims: tuple[int, int], deg: int,
+                   W: int) -> tuple[float, float]:
+    """(raw, normalized) residual of two degree-deg block stacks on the window
+    pair states (n1, n2 <= W), normalized like fockrep.residual, by
+    max(1, ||rhs||_F) there."""
+    win = _mask(dims, deg, W)
+    raw = frobenius((lhs - rhs)[win])
+    return raw, raw / max(1.0, frobenius(rhs[win]))
+
+
+def homomorphism_residuals(words, rep: FockRep, fam: HopfFamily,
+                           window: Window) -> list[float]:
+    """Per word w, the normalized residual on the window of Delta(w), the
+    product of the letter stacks from the Sweedler table, against the product
+    of the closed letter stacks, which do not read that table: a wrong
+    Sweedler term fails it.  Each letter's two stacks are built once."""
+    dims = (rep.dim, rep.dim)
+    window.validate(*dims)
+    sides = (cache(lambda ltr: _coproduct_blocks(word(ltr), fam, rep, rep)),
+             cache(lambda ltr: closed_coproduct_letter(ltr, rep, rep, fam)))
+    return [block_residual(*(_word_blocks(w, dims, side) for side in sides), dims,
+                           w.letters.count("adag") - w.letters.count("a"), window.max_index)[1]
+            for w in words]
+
+
+# ---------------------------------------------------------------------------
+# counit / antipode on letters and words
 
 
 def counit(w: GenWord, fam: HopfFamily) -> complex:
@@ -266,16 +360,6 @@ def sweedler_letter(letter, fam: HopfFamily) -> list[tuple[complex, GenWord, Gen
             (ph * fam.sg * 1j, word(qpow(-fam.m)), word("adag"))]
 
 
-def sweedler_expand(w: GenWord, fam: HopfFamily) -> list[tuple[complex, GenWord, GenWord]]:
-    """Delta(w) as a sum of tensor products of generator words."""
-    terms = [(complex(w.prefactor), word(), word())]
-    for ltr in w.letters:
-        expansion = sweedler_letter(ltr, fam)
-        terms = [(c0 * c1, u0 * u1, v0 * v1)
-                 for (c0, u0, v0) in terms for (c1, u1, v1) in expansion]
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # Hopf axiom suite
 
@@ -283,9 +367,6 @@ def sweedler_expand(w: GenWord, fam: HopfFamily) -> list[tuple[complex, GenWord,
 def default_axiom_words(max_len: int = 3) -> list[GenWord]:
     return [word(*combo) for n in range(1, max_len + 1)
             for combo in product(("N", "a", "adag"), repeat=n)]
-
-
-_DEG = {"a": -1, "adag": 1}  # number displacement of a ladder letter
 
 
 def _delta2_on_columns(w: GenWord, images, W: int, pad: int) -> tuple[np.ndarray, int]:
@@ -305,8 +386,7 @@ def _delta2_on_columns(w: GenWord, images, W: int, pad: int) -> tuple[np.ndarray
 
 def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
                       sample: list[GenWord] | None = None,
-                      window: Window | None = None,
-                      tol: float | None = None) -> list[IdentityReport]:
+                      window: Window | None = None) -> list[IdentityReport]:
     """Residuals of the coassociativity, counit and antipode axioms, every side
     built letter by letter from letter images made once per call: Delta_2 on the
     window columns (_delta2_on_columns), the counit sides as products of the
@@ -314,7 +394,6 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
     A(x l) = sum S(l_(1)) A(x) l_(2) and B(l y) = sum l_(1) B(y) S(l_(2)), all
     memoized; residuals on the window, normalized by max(1, ||rhs||_F) there."""
     sample = default_axiom_words() if sample is None else sample
-    tol = tol if tol is not None else fam.params.tol
     D, reports, eye = rep.dim, [], np.eye(rep.dim, dtype=complex)
     fam_tag = {"m": fam.m, "K": fam.K, "sign": fam.sign, "q": str(fam.params.q)}
     pad = max((len(w.letters) for w in sample), default=0)
@@ -366,5 +445,5 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
                                     ("antipode_right", [D], p * id_s(x)[cut], eps)):
             raw = float(np.linalg.norm(lhs - rhs))
             reports.append(make_report(f"hopf_{tag}_{w.name}", fam_tag, dims, W, raw,
-                                       raw / max(1.0, float(np.linalg.norm(rhs))), tol))
+                                       raw / max(1.0, float(np.linalg.norm(rhs))), fam.params.tol))
     return reports

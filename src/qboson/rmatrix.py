@@ -23,9 +23,10 @@ annihilates the truncated second factor beyond k = D2 - 1, so the series
 termination is exact.
 
 R conserves n1 + n2; it is held as pair-sector blocks, once per (spec,
-rep pair) until clear_caches().  Delta(a) maps pair sector s to s - 1,
-Delta(adag) to s + 1 and Delta(N) keeps it, so the pairwise residuals
-are small (s + deg, s) block products.  The triple products are
+rep pair) until clear_caches(), in the one two-leg layout of hopfops,
+whose _coproduct_blocks gives Delta's stacks.  Delta(a) maps pair sector
+s to s - 1, Delta(adag) to s + 1 and Delta(N) keeps it, so the pairwise
+residuals are small (s + deg, s) block products.  The triple products are
 block-diagonal in n1 + n2 + n3, where R12, R13 and R23 are direct sums
 of pair-sector blocks: Yang-Baxter and fusion multiply through those
 (_r_chains), and fusion's Delta ladders are pair-sector stacks (_ladder).
@@ -44,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockrep import FockRep, Window, frobenius, residual
-from .hopfops import (GenWord, HopfFamily, antipode_op, counit, qbar_family, qpow,
-                      rep_word, sweedler_expand, word)
+from .hopfops import (GenWord, HopfFamily, _coproduct_blocks, _mask, _pair_op, _pair_sectors,
+                      _shift, antipode_op, block_residual, counit, qbar_family, qpow, word)
 from .qscalars import DeformParams, ParameterError, half_index_product, q_power
-from .report import IdentityReport, make_report
+from .report import IdentityReport, make_report, worst
 
 KINDS = ("quantum_double", "yan_claimed", "general_family")
 
@@ -148,62 +149,6 @@ def _dressed_powers(step: np.ndarray, s: float, ndiag: np.ndarray, kmax: int,
     return powers
 
 
-# ---------------------------------------------------------------------------
-# pair-sector blocks: an operator of pair-number degree deg is held as a stack,
-# block s mapping sector s to s + deg in the slots of _pair_sectors
-
-
-@functools.cache
-def _pair_sectors(D1: int, D2: int):
-    """The pair sectors n1 + n2 = s of a D1 x D2 tensor, padded to one size:
-    (i, j, valid, slot), slot a of sector s holding the state (i[s, a],
-    j[s, a]) in order of i, state (n1, n2) in slot[n1, n2] of its sector,
-    padding slots clipped into range with valid False."""
-    s = np.arange(D1 + D2 - 1)[:, None]
-    i = np.maximum(0, s - D2 + 1) + np.arange(min(D1, D2))
-    valid = i <= np.minimum(s, D1 - 1)
-    i = np.minimum(i, D1 - 1)
-    n1, n2 = np.indices((D1, D2))
-    return i, np.clip(s - i, 0, D2 - 1), valid, n1 - np.maximum(0, n1 + n2 - D2 + 1)
-
-
-def _shift(blocks: np.ndarray, deg: int) -> np.ndarray:
-    """blocks[s + deg] for every sector s, zero where s + deg is no sector."""
-    pad = np.zeros((abs(deg), *blocks.shape[1:]), dtype=blocks.dtype)
-    return np.concatenate((blocks[deg:], pad) if deg >= 0 else (pad, blocks[:deg]))
-
-
-def _mask(dims: tuple[int, int], deg: int = 0, W: int | None = None) -> np.ndarray:
-    """The entries of a degree-deg stack that join two states (two window
-    states n1, n2 <= W when W is given)."""
-    i, j, valid, _ = _pair_sectors(*dims)
-    if W is not None:
-        valid = valid & (i <= W) & (j <= W)
-    return _shift(valid, deg)[:, :, None] & valid[:, None, :]
-
-
-def _pair_op(dims: tuple[int, int], deg: int, entries) -> np.ndarray:
-    """The block stack of a degree-deg operator whose entries at rows
-    (ir, jr) and columns (ic, jc) are entries(ir, jr, ic, jc)."""
-    i, j, _, _ = _pair_sectors(*dims)
-    rows = np.clip(np.arange(len(i)) + deg, 0, len(i) - 1)  # the mask drops the rest
-    return np.where(_mask(dims, deg), entries(i[rows][:, :, None], j[rows][:, :, None],
-                                              i[:, None, :], j[:, None, :]), 0)
-
-
-def _coproduct_blocks(w: GenWord, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                      opposite: bool = False) -> np.ndarray:
-    """Delta(w), or T.Delta(w) with the tensor swap, as a block stack gathered
-    from its Sweedler terms c u (x) v: entries sum c u[i, i'] v[j, j']."""
-    if opposite and rep1.dim != rep2.dim:
-        raise ParameterError("opposite coproduct needs equal factor dimensions")
-    legs = [(c, rep_word(u, rep1, fam.params), rep_word(v, rep2, fam.params))
-            for c, u, v in sweedler_expand(w, fam)]
-    legs = [(c, v, u) for c, u, v in legs] if opposite else legs
-    return _pair_op((rep1.dim, rep2.dim), w.letters.count("adag") - w.letters.count("a"),
-                    lambda ir, jr, ic, jc: sum(c * (u[ir, ic] * v[jr, jc]) for c, u, v in legs))
-
-
 _HELD_R: dict = {}  # (spec, contents of both reps) -> R's block stack
 
 
@@ -260,8 +205,8 @@ def _pair_setup(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
 
 
 def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.ndarray,
-                    R: np.ndarray, right: np.ndarray, dims: tuple[int, int], W: int,
-                    tol: float | None) -> IdentityReport:
+                    R: np.ndarray, right: np.ndarray, dims: tuple[int, int],
+                    W: int) -> IdentityReport:
     """The report of left R - R right, block stacks of gen's degree, on the
     window: raw and over ||R||_F ||right||_F (floored at 1e-300)."""
     deg = {"N": 0, "a": -1, "adag": 1}[gen]
@@ -269,18 +214,17 @@ def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.
     raw = frobenius((left @ R - _shift(R, deg) @ right)[win])
     nrm = raw / max(frobenius(R[_mask(dims, 0, W)]) * frobenius(right[win]), 1e-300)
     return make_report(f"{name}_{gen}", _echo(spec, fam.params, {"gen": gen}), list(dims), W,
-                       raw, nrm, tol if tol is not None else fam.params.tol)
+                       raw, nrm, fam.params.tol)
 
 
 def check_intertwiner(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                      gen: str, window: Window | None = None,
-                      tol: float | None = None) -> IdentityReport:
+                      gen: str, window: Window | None = None) -> IdentityReport:
     """Residual of (T Delta(gen)) R - R Delta(gen) on the window,
     normalized by ||R||_F ||Delta(gen)||_F so scalar rescalings of R drop out."""
     R, win, dg = _pair_setup(spec, fam, rep1, rep2, window, gen)
     tdg = _coproduct_blocks(word(gen), fam, rep1, rep2, opposite=True)
     return _twisted_report("intertwiner", spec, fam, gen, tdg, R, dg, (rep1.dim, rep2.dim),
-                           win.max_index, tol)
+                           win.max_index)
 
 
 def _triple_window(dims: tuple[int, int, int], window: Window | None) -> Window:
@@ -350,8 +294,7 @@ def _sector_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
 
 
 def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
-                      window: Window | None = None, tol: float | None = None,
-                      dim_cap: int = 1 << 16) -> IdentityReport:
+                      window: Window | None = None, dim_cap: int = 1 << 16) -> IdentityReport:
     """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor, per sector."""
     p, dims = rep1.params, (rep1.dim, rep2.dim, rep3.dim)
     if math.prod(dims) > dim_cap:
@@ -359,7 +302,7 @@ def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
     W = _triple_window(dims, window).max_index
     _, _, sides = _r_chains(spec, (rep1, rep2, rep3), W, (0, 1, 2), (2, 1, 0))
     return make_report("yang_baxter", _echo(spec, p), list(dims), W, *_sector_residual(*sides),
-                       tol if tol is not None else p.tol)
+                       p.tol)
 
 
 def _ladder(gen: str, s: float, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
@@ -375,8 +318,7 @@ def _ladder(gen: str, s: float, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
 
 
 def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                 rep3: FockRep, window: Window | None = None,
-                 tol: float | None = None) -> list[IdentityReport]:
+                 rep3: FockRep, window: Window | None = None) -> list[IdentityReport]:
     """(Delta (x) I)R = R13 R23 and (I (x) Delta)R = R13 R12, per sector.
 
     Delta acts on the explicit series summands, its ladder powers _ladder
@@ -397,9 +339,8 @@ def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
          _dressed_powers(rep1.matAdag, series.su, N1, W + 1, p),
          _ladder("a", series.sv, fam, rep2, rep3, W),
          (n1, m1), (m2 + m3, slot23[n2, n3], slot23[m2, m3])))
-    tol = tol if tol is not None else p.tol
     return [make_report(name, _echo(spec, p), list(dims), W, *_sector_residual(_series_sum(
-        series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs), tol)
+        series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs), p.tol)
         for name, pref, k, rhs, raising, lowering, up, low in sides]
 
 
@@ -419,22 +360,20 @@ def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep)
 
 
 def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                           window: Window | None = None,
-                           tol: float | None = None) -> IdentityReport:
+                           window: Window | None = None) -> IdentityReport:
     """R ((S (x) I)R) = ((S (x) I)R) R = I on the window, per pair sector;
     normalized like fockrep.residual, by max(1, ||I||_F) on the window."""
-    p = fam.params
+    p, dims = fam.params, (rep1.dim, rep2.dim)
     R, win, eye = _pair_setup(spec, fam, rep1, rep2, window)
     Rinv = _antipode_blocks(spec, fam, rep1, rep2)
-    inside = _mask((rep1.dim, rep2.dim), 0, win.max_index)
-    raw = max(frobenius((prod - eye)[inside]) for prod in (R @ Rinv, Rinv @ R))
-    nrm = raw / max(1.0, frobenius(eye[inside]))
-    return make_report("antipode_inverse", _echo(spec, p), [rep1.dim, rep2.dim],
-                       win.max_index, raw, nrm, tol if tol is not None else p.tol)
+    raws, nrms = zip(*(block_residual(prod, eye, dims, 0, win.max_index)
+                       for prod in (R @ Rinv, Rinv @ R)))
+    return make_report("antipode_inverse", _echo(spec, p), list(dims), win.max_index,
+                       worst(raws), worst(nrms), p.tol)
 
 
-def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                 tol: float | None = None) -> list[IdentityReport]:
+def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep,
+                 rep2: FockRep) -> list[IdentityReport]:
     """(eps (x) id)R = I and (id (x) eps)R = I.
 
     Both hold only because the prefactor pairs counit-shifted number
@@ -456,13 +395,12 @@ def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
         up, low = ((row, col) if len(leg[0]) > 1 else (0, 0) for leg in (raising, lowering))
         got = _series_sum(series, pref[row], raising, lowering, sign * (row - col), up, low)
         raw, nrm = residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))
-        reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1, raw, nrm,
-                                   tol if tol is not None else p.tol))
+        reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1, raw, nrm, p.tol))
     return reports
 
 
 def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                       gen: str, window: Window | None = None, tol: float | None = None,
+                       gen: str, window: Window | None = None,
                        strip_constant: bool = False) -> IdentityReport:
     """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q.
 
@@ -480,4 +418,4 @@ def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRe
         dg = dg - fam.beta_const * eye
         dbar = dbar + fam.beta_const * eye  # the rebuilt constant is negated
     return _twisted_report("yan_relation", spec, fam, gen, dbar, R, dg, (rep1.dim, rep2.dim),
-                           win.max_index, tol)
+                           win.max_index)

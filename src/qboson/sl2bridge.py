@@ -2,6 +2,9 @@
 
 The deformation base switches twice on this bridge (q, its square root,
 its square), so every triple records the base its bracket is checked at.
+The witness reads Delta as hopfops's pair-sector block stacks: Delta(C)
+is a product of two stacks compared with a diagonal stack, and no
+D^2 x D^2 operator is formed.
 """
 
 from __future__ import annotations
@@ -11,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockrep import FockRep, Window, build_rep, casimir, frobenius, residual
-from .hopfops import HopfFamily, coproduct_op, counit, qpow, rep_word, sweedler_expand, word
+from .hopfops import (HopfFamily, _coproduct_blocks, _pair_op, _shift, _unit, block_residual,
+                      counit, qpow, rep_word, sweedler_letter, word)
 from .qscalars import DeformParams, ParameterError, q_number, q_power
-from .report import IdentityReport, make_report
+from .report import IdentityReport, make_report, worst
 
 
 @dataclass(frozen=True)
@@ -46,23 +50,19 @@ def realize_sl2(rep: FockRep, lam: complex) -> Sl2Triple:
     return Sl2Triple(h=h, e=e, f=f, base_params=base)
 
 
-def check_sl2(triple: Sl2Triple, window: Window | None = None,
-              tol: float | None = None) -> IdentityReport:
+def check_sl2(triple: Sl2Triple, window: Window | None = None) -> IdentityReport:
     """Max windowed residual of [h,e] = 2e, [h,f] = -2f, [e,f] = [h] at the base."""
     pb = triple.base_params
-    tol = tol if tol is not None else pb.tol
     D = triple.h.shape[0]
     win = window or Window(D - 2, guard=1)
     h, e, f = triple.h, triple.e, triple.f
     bracket_h = np.diag(q_number(np.diag(h), pb))  # h is diagonal in the Fock basis
-    worst_raw = worst = 0.0
-    for lhs, rhs in (((h @ e - e @ h), 2.0 * e),
-                     ((h @ f - f @ h), -2.0 * f),
-                     ((e @ f - f @ e), bracket_h)):
-        raw, nrm = residual(lhs, rhs, (D,), win)
-        worst_raw, worst = max(worst_raw, raw), max(worst, nrm)
+    raws, nrms = zip(*(residual(lhs, rhs, (D,), win)
+                       for lhs, rhs in (((h @ e - e @ h), 2.0 * e),
+                                        ((h @ f - f @ h), -2.0 * f),
+                                        ((e @ f - f @ e), bracket_h))))
     return make_report("sl2_relations", {"base_q": str(pb.q)}, [D],
-                       win.max_index, worst_raw, worst, tol)
+                       win.max_index, worst(raws), worst(nrms), pb.tol)
 
 
 def inverse_realization(triple: Sl2Triple, mu: complex,
@@ -108,15 +108,10 @@ def casimir_centrality(rep: FockRep, window: Window | None = None) -> float:
     D = rep.dim
     win = window or Window(D - 2, guard=1)
     C = casimir(rep)
-    worst = 0.0
-    for x in (rep.matN, rep.matA, rep.matAdag):
-        _, nrm = residual(C @ x, x @ C, (D,), win)
-        worst = max(worst, nrm)
-    return worst
+    return worst(residual(C @ x, x @ C, (D,), win)[1] for x in (rep.matN, rep.matA, rep.matAdag))
 
 
-def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None,
-                       tol: float | None = None) -> IdentityReport:
+def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None) -> IdentityReport:
     """Norm of (pi (x) pi) Delta(C) in the representation that kills C.
 
     With c = 1/2 the Casimir represents to zero, so everything inside
@@ -124,20 +119,20 @@ def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None,
     norm bounded away from zero therefore witnesses that Delta(C) lies
     outside it.  The verdict field follows the usual residual semantics,
     so a successful witness is reported as "fail" and suites mark it as
-    an expected failure.
+    an expected failure.  Delta(adag) Delta(a) is the product of their
+    block stacks, compared with the diagonal stack [Delta(N) - 1/2].
     """
     p = fam.params
-    tol = tol if tol is not None else p.tol
     rep = build_rep(D, 0.5, p)
-    win = window or Window(min(3, D - 2), guard=1)
-    dad = coproduct_op(word("adag"), rep, rep, fam)
-    da = coproduct_op(word("a"), rep, rep, fam)
-    dn_diag = np.add.outer(rep.n_diag(), rep.n_diag()).reshape(-1) + fam.beta_const
-    lhs = dad @ da
-    rhs = np.diag(q_number(dn_diag - 0.5, p))
-    raw, nrm = residual(lhs, rhs, (D, D), win)
+    n = rep.n_diag()
+    (win := window or Window(min(3, D - 2), guard=1)).validate(D, D)
+    dad = _coproduct_blocks(word("adag"), fam, rep, rep)
+    da = _coproduct_blocks(word("a"), fam, rep, rep)
+    rhs = _pair_op((D, D), 0, lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc)
+                   * q_number(n[ir] + n[jr] + fam.beta_const - 0.5, p))
+    raw, nrm = block_residual(_shift(dad, -1) @ da, rhs, (D, D), 0, win.max_index)
     return make_report("hopf_ideal_witness", {"q": str(p.q), "c": "0.5"}, [D, D],
-                       win.max_index, raw, nrm, tol)
+                       win.max_index, raw, nrm, p.tol)
 
 
 def witness_projection_residual(D: int, p: DeformParams) -> float:
@@ -157,7 +152,7 @@ def witness_counit_leg_residual(D: int, fam: HopfFamily) -> float:
 
     def eps_contract(letter) -> np.ndarray:
         return sum(c * counit(u, fam) * rep_word(v, rep, p)
-                   for c, u, v in sweedler_expand(word(letter), fam))
+                   for c, u, v in sweedler_letter(letter, fam))
 
     bracket = (eps_contract(qpow(1.0)) * q_power(-0.5, p)
                - eps_contract(qpow(-1.0)) * q_power(0.5, p)) / (p.q - 1.0 / p.q)

@@ -451,7 +451,7 @@ def pairing_gram(kmax: int, mmax: int, p: DeformParams,
 
 
 def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
-                  tol: float | None = None, gram: np.ndarray | None = None) -> IdentityReport:
+                  gram: np.ndarray | None = None) -> IdentityReport:
     """Compare the dual-multiplication pairing with the closed form.
 
     The table compared is 'gram' when the caller already holds
@@ -461,7 +461,6 @@ def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
     entries grow like n!/gamma^n and an absolute test would fail on
     rounding alone for q near 1.
     """
-    tol = tol if tol is not None else p.tol
     pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
     G = pairing_gram(kmax, mmax, p, cap) if gram is None else gram
     if G.shape != (len(pairs), len(pairs)):
@@ -472,28 +471,25 @@ def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
     dev = float(np.abs(G - want).max())
     scale = float(np.abs(want).max())
     return make_report("pairing_eqn", {"kmax": kmax, "mmax": mmax, "q": str(p.q)},
-                       [kmax + 1, mmax + 1], kmax, dev, dev / max(1.0, scale), tol)
+                       [kmax + 1, mmax + 1], kmax, dev, dev / max(1.0, scale), p.tol)
 
 
 def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4,
-                       cap: int = DEGREE_CAP, tol: float | None = None) -> IdentityReport:
+                       cap: int = DEGREE_CAP) -> IdentityReport:
     """[nu, beta] + beta evaluates to zero on every tie basis element."""
-    tol = tol if tol is not None else p.tol
     keys = [(l, n, 2 * l) for l in range(lmax + 1) for n in range(nmax + 1)]
     nu_beta, beta_nu, beta = _word_table([(NU, BETA), (BETA, NU), (BETA,)], keys, p, cap)
     dev = float(np.abs(nu_beta - beta_nu + beta).max())
     return make_report("dual_bracket", {"lmax": lmax, "nmax": nmax, "q": str(p.q)},
-                       [lmax + 1, nmax + 1], lmax, dev, dev, tol)
+                       [lmax + 1, nmax + 1], lmax, dev, dev, p.tol)
 
 
-def dual_hopf_check(p: DeformParams, deg: int = 3, cap: int = DEGREE_CAP,
-                    tol: float | None = None) -> IdentityReport:
+def dual_hopf_check(p: DeformParams, deg: int = 3, cap: int = DEGREE_CAP) -> IdentityReport:
     """Duality of the opposite dual coproduct and inverse antipode.
 
     (T Delta0(f), x (x) y) = (f, y x) for f in {nu, beta}, and
     ((S0)^{-1}(f), x) = (f, S^{-1}(x)).
     """
-    tol = tol if tol is not None else p.tol
     iag = p.ialpha_over_gamma
     ph = complex(np.exp(-1j * p.alpha / 2.0))
     keys = [(l, n, 2 * l) for l in range(deg + 1) for n in range(deg + 1)]
@@ -505,19 +501,19 @@ def dual_hopf_check(p: DeformParams, deg: int = 3, cap: int = DEGREE_CAP,
     nu, eps, beta, up, dn = ({key: eval_atomic(f, key, p) for key in met}
                              for f in (NU, EPS, BETA, qnu(0.5), qnu(-0.5)))
     ev = lambda values, z: sum((c * values[key] for key, c in z.items()), start=0j)
-    dev = 0.0
+    devs = []
     for x in keys:
         sx = sxs[x]
-        dev = max(dev, abs(-nu[x] + 2 * iag * eps[x] - ev(nu, sx)))
-        dev = max(dev, abs(-q_power(-0.5, p) * beta[x] - ev(beta, sx)))
+        devs += [-nu[x] + 2 * iag * eps[x] - ev(nu, sx),
+                 -q_power(-0.5, p) * beta[x] - ev(beta, sx)]
         for y in keys:
             yx = yxs[x, y]
             lhs_nu = nu[x] * eps[y] + eps[x] * nu[y] - iag * eps[x] * eps[y]
-            dev = max(dev, abs(lhs_nu - ev(nu, yx)))
             lhs_beta = ph * (beta[x] * up[y] + 1j * dn[x] * beta[y])
-            dev = max(dev, abs(lhs_beta - ev(beta, yx)))
+            devs += [lhs_nu - ev(nu, yx), lhs_beta - ev(beta, yx)]
+    dev = worst(map(abs, devs))
     return make_report("dual_hopf", {"deg": deg, "q": str(p.q)},
-                       [deg + 1, deg + 1], deg, dev, dev, tol)
+                       [deg + 1, deg + 1], deg, dev, dev, p.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +616,15 @@ def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
     keys = [(l, n, 2 * l) for l in range(grid + 1) for n in range(grid + 1)]
     table = dict(zip(dwords, _word_table([dual_word_factors(dw) for dw in dwords],
                                          keys, p, cap)))
-    return max((float(np.abs(sum(c * table[dw] for dw, c in terms.items())).max())
-                for terms in duals.values()), default=0.0)
+    return worst(float(np.abs(sum(c * table[dw] for dw, c in terms.items())).max())
+                 for terms in duals.values())
 
 
 # ---------------------------------------------------------------------------
 # representation bridge
 
 
-def quotient_cross_check(rep: FockRep, window: Window | None = None,
-                         tol: float | None = None) -> IdentityReport:
+def quotient_cross_check(rep: FockRep, window: Window | None = None) -> IdentityReport:
     """Cross relations of the double under nu -> N, beta -> a.
 
     With nu = N the mixed bracket reduces to the symmetrized defining
@@ -638,7 +633,6 @@ def quotient_cross_check(rep: FockRep, window: Window | None = None,
     if rep.c != 0.5:
         raise ParameterError("quotient identification requires c = 1/2")
     p = rep.params
-    tol = tol if tol is not None else p.tol
     D = rep.dim
     win = window or Window(D - 2, guard=1)
     N, a, ad = rep.matN, rep.matA, rep.matAdag
@@ -653,4 +647,4 @@ def quotient_cross_check(rep: FockRep, window: Window | None = None,
     }
     raws, nrms = zip(*(residual(lhs, rhs, (D,), win) for lhs, rhs in checks.values()))
     return make_report("quotient_cross", {"q": str(p.q), "c": str(rep.c)},
-                       [D], win.max_index, worst(raws), worst(nrms), tol)
+                       [D], win.max_index, worst(raws), worst(nrms), p.tol)

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rmatrix
 from qboson.fockrep import residual, window_block, window_indices
-from qboson.hopfops import HopfFamily, antipode_op, coproduct_op, counit, qpow, rep_word, word
+from qboson.hopfops import (HopfFamily, _coproduct_blocks, _pair_sectors, antipode_op, counit,
+                            qpow, rep_word, word)
 from qboson.report import verdict_of
-from qboson.rmatrix import (RSpec, _antipode_blocks, _coproduct_blocks, _dressed_powers, _ladder,
-                            _mask, _pair_sectors, _r_chains, _series, build_r,
-                            check_antipode_inverse, check_counit, check_fusion,
+from qboson.rmatrix import (RSpec, _antipode_blocks, _dressed_powers, _ladder, _r_chains, _series,
+                            build_r, check_antipode_inverse, check_counit, check_fusion,
                             check_intertwiner, check_yan_relation, check_yang_baxter,
                             family_for)
-from test_hopfops import opposite_coproduct_op, qbar_coproduct_op
+from test_hopfops import coproduct_op, opposite_coproduct_op, qbar_coproduct_op, scatter
 
 QD = RSpec(kind="quantum_double")
 YAN = RSpec(kind="yan_claimed")
@@ -508,23 +508,14 @@ def test_pair_sector_checks_match_dense_oracle(q, D, spec, W):
         assert lo <= ZONES.index(rpt.verdict) <= hi, name
 
 
-def scatter(blocks, dims, deg):
-    """The dense D1 D2 x D1 D2 matrix of a degree-deg block stack."""
-    i, j, _, _ = _pair_sectors(*dims)
-    flat = i * dims[1] + j
-    rows = flat[np.clip(np.arange(len(i)) + deg, 0, len(i) - 1)]
-    rows, cols = np.broadcast_arrays(rows[:, :, None], flat[:, None, :])
-    mask, out = _mask(dims, deg), np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
-    out[rows[mask], cols[mask]] = blocks[mask]
-    return out
-
-
 def test_coproduct_blocks_match_coproduct_op(params):
-    # one Delta in two layouts: the pair-sector gather, scattered to dense, is
-    # the dense letter-image product, and with opposite=True its tensor swap
+    # one Delta in two layouts: the pair-sector stacks, scattered to dense, are
+    # the dense letter-image product, and with opposite=True its tensor swap;
+    # a word's stack is the product of its letters' stacks
     fams = (HopfFamily.canonical(params), family_for(GF, params))
     words = [(word(), 0), (word("N"), 0), (word("a"), -1), (word("adag"), 1),
-             (word(qpow(0.5)), 0)]
+             (word(qpow(0.5)), 0), (word("a", "adag"), 0), (word("adag", "N", "adag"), 2),
+             (word(qpow(-0.5), "a", "N", "a"), -2), (word("a", "adag", "adag", qpow(1.0)), 1)]
     for fam in fams:
         for (D1, D2), opposite in (((5, 3), False), ((3, 5), False), ((4, 4), True)):
             rep1, rep2 = build_rep(D1, 0.5, params), build_rep(D2, 0.5, params)
@@ -627,3 +618,21 @@ def test_sector_products_match_dense_blocks(q, D, spec):
             dense = reduce(np.matmul, [blocks[leg] for leg in chain])[np.ix_(w, w)].ravel()
             assert np.abs(prod[mine] - dense).max() <= 1e-13 * np.abs(dense).max(), chain
     assert len(sizes) == 3 * wmax + 1 and rows.shape[1] == sum(sizes)
+
+
+def test_antipode_inverse_fails_on_a_nan_in_one_product(monkeypatch):
+    # a NaN at row (0, 0) and a padding column of sector 0 of (S (x) I)R reaches
+    # the window only through ((S (x) I)R) R, the second product
+    p = DeformParams(q=1.3)
+    rep, fam = build_rep(8, 0.5, p), HopfFamily.canonical(p)
+    blocks = rmatrix._antipode_blocks
+
+    def planted(*args):
+        out = blocks(*args).copy()
+        out[0, 0, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(rmatrix, "_antipode_blocks", planted)
+    rpt = check_antipode_inverse(QD, fam, rep, rep, Window(4, guard=1))
+    rmatrix.clear_caches()
+    assert np.isnan(rpt.normalized_residual) and rpt.verdict == "fail"

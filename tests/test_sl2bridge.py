@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qboson import DeformParams, ParameterError, Window, build_rep
-from qboson.hopfops import HopfFamily
+from qboson import DeformParams, ParameterError, Window, build_rep, q_number
+from qboson.fockrep import residual
+from qboson.hopfops import HopfFamily, word
 from qboson.sl2bridge import (casimir_centrality, check_sl2,
                               hopf_ideal_witness, inverse_realization,
                               realize_sl2, symmetrized_relation_residual,
                               witness_counit_leg_residual,
                               witness_projection_residual)
+from test_hopfops import coproduct_op
 
 
 def test_realize_validation(params_real):
@@ -111,3 +115,37 @@ def test_witness_near_classical_diverges():
     fam = HopfFamily.canonical(p)
     near = hopf_ideal_witness(8, fam).raw_residual
     assert near > 1e3 * base
+
+
+@pytest.mark.parametrize("q", (1.3, 0.7 + 0.2j))
+@pytest.mark.parametrize("D", range(4, 10))
+def test_witness_matches_dense_oracle(q, D):
+    # Delta(adag) Delta(a) as a product of pair-sector stacks, against the
+    # product of the dense D^2 x D^2 coproduct images
+    p = DeformParams(q=q)
+    fam, rep = HopfFamily.canonical(p), build_rep(D, 0.5, p)
+    lhs = coproduct_op(word("adag"), rep, rep, fam) @ coproduct_op(word("a"), rep, rep, fam)
+    dn = np.add.outer(rep.n_diag(), rep.n_diag()).reshape(-1) + fam.beta_const
+    win = Window(min(3, D - 2), guard=1)
+    raw, nrm = residual(lhs, np.diag(q_number(dn - 0.5, p)), (D, D), win)
+    rpt = hopf_ideal_witness(D, fam)
+    assert rpt.window == win.max_index and rpt.verdict == "fail"
+    assert abs(rpt.raw_residual - raw) <= 1e-13 * raw
+    assert abs(rpt.normalized_residual - nrm) <= 1e-13 * nrm
+
+
+def test_check_sl2_fails_on_a_nan_bracket():
+    # a NaN in e makes two of the three bracket residuals NaN; the report
+    # must not keep only the finite one
+    triple = realize_sl2(build_rep(8, 0.5, DeformParams(q=1.3)), 1.0)
+    e = triple.e.copy()
+    e[1, 0] = np.nan
+    rpt = check_sl2(replace(triple, e=e))
+    assert np.isnan(rpt.normalized_residual) and rpt.verdict == "fail"
+
+
+def test_casimir_centrality_keeps_a_nan():
+    rep = build_rep(8, 0.5, DeformParams(q=1.3))
+    a = rep.matA.copy()
+    a[0, 1] = np.nan
+    assert np.isnan(casimir_centrality(replace(rep, matA=a)))

@@ -342,7 +342,8 @@ def test_closed_form_coproduct_matches_product_chain(q, k, m, two_s):
 
 def test_coproduct_matches_representation(params):
     # (pi (x) pi) Delta_sym(x) = Delta_op(x) for x in the tie family
-    from qboson.hopfops import HopfFamily, coproduct_op, qpow, word
+    from qboson.hopfops import HopfFamily, qpow, word
+    from test_hopfops import coproduct_op
     rep = build_rep(10, 0.5, params)
     fam = HopfFamily.canonical(params)
     win = Window(4, guard=4)
@@ -353,7 +354,7 @@ def test_coproduct_matches_representation(params):
         for (key1, key2), c in sym.terms.items():
             got += c * np.kron(to_matrix(PlusElement({key1: 1.0}), rep),
                                to_matrix(PlusElement({key2: 1.0}), rep))
-        # independent route: Delta of the word q^{kN/2} Np^m adag^k via hopfops
+        # independent route: Delta of the word q^{kN/2} Np^m adag^k, dense
         want = coproduct_op(word(qpow(k / 2.0)), rep, rep, fam)
         dnp = coproduct_op(word("N"), rep, rep, fam) \
             - params.ialpha_over_gamma * np.eye(100)
@@ -594,3 +595,21 @@ def test_to_matrix_basis_element(params):
     want = (np.diag(q_power(1.5 * nd, params))
             @ np.diag(rep.nprime_diag()) @ rep.matAdag)
     assert np.abs(got - want).max() <= 1e-12
+
+
+def test_dual_hopf_fails_on_a_nan(params, monkeypatch):
+    # one NaN value of nu makes some deviations NaN; the report must not
+    # keep only the finite ones
+    evaluate = symalg.eval_atomic
+    monkeypatch.setattr(symalg, "eval_atomic", lambda f, key, p: (
+        np.nan if (f, key) == (NU, (0, 0, 0)) else evaluate(f, key, p)))
+    report = dual_hopf_check(params, deg=2)
+    assert np.isnan(report.normalized_residual) and report.verdict == "fail"
+
+
+def test_cross_terms_difference_keeps_a_nan_group(params):
+    # the first primal group cancels, the second is NaN
+    dw = (0, 1, 0)
+    lhs = {((1, 0, 2), dw): 1.0, ((0, 1, 0), dw): np.nan}
+    rhs = {((1, 0, 2), dw): 1.0}
+    assert np.isnan(cross_terms_difference(lhs, rhs, params, grid=2))
