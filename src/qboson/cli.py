@@ -28,13 +28,27 @@ from . import fockrep, hopfops, rmatrix, sl2bridge, symalg
 from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
 from .report import IdentityReport, dump_matrix, make_report, worst
 
-DEFAULT_EXPECT_FAIL = (
-    "yan_claimed:intertwiner_a",
-    "yan_claimed:intertwiner_adag",
-    "yan_claimed:yang_baxter",
-    "yan_claimed:fusion_*",
-    "yan_claimed:yan_relation_*",
-    "*:hopf_ideal_witness",
+# The paper's verdict matrix: (fnmatch pattern on a report's "rspec-label:identity"
+# key or its bare identity, claim) rows.  A fail report must fail; an info report
+# is not claimed, so its verdict is info; a report no row matches must pass.  An
+# info row wins over a fail row; the expect_fail config key replaces the fail rows.
+CLAIMS = (
+    # the identities the published candidate breaks, its own Yan relation included
+    ("yan_claimed:intertwiner_a", "fail"),
+    ("yan_claimed:intertwiner_adag", "fail"),
+    ("yan_claimed:yang_baxter", "fail"),
+    ("yan_claimed:fusion_*", "fail"),
+    ("yan_claimed:yan_relation_*", "fail"),
+    # a witness norm away from zero puts Delta(C) outside the Hopf ideal
+    ("*:hopf_ideal_witness", "fail"),
+    # diagnostics of the published candidate, expected neither to pass nor to fail
+    ("yan_claimed:antipode_inverse", "info"),
+    ("yan_claimed:counit_*", "info"),
+    # the Yan relation is the published candidate's claim; others report it to compare
+    ("quantum_double:yan_relation_*", "info"),
+    ("general_family*:yan_relation_*", "info"),
+    # the published shift constant leaves a residual, surfaced, not corrected
+    ("inverse_realization_y", "info"),
 )
 
 
@@ -51,8 +65,8 @@ class SuiteConfig:
     window: int = 4
     dim_pair: int = 12
     dim_triple: int = 8
-    tensor_cap: int = 1 << 16
-    degree_cap: int = 8
+    tensor_cap: int = rmatrix.TENSOR_CAP
+    degree_cap: int = symalg.DEGREE_CAP
     rep_dims: tuple = (12, 12)
     rep_shifts: tuple = (0.0 + 0.0j, 0.5 + 0.0j)
     family_m: tuple = (-0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0)
@@ -65,7 +79,7 @@ class SuiteConfig:
     pairing_mmax: int = 3
     out_report: str | None = None
     dump_dir: str | None = None
-    expect_fail: tuple = DEFAULT_EXPECT_FAIL
+    expect_fail: tuple = tuple(pattern for pattern, claim in CLAIMS if claim == "fail")
     scan_q_values: tuple = ()
 
     def params(self, q: complex | None = None) -> DeformParams:
@@ -86,9 +100,9 @@ class SuiteConfig:
 
 
 # ---------------------------------------------------------------------------
-# configuration grammar: '#' comments, 'key = value' lines with dotted
-# sections; values are numbers (int/float/complex, 'i' or 'j' imaginary
-# suffix), quoted or bare strings, or flat '[v, v, ...]' lists.
+# configuration grammar: '#' comments, 'key = value' lines with dotted sections;
+# each value, quoted or bare, is parsed as its key's kind: int, float, complex
+# ('i' or 'j' imaginary suffix), str, or a flat '[v, v, ...]' list of one of them.
 
 _KNOWN_KEYS = {
     "q": ("q", "complex"),
@@ -117,26 +131,6 @@ _KNOWN_KEYS = {
 }
 
 
-def _parse_scalar(text: str, lineno: int):
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"line {lineno}: empty value")
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return complex(text.replace("i", "j"))
-    except ValueError:
-        return text  # bare string
-
-
 def _split_list(inner: str, lineno: int) -> list[str]:
     """Split a list body on commas, honoring double-quoted elements."""
     parts, buf, quoted = [], [], False
@@ -155,42 +149,41 @@ def _split_list(inner: str, lineno: int) -> list[str]:
     return parts
 
 
-def _parse_value(text: str, lineno: int):
+def _int(text: str) -> int:
+    """An integer, also written as a float with an integral value (2.0 -> 2)."""
+    try:
+        return int(text)
+    except ValueError:
+        if (value := float(text)).is_integer():
+            return int(value)
+        raise
+
+
+_SCALAR_PARSERS = {"int": _int, "float": float, "str": str,
+                   "complex": lambda text: complex(text[:-1] + "j" if text.endswith("i") else text)}
+
+
+def _parse_value(text: str, kind: str, key: str, lineno: int):
+    """The text of one value, parsed as its key's kind; a list_ kind takes a
+    flat list of values of the element kind, as a tuple."""
     text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"line {lineno}: unterminated list")
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part, lineno) for part in _split_list(inner, lineno)]
-    return _parse_scalar(text, lineno)
-
-
-def _coerce(value, kind: str, key: str, lineno: int):
-    def scalar(v, k):
-        try:
-            if k == "int":
-                if isinstance(v, float) and v != int(v):
-                    raise ValueError
-                return int(v)
-            if k == "float":
-                return float(v)
-            if k == "complex":
-                return complex(v.replace("i", "j")) if isinstance(v, str) else complex(v)
-            if k == "str":
-                return str(v)
-        except (ValueError, TypeError):
-            pass
-        raise ConfigError(f"line {lineno}: value for {key!r} is not a valid {k}")
-
+    if text.startswith("[") and not text.endswith("]"):
+        raise ConfigError(f"line {lineno}: unterminated list")
+    if text.startswith("[") != kind.startswith("list_"):
+        need = "expects" if kind.startswith("list_") else "does not take"
+        raise ConfigError(f"line {lineno}: {key!r} {need} a list")
     if kind.startswith("list_"):
-        if not isinstance(value, list):
-            raise ConfigError(f"line {lineno}: {key!r} expects a list")
-        return tuple(scalar(v, kind[5:]) for v in value)
-    if isinstance(value, list):
-        raise ConfigError(f"line {lineno}: {key!r} does not take a list")
-    return scalar(value, kind)
+        inner = text[1:-1].strip()
+        return tuple(_parse_value(part, kind[5:], key, lineno)
+                     for part in (_split_list(inner, lineno) if inner else ()))
+    if not text:
+        raise ConfigError(f"line {lineno}: empty value")
+    if len(text) >= 2 and text[0] == text[-1] == '"':
+        text = text[1:-1]
+    try:
+        return _SCALAR_PARSERS[kind](text)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: value for {key!r} is not a valid {kind}") from None
 
 
 def parse_config(path: str | Path) -> SuiteConfig:
@@ -209,7 +202,7 @@ def parse_config(path: str | Path) -> SuiteConfig:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         attr, kind = _KNOWN_KEYS[key]
-        seen[attr] = _coerce(_parse_value(raw, lineno), kind, key, lineno)
+        seen[attr] = _parse_value(raw, kind, key, lineno)
         if key == "q":
             got_q = True
     if not got_q:
@@ -276,14 +269,11 @@ def _largest(name: str, p: DeformParams, dims, window: int, deviations) -> Ident
 
 
 def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
-    """The suite's ordered rows (case id, callable, verdict override).
+    """The suite's ordered rows (case id, callable).
 
     The samples are drawn here, in a fixed order, so no case depends on which
     cases ran before it.  Rows bind their loop values with partial; the
-    functions below read only names bound once, before them.  An override
-    replaces the verdict of each report of a case that did not raise: the
-    published candidate's antipode and counit legs are not claimed, and the
-    Yan relation is claimed for the published candidate only.
+    functions below read only names bound once, before them.
     """
     rng, word_rng = random.Random(config.seed), random.Random(config.seed + 1)
     # only Random.random() keeps its sequence for a seed across Python versions
@@ -331,13 +321,11 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
         triple = sl2bridge.realize_sl2(fockrep.build_rep(Dp, 0.5, p), 1.0)
         matN, matA, matAdag, target = sl2bridge.inverse_realization(triple, 1.0)
         nrm = sl2bridge.symmetrized_relation_residual(matN, matA, matAdag, target)
-        # published shift constant: a nonzero residual is surfaced, not corrected
         return make_report("inverse_realization_y", {"q": str(p.q), "shift": "published"},
-                           [Dp], Dp - 2, nrm, nrm, p.tol,
-                           verdict="info" if nrm > p.tol else "pass")
+                           [Dp], Dp - 2, nrm, nrm, p.tol)
 
     def largest(name, dims, window, deviations):
-        return name, partial(_largest, name, p, dims, window, deviations), None
+        return name, partial(_largest, name, p, dims, window, deviations)
 
     rows = [largest("qscalars_qpower_additivity", [20], 0, lambda: (
                 abs(q_power(z1 + z2, p) - q_power(z1, p) * q_power(z2, p)) for z1, z2 in pairs)),
@@ -348,73 +336,66 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
                     - half_index_product(k - 1, p) * q_number(k / 2.0, p)) for k in range(1, 13)))]
     for D, c in zip(config.rep_dims, config.rep_shifts):
         win = fockrep.Window(min(8, D - 2), guard=1)
-        rows += [(f"relation_{rel}_c{c}", partial(relation, D, c, rel, win), None)
+        rows += [(f"relation_{rel}_c{c}", partial(relation, D, c, rel, win))
                  for rel in (("R2", "R3", "R4", "R5") if c == 0 else ("R1", "Ry"))]
     rows += [largest("casimir_scalar", [Dp], win_casimir.max_index, casimir),
-             ("classical_limit", classical, None)]
+             ("classical_limit", classical)]
 
     words = hopfops.default_axiom_words(config.axiom_max_word_len)
     # the canonical family may also be on the grid; each family runs once
     fams = dict.fromkeys([canonical] + [
         hopfops.HopfFamily(m=m, K=K, sign=s, params=p)
         for m, K, s in zip(config.family_m, config.family_K, config.family_signs)])
-    rows += [(f"axioms_m{fam.m}_K{fam.K}_{fam.sign}", partial(axioms, fam, words), None)
+    rows += [(f"axioms_m{fam.m}_K{fam.K}_{fam.sign}", partial(axioms, fam, words))
              for fam in fams]
     rows += [largest("hopf_homomorphism_random", [Da, Da], Da - 1 - 4, lambda: (
                  hopfops.homomorphism_residuals(uv_words, fockrep.build_rep(Da, 0.5, p),
                                                 canonical, fockrep.Window(Da - 1 - 4, guard=4)))),
              ("pairing_eqn", partial(symalg.pairing_check, config.pairing_kmax,
-                                     config.pairing_mmax, p, cap), None),
-             ("dual_bracket", partial(symalg.dual_bracket_check, p, cap=cap), None),
-             ("dual_hopf", partial(symalg.dual_hopf_check, p, deg=2, cap=cap), None),
+                                     config.pairing_mmax, p, cap)),
+             ("dual_bracket", partial(symalg.dual_bracket_check, p, cap=cap)),
+             ("dual_hopf", partial(symalg.dual_hopf_check, p, deg=2, cap=cap)),
              largest("cross_straighten", [2], 2, cross),
              ("quotient_cross", lambda: symalg.quotient_cross_check(
-                 fockrep.build_rep(Dp, 0.5, p)), None)]
+                 fockrep.build_rep(Dp, 0.5, p)))]
 
     rep_pair = fockrep.build_rep(Dp, 0.5, p)
     triple_reps = (fockrep.build_rep(Dt, 0.5, p),) * 3
     pair_reps, win_pair = (rep_pair, rep_pair), fockrep.Window(config.window, guard=1)
     for spec in map(parse_rspec, config.rspecs):
         fam, label = rmatrix.family_for(spec, p), spec.label()
-        claimed = spec.kind == "yan_claimed"  # the published candidate
         rows += [(f"{label}:intertwiner_{gen}",
-                  partial(rmatrix.check_intertwiner, spec, fam, *pair_reps, gen, win_pair), None)
+                  partial(rmatrix.check_intertwiner, spec, fam, *pair_reps, gen, win_pair))
                  for gen in ("N", "a", "adag")]
         rows += [(f"{label}:yang_baxter", partial(rmatrix.check_yang_baxter, spec, *triple_reps,
-                                                  dim_cap=config.tensor_cap), None),
-                 (f"{label}:fusion", partial(rmatrix.check_fusion, spec, fam, *triple_reps), None),
+                                                  dim_cap=config.tensor_cap)),
+                 (f"{label}:fusion", partial(rmatrix.check_fusion, spec, fam, *triple_reps)),
                  (f"{label}:antipode_inverse",
-                  partial(rmatrix.check_antipode_inverse, spec, fam, *pair_reps, win_pair),
-                  "info" if claimed else None),
-                 (f"{label}:counit", partial(rmatrix.check_counit, spec, fam, *pair_reps),
-                  "info" if claimed else None)]
+                  partial(rmatrix.check_antipode_inverse, spec, fam, *pair_reps, win_pair)),
+                 (f"{label}:counit", partial(rmatrix.check_counit, spec, fam, *pair_reps))]
         rows += [(f"{label}:yan_relation_{gen}",
-                  partial(rmatrix.check_yan_relation, spec, fam, *pair_reps, gen, win_pair),
-                  None if claimed else "info")
+                  partial(rmatrix.check_yan_relation, spec, fam, *pair_reps, gen, win_pair))
                  for gen in ("N", "a")]
 
     rows += [("sl2_relations", lambda: sl2bridge.check_sl2(
-                  sl2bridge.realize_sl2(fockrep.build_rep(Dp, 0.5, p), 1.0)), None),
+                  sl2bridge.realize_sl2(fockrep.build_rep(Dp, 0.5, p), 1.0))),
              largest("sl2_casimir_central", [Dp], Dp - 2, lambda: (
                  sl2bridge.casimir_centrality(fockrep.build_rep(Dp, c, p)) for c in (0.5, 1.0))),
-             ("hopf_ideal_witness", partial(sl2bridge.hopf_ideal_witness, Dt, canonical), None),
+             ("hopf_ideal_witness", partial(sl2bridge.hopf_ideal_witness, Dt, canonical)),
              largest("witness_consistency", [Dt], Dt - 2, lambda: (
                  sl2bridge.witness_projection_residual(Dt, p),
                  sl2bridge.witness_counit_leg_residual(Dt, canonical))),
-             ("inverse_realization_y", inverse_round_trip, None)]
+             ("inverse_realization_y", inverse_round_trip)]
     return rows
 
 
-def _run_case(case_id: str, fn, override: str | None) -> list[IdentityReport]:
+def _run_case(case_id: str, fn) -> list[IdentityReport]:
     """The case's reports, its wall time split evenly over them; a case that
     raises gives one error report."""
     started = time.perf_counter()
     try:
         result = fn()
         reports = result if isinstance(result, list) else [result]
-        if override is not None:
-            for rep in reports:
-                rep.verdict = override
     except Exception as exc:  # capture, do not abort the suite
         reports = [IdentityReport(identity=case_id.split(":")[-1],
                                   params={"case": case_id}, dims=[], window=0,
@@ -428,22 +409,24 @@ def _run_case(case_id: str, fn, override: str | None) -> list[IdentityReport]:
     return reports
 
 
-def _expect_fail_regex(patterns) -> re.Pattern:
-    """The expect_fail patterns as one regex: the fnmatch translation of each,
-    joined; with no pattern it matches nothing."""
-    return re.compile("|".join(map(fnmatch.translate, patterns)) or "(?!)")
+def _claim_matcher(expect_fail):
+    """The claim on keys: info when an info row of CLAIMS matches one of them,
+    else fail when an expect_fail pattern does, else pass.  The patterns'
+    fnmatch translations are one compiled regex, the info rows tried first."""
+    info = [pattern for pattern, claim in CLAIMS if claim == "info"]
+    regex = re.compile("|".join(
+        f"(?P<{claim}>{'|'.join(map(fnmatch.translate, patterns)) or '(?!)'})"
+        for claim, patterns in (("info", info), ("fail", expect_fail))))
 
-
-def _expected_for(report: IdentityReport, regex: re.Pattern) -> str:
-    """fail when the regex matches the report's rspec:identity key or its bare
-    identity, else pass."""
-    key = f"{report.params.get('rspec', '-')}:{report.identity}"
-    return "fail" if regex.match(key) or regex.match(report.identity) else "pass"
+    def claim_of(*keys) -> str:
+        found = {match.lastgroup for match in map(regex.match, keys) if match}
+        return "info" if "info" in found else "fail" if found else "pass"
+    return claim_of
 
 
 def run_suite(config: SuiteConfig) -> list[IdentityReport]:
-    """Run every case of the table in order; a case that raises gives an
-    error report.
+    """Run every case of the table in order, a case that raises giving an
+    error report, then apply CLAIMS to each report.
 
     The rmatrix cases share each R, which is held for this run only.
     """
@@ -452,10 +435,13 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
         reports = [rep for row in rows for rep in _run_case(*row)]
     finally:
         rmatrix.clear_caches()
-    expect_fail = _expect_fail_regex(config.expect_fail)
-    for rep in reports:
-        if rep.verdict != "info":
-            rep.expected = _expected_for(rep, expect_fail)
+    claim_of = _claim_matcher(config.expect_fail)
+    for rep in reports:  # a case that raised gave an info report already
+        claim = claim_of(f"{rep.params.get('rspec', '-')}:{rep.identity}", rep.identity)
+        if claim == "info":
+            rep.verdict = "info"
+        elif rep.verdict != "info":
+            rep.expected = claim
     return reports
 
 

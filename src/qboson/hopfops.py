@@ -307,6 +307,14 @@ def counit(w: GenWord, fam: HopfFamily) -> complex:
     return out
 
 
+def counit_leg(letter, fam: HopfFamily, leg, left: bool) -> np.ndarray:
+    """(eps (x) id) Delta(letter), sum c eps(u) leg(v) over its Sweedler terms
+    (c, u, v), with leg the operator of a word; (id (x) eps) Delta(letter),
+    sum c leg(u) eps(v), when left is False."""
+    return sum(c * (counit(u, fam) * leg(v) if left else leg(u) * counit(v, fam))
+               for c, u, v in sweedler_letter(letter, fam))
+
+
 def antipode_letter(letter, rep: FockRep, fam: HopfFamily) -> np.ndarray:
     p = fam.params
     shift = fam.antipode_N_shift()
@@ -400,9 +408,7 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
     leg = cache(lambda u: rep_word(u, rep, fam.params))
     s_leg = cache(lambda u: antipode_op(u, rep, fam))
     terms = cache(lambda ltr: sweedler_letter(ltr, fam))
-    counit_image = cache(lambda ltr, left: sum(
-        c * (counit(u, fam) * leg(v) if left else leg(u) * counit(v, fam))
-        for c, u, v in terms(ltr)))
+    counit_image = cache(lambda ltr, left: counit_leg(ltr, fam, leg, left))
     eps_side = cache(lambda x, left: eye if not x else eps_side(x[:-1], left)
                      @ counit_image(x[-1], left))
     s_id = cache(lambda x: eye if not x else sum(

@@ -65,8 +65,7 @@ class IdentityReport:
 
 
 def make_report(identity: str, params: dict, dims, window: int, raw: float,
-                normalized: float, tol: float,
-                verdict: str | None = None) -> IdentityReport:
+                normalized: float, tol: float) -> IdentityReport:
     """A report with no wall time yet; the suite runner times each case."""
     return IdentityReport(
         identity=identity,
@@ -75,7 +74,7 @@ def make_report(identity: str, params: dict, dims, window: int, raw: float,
         window=window,
         raw_residual=float(raw),
         normalized_residual=float(normalized),
-        verdict=verdict if verdict is not None else verdict_of(normalized, tol),
+        verdict=verdict_of(normalized, tol),
     )
 
 

@@ -51,6 +51,8 @@ from .qscalars import DeformParams, ParameterError, half_index_product, q_power
 from .report import IdentityReport, make_report, worst
 
 KINDS = ("quantum_double", "yan_claimed", "general_family")
+#: the default cap on check_yang_baxter's triple tensor dimension and the suite's caps.tensor
+TENSOR_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -286,15 +288,28 @@ def _r_chains(spec: RSpec, reps: tuple[FockRep, FockRep, FockRep], wmax: int, *c
     return states[:, w[r]], states[:, w[c]], [product(chain) for chain in chains]
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F. Near q = 1 R's entries reach 1e250 or 1e-200, where their
+    squares overflow or underflow, so when max|x| is a normal double outside
+    (1e-150, 1e150) the sum runs over |x| / max|x|. Subnormal entries keep
+    the plain sum: they carry too few digits to scale."""
+    mag = np.abs(x)
+    scale = float(mag.max(initial=0.0))
+    if np.finfo(float).tiny <= scale < math.inf and not 1e-150 < scale < 1e150:
+        mag /= scale
+        return scale * math.sqrt(np.vdot(mag, mag))
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _sector_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
     """(raw, over ||rhs||_F) Frobenius residual of block entries; no unit
     floor, since R's absolute scale (exp(-alpha**2/gamma)-type) is moot."""
-    raw = math.sqrt(np.vdot(lhs - rhs, lhs - rhs).real)
-    return raw, raw / max(math.sqrt(np.vdot(rhs, rhs).real), 1e-300)
+    raw = _frobenius(lhs - rhs)
+    return raw, raw / max(_frobenius(rhs), 1e-300)
 
 
 def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
-                      window: Window | None = None, dim_cap: int = 1 << 16) -> IdentityReport:
+                      window: Window | None = None, dim_cap: int = TENSOR_CAP) -> IdentityReport:
     """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor, per sector."""
     p, dims = rep1.params, (rep1.dim, rep2.dim, rep3.dim)
     if math.prod(dims) > dim_cap:

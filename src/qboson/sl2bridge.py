@@ -15,7 +15,7 @@ import numpy as np
 
 from .fockrep import FockRep, Window, build_rep, casimir, frobenius, residual
 from .hopfops import (HopfFamily, _coproduct_blocks, _pair_op, _shift, _unit, block_residual,
-                      counit, qpow, rep_word, sweedler_letter, word)
+                      counit_leg, qpow, rep_word, word)
 from .qscalars import DeformParams, ParameterError, q_number, q_power
 from .report import IdentityReport, make_report, worst
 
@@ -144,16 +144,13 @@ def witness_counit_leg_residual(D: int, fam: HopfFamily) -> float:
     """Consistency of the counit leg: (eps (x) id) Delta(C) represents like C.
 
     The raising/lowering parts contract through the explicit Sweedler
-    sums; the bracket part goes through the exponentials of Delta(N),
-    whose counit legs collapse exactly.
+    sums (hopfops.counit_leg, as in the counit axioms); the bracket part
+    goes through the exponentials of Delta(N), whose counit legs collapse
+    exactly.
     """
     p = fam.params
     rep = build_rep(D, 0.5, p)
-
-    def eps_contract(letter) -> np.ndarray:
-        return sum(c * counit(u, fam) * rep_word(v, rep, p)
-                   for c, u, v in sweedler_letter(letter, fam))
-
+    eps_contract = lambda letter: counit_leg(letter, fam, lambda v: rep_word(v, rep, p), True)
     bracket = (eps_contract(qpow(1.0)) * q_power(-0.5, p)
                - eps_contract(qpow(-1.0)) * q_power(0.5, p)) / (p.q - 1.0 / p.q)
     got = eps_contract("adag") @ eps_contract("a") - bracket

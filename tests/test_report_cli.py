@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qboson import DeformParams, cli, hopfops, rmatrix, symalg
-from qboson.cli import (ConfigError, _cases, _expect_fail_regex, _expected_for, _run_case,
+from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
                            verdict_of)
@@ -136,6 +136,24 @@ def test_parse_config_bad_value(tmp_path):
     path.write_text("q = 1.3\nkappa = 1.5\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config(path)
+
+
+def test_parse_config_string_keeps_its_text(tmp_path):
+    # a string value is read as written, not through a number
+    path = tmp_path / "c.cfg"
+    path.write_text('q = 1.3\nout.report = 1e3\nexpect_fail = [007, 1i]\n')
+    config = parse_config(path)
+    assert (config.out_report, config.expect_fail) == ("1e3", ("007", "1i"))
+
+
+def test_parse_config_int_overflow_names_the_line(tmp_path):
+    # 1e400 reads as an infinite float, which is no integer
+    path = tmp_path / "c.cfg"
+    path.write_text("q = 1.3\nkappa = 1e400\n")
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_config(path)
+    path.write_text("q = 1.3\nkappa = 2.0\nseed = 1e3\n")
+    assert (parse_config(path).kappa, parse_config(path).seed) == (2, 1000)
 
 
 def test_parse_config_unterminated_list(tmp_path):
@@ -297,13 +315,18 @@ def test_largest_fails_on_nan():
 
 
 def test_expected_for_patterns():
-    regex = _expect_fail_regex(("yan_claimed:intertwiner_a",))
-    rpt = make_report("intertwiner_a", {"rspec": "yan_claimed"}, [8], 3, 1.0, 1.0, 1e-9)
-    assert _expected_for(rpt, regex) == "fail"
-    rpt2 = make_report("intertwiner_a", {"rspec": "quantum_double"}, [8], 3, 0.0, 0.0, 1e-9)
-    assert _expected_for(rpt2, regex) == "pass"
-    rpt3 = make_report("hopf_ideal_witness", {}, [8], 3, 1.0, 1.0, 1e-9)
-    assert _expected_for(rpt3, _expect_fail_regex(("*:hopf_ideal_witness",))) == "fail"
+    # the suite passes a report's rspec:identity key and its bare identity
+    claim_of = _claim_matcher(("yan_claimed:intertwiner_a",))
+    assert claim_of("yan_claimed:intertwiner_a", "intertwiner_a") == "fail"
+    assert claim_of("quantum_double:intertwiner_a", "intertwiner_a") == "pass"
+    claim_of = _claim_matcher(("*:hopf_ideal_witness", "intertwiner_N"))
+    assert claim_of("-:hopf_ideal_witness", "hopf_ideal_witness") == "fail"
+    assert claim_of("quantum_double:intertwiner_N", "intertwiner_N") == "fail"
+    # an info row of CLAIMS wins over an expect_fail pattern on either key
+    claim_of = _claim_matcher(("*:yan_relation_*", "inverse_realization_y"))
+    assert claim_of("quantum_double:yan_relation_N", "yan_relation_N") == "info"
+    assert claim_of("-:inverse_realization_y", "inverse_realization_y") == "info"
+    assert claim_of("yan_claimed:yan_relation_N", "yan_relation_N") == "fail"
 
 
 EXPECT_KEYS = (
@@ -316,16 +339,47 @@ EXPECT_KEYS = (
 
 
 @pytest.mark.parametrize("patterns", [
-    cli.DEFAULT_EXPECT_FAIL,
-    (*cli.DEFAULT_EXPECT_FAIL, "quantum_double:intertwiner_?", "*:fusion_[lr]*"),
+    SuiteConfig().expect_fail,
+    (*SuiteConfig().expect_fail, "quantum_double:intertwiner_?", "*:fusion_[lr]*"),
     ("general*:yan_relation_[!N]", "*a*b*", "a.b", "[[]x]", "?"),
     ()], ids=("default", "with_marks", "classes", "none"))
 def test_expect_fail_regex_matches_like_fnmatch(patterns):
-    # one compiled alternation decides as the patterns one by one would
-    regex = _expect_fail_regex(patterns)
+    # one compiled alternation decides as the patterns one by one would, the
+    # info rows of CLAIMS before the expect_fail patterns
+    claim_of = _claim_matcher(patterns)
+    info = [pattern for pattern, claim in CLAIMS if claim == "info"]
     for key in EXPECT_KEYS:
-        want = any(fnmatch.fnmatch(key, pattern) for pattern in patterns)
-        assert bool(regex.match(key)) == want, (key, patterns)
+        hit = lambda group: any(fnmatch.fnmatch(key, pattern) for pattern in group)
+        want = "info" if hit(info) else "fail" if hit(patterns) else "pass"
+        assert claim_of(key) == want, (key, patterns)
+
+
+def test_every_claims_row_matches_a_report(fast_config):
+    # a row that matches no report of the reduced suite claims nothing
+    keys = [(f"{r.params.get('rspec', '-')}:{r.identity}", r.identity)
+            for r in run_suite(fast_config)]
+    for pattern, _ in CLAIMS:
+        assert any(fnmatch.fnmatch(k, pattern) for pair in keys for k in pair), pattern
+
+
+def test_empty_expect_fail_leaves_the_info_rows(tmp_path):
+    # with no fail patterns the published candidate's failures are unexpected,
+    # and the info rows are still not claimed
+    cfg, out = tmp_path / "suite.cfg", tmp_path / "report.json"
+    cfg.write_text(FAST_CONFIG + "expect_fail = []\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
+    results = json.loads(out.read_text())["results"]
+    unexpected = {f"{r['params'].get('rspec', '-')}:{r['identity']}" for r in results
+                  if r.get("expected") == "pass" and r["verdict"] == "fail"}
+    assert unexpected == {"yan_claimed:intertwiner_a", "yan_claimed:intertwiner_adag",
+                          "yan_claimed:yang_baxter", "yan_claimed:fusion_left",
+                          "yan_claimed:fusion_right", "yan_claimed:yan_relation_N",
+                          "yan_claimed:yan_relation_a", "-:hopf_ideal_witness"}
+    claim_of = _claim_matcher(())
+    info = [r for r in results if claim_of(
+        f"{r['params'].get('rspec', '-')}:{r['identity']}", r["identity"]) == "info"]
+    assert len(info) == 8  # 3 legs of the published candidate, 2 x 2 Yan relations, 1
+    assert all(r["verdict"] == "info" and "expected" not in r for r in info)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +542,8 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
     def run(rows):
         rmatrix.clear_caches()
         symalg.clear_caches()
-        return [(case_id, [r.as_dict(include_timing=False) for r in _run_case(case_id, fn, ov)])
-                for case_id, fn, ov in rows]
+        return [(case_id, [r.as_dict(include_timing=False) for r in _run_case(case_id, fn)])
+                for case_id, fn in rows]
 
     forward = run(_cases(fast_config, p))
     backward = run(reversed(_cases(fast_config, p)))[::-1]

@@ -6,7 +6,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rmatrix
@@ -305,10 +305,19 @@ def test_r_build_windowed_agreement_across_dims(params):
 # the per-sector Yang-Baxter and fusion checks against the dense products
 
 
+def _scaled_norm(x):
+    """||x||_F over |x| / max|x| when max|x| is a normal double, so entries
+    of any normal size neither overflow nor underflow when squared."""
+    scale = np.max(np.abs(x))
+    if np.finfo(float).tiny <= scale < np.inf:
+        return scale * np.linalg.norm(np.abs(x) / scale)
+    return np.linalg.norm(x)
+
+
 def _dense_windowed(lhs, rhs, D, window):
     """Windowed ||lhs - rhs||_F / ||rhs||_F with the 1e-300 floor."""
-    raw = np.linalg.norm(window_block(lhs - rhs, (D, D, D), window))
-    return raw / max(np.linalg.norm(window_block(rhs, (D, D, D), window)), 1e-300)
+    raw = _scaled_norm(window_block(lhs - rhs, (D, D, D), window))
+    return raw / max(_scaled_norm(window_block(rhs, (D, D, D), window)), 1e-300)
 
 
 def _dense_legs(spec, rep):
@@ -357,6 +366,8 @@ _q_values = (
 
 @settings(max_examples=25, deadline=None)
 @given(q=_q_values, D=st.integers(4, 9), spec=st.sampled_from([QD, YAN, GF]))
+@example(q=1.0131156636588128, D=4, spec=GF)  # entries ~1e247: squared norms overflow
+@example(q=1.015625, D=4, spec=YAN)  # the published R's entries underflow when squared
 def test_sector_checks_match_dense_oracle(q, D, spec):
     p = DeformParams(q=q)
     rep = build_rep(D, 0.5, p)
