@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fockrep, hopfops, rmatrix, sl2bridge, symalg
 from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
-from .report import IdentityReport, dump_matrix, make_report, worst
+from .report import IdentityReport, dump_matrix, make_report, residual, worst
 
 # The paper's verdict matrix: (fnmatch pattern on a report's "rspec-label:identity"
 # key or its bare identity, claim) rows.  A fail report must fail; an info report
@@ -297,7 +297,7 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
         for c in (0.5, 1.0, 0.3, 2.0 + 0.5j, -0.7):
             rep = fockrep.build_rep(Dp, c, p)
             want = -q_number(complex(c) - 0.5, p) * np.eye(Dp, dtype=complex)
-            yield fockrep.residual(fockrep.casimir(rep), want, (Dp,), win_casimir)[1]
+            yield residual(*win_casimir.cut(fockrep.casimir(rep), want))[1]
 
     def classical():
         nrm = fockrep.classical_limit_residual(8, 1e-6, kappa=config.kappa)

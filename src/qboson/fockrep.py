@@ -6,17 +6,19 @@ row/column indices whose entries agree with the untruncated operator.
 A :class:`Window` records the window size W together with the guard g
 (the largest intermediate raising degree of the operator word under
 test); feasibility means W + g <= D - 1 in every tensor factor.
+Window.cut takes a D x D matrix's window block, which report.residual
+compares; the two-leg checks cut theirs from pair-sector stacks
+(hopfops._mask).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qscalars import DeformParams, ParameterError, q_number, q_power
+from .report import residual
 
 
 class DimensionError(ValueError):
@@ -44,6 +46,12 @@ class Window:
                 raise WindowError(
                     f"window {self.max_index} + guard {self.guard} exceeds "
                     f"top index {d - 1} of a factor")
+
+    def cut(self, *mats: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The window blocks [:W+1, :W+1] of single-factor D x D matrices,
+        after validate(D)."""
+        self.validate(*(m.shape[0] for m in mats))
+        return tuple(m[:self.max_index + 1, :self.max_index + 1] for m in mats)
 
 
 @dataclass(frozen=True)
@@ -102,49 +110,6 @@ def build_rep(D: int, c: complex, p: DeformParams) -> FockRep:
 
 
 # ---------------------------------------------------------------------------
-# windowing and residuals
-
-
-@functools.cache
-def window_indices(dims: tuple[int, ...], max_index: int) -> np.ndarray:
-    """Flat indices of the tensor-product basis with every factor <= max_index.
-
-    Built once per (dims, max_index) and shared, so the array is read-only."""
-    keep = []
-    for tup in itertools.product(*(range(min(d, max_index + 1)) for d in dims)):
-        flat = 0
-        for t, d in zip(tup, dims):
-            flat = flat * d + t
-        keep.append(flat)
-    idx = np.array(sorted(keep), dtype=int)
-    idx.setflags(write=False)
-    return idx
-
-
-def window_block(mat: np.ndarray, dims: tuple[int, ...], window: Window) -> np.ndarray:
-    window.validate(*dims)
-    idx = window_indices(dims, window.max_index)
-    return mat[np.ix_(idx, idx)]
-
-
-def frobenius(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat))
-
-
-def residual(lhs: np.ndarray, rhs: np.ndarray, dims: tuple[int, ...],
-             window: Window) -> tuple[float, float]:
-    """(raw, normalized) windowed residual of lhs - rhs.
-
-    Normalization is by max(1, ||rhs||_F) on the window, so identities
-    against zero matrices stay absolute.
-    """
-    dw = window_block(lhs - rhs, dims, window)
-    raw = frobenius(dw)
-    den = max(1.0, frobenius(window_block(rhs, dims, window)))
-    return raw, raw / den
-
-
-# ---------------------------------------------------------------------------
 # defining relations
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5", "Ry")
@@ -180,8 +145,7 @@ def check_relation(rep: FockRep, rel: str, window: Window | None = None) -> floa
     else:  # Ry
         lhs = a @ ad - ad @ a
         rhs = np.diag(q_number(nd + 0.5, p) - q_number(nd - 0.5, p))
-    _, norm = residual(lhs, rhs, (rep.dim,), window)
-    return norm
+    return residual(*window.cut(lhs, rhs))[1]
 
 
 def casimir(rep: FockRep) -> np.ndarray:
@@ -203,5 +167,4 @@ def classical_limit_residual(D: int, eps: float, window: Window | None = None,
     if window is None:
         window = Window(D - 2, guard=1)
     lhs = rep.matA @ rep.matAdag - rep.matAdag @ rep.matA
-    _, norm = residual(lhs, np.eye(D, dtype=complex), (D,), window)
-    return norm
+    return residual(*window.cut(lhs, np.eye(D, dtype=complex)))[1]

@@ -12,7 +12,9 @@ letter's three-leg image held as one weight per leg displacement, the
 counit and antipode sides being recursions over D x D letter images.
 closed_coproduct_letter writes the generators' two-leg stacks in closed
 form, apart from that rule, as the reference the homomorphism check
-(homomorphism_residuals) compares the gathered stacks against.
+(homomorphism_residuals) compares the gathered stacks against.  Each
+comparison goes through report.residual: a stack's window is its entries
+under _mask, an axiom side's is its window block.
 
 The general structure family is parameterized by a half-integer m, an
 integer K and a sign choice; the canonical structure is the point
@@ -32,9 +34,9 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fockrep import FockRep, Window, frobenius
+from .fockrep import FockRep, Window
 from .qscalars import DeformParams, ParameterError, q_power
-from .report import IdentityReport, make_report
+from .report import IdentityReport, make_report, residual
 
 # a word letter is "N" | "a" | "adag" | ("qpow", s) with s the exponent in q^{sN}
 
@@ -265,16 +267,6 @@ def closed_coproduct_letter(letter, rep1: FockRep, rep2: FockRep, fam: HopfFamil
     return _pair_op((rep1.dim, rep2.dim), _DEG.get(letter, 0), entries)
 
 
-def block_residual(lhs: np.ndarray, rhs: np.ndarray, dims: tuple[int, int], deg: int,
-                   W: int) -> tuple[float, float]:
-    """(raw, normalized) residual of two degree-deg block stacks on the window
-    pair states (n1, n2 <= W), normalized like fockrep.residual, by
-    max(1, ||rhs||_F) there."""
-    win = _mask(dims, deg, W)
-    raw = frobenius((lhs - rhs)[win])
-    return raw, raw / max(1.0, frobenius(rhs[win]))
-
-
 def homomorphism_residuals(words, rep: FockRep, fam: HopfFamily,
                            window: Window) -> list[float]:
     """Per word w, the normalized residual on the window of Delta(w), the
@@ -285,9 +277,11 @@ def homomorphism_residuals(words, rep: FockRep, fam: HopfFamily,
     window.validate(*dims)
     sides = (cache(lambda ltr: _coproduct_blocks(word(ltr), fam, rep, rep)),
              cache(lambda ltr: closed_coproduct_letter(ltr, rep, rep, fam)))
-    return [block_residual(*(_word_blocks(w, dims, side) for side in sides), dims,
-                           w.letters.count("adag") - w.letters.count("a"), window.max_index)[1]
-            for w in words]
+    out = []
+    for w in words:
+        win = _mask(dims, w.letters.count("adag") - w.letters.count("a"), window.max_index)
+        out.append(residual(*(_word_blocks(w, dims, side)[win] for side in sides))[1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +443,6 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
                                     ("counit_right", [D], p * eps_side(x, False)[cut], leg(w)[cut]),
                                     ("antipode_left", [D], p * s_id(x)[cut], eps),
                                     ("antipode_right", [D], p * id_s(x)[cut], eps)):
-            raw = float(np.linalg.norm(lhs - rhs))
-            reports.append(make_report(f"hopf_{tag}_{w.name}", fam_tag, dims, W, raw,
-                                       raw / max(1.0, float(np.linalg.norm(rhs))), fam.params.tol))
+            reports.append(make_report(f"hopf_{tag}_{w.name}", fam_tag, dims, W,
+                                       *residual(lhs, rhs), fam.params.tol))
     return reports

@@ -1,4 +1,5 @@
-"""Identity reports, verdict classification and the shared matrix dump format."""
+"""Identity reports, verdict classification, the one windowed residual every
+check measures through, and the shared matrix dump format."""
 
 from __future__ import annotations
 
@@ -28,6 +29,28 @@ def worst(values) -> float:
     """The largest of values, 0.0 when there are none; NaN when any is NaN,
     so a NaN residual is never dropped from a check's verdict."""
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
+
+
+def frobenius(x: np.ndarray) -> float:
+    """||x||_F. Near q = 1 R's entries reach 1e250 or 1e-200, where their
+    squares overflow or underflow, so when max|x| is a normal double outside
+    (1e-150, 1e150) the sum runs over |x| / max|x|. Subnormal entries keep
+    the plain sum: they carry too few digits to scale."""
+    mag = np.abs(x)
+    scale = float(mag.max(initial=0.0))
+    if np.finfo(float).tiny <= scale < math.inf and not 1e-150 < scale < 1e150:
+        mag /= scale
+        return scale * math.sqrt(np.vdot(mag, mag))
+    return math.sqrt(np.vdot(x, x).real)
+
+
+def residual(lhs: np.ndarray, rhs: np.ndarray, floor: float = 1.0) -> tuple[float, float]:
+    """(raw, normalized) residual of lhs - rhs, both already cut to the
+    window: ||lhs - rhs||_F, and that over max(floor, ||rhs||_F).  The
+    default floor keeps identities against zero matrices absolute; 1e-300
+    lets a check whose absolute scale is moot divide by ||rhs||_F alone."""
+    raw = frobenius(lhs - rhs)
+    return raw, raw / max(floor, frobenius(rhs))
 
 
 @dataclass

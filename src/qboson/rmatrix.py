@@ -32,7 +32,9 @@ of pair-sector blocks: Yang-Baxter and fusion multiply through those
 (_r_chains), and fusion's Delta ladders are pair-sector stacks (_ladder).
 Verdicts hold on a leak-free window; the triple products raise the
 middle factor by up to the window size, so there 2W <= D - 1 rather
-than the pairwise W + 1 <= D - 1.
+than the pairwise W + 1 <= D - 1.  Residuals go through report.residual
+(finite where R's entries reach 1e250 or 1e-200 near q = 1), pairwise on
+the entries under hopfops._mask, triple on every window-block entry.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import FockRep, Window, frobenius, residual
+from .fockrep import FockRep, Window
 from .hopfops import (GenWord, HopfFamily, _coproduct_blocks, _mask, _pair_op, _pair_sectors,
-                      _shift, antipode_op, block_residual, counit, qbar_family, qpow, word)
+                      _shift, antipode_op, counit, qbar_family, qpow, word)
 from .qscalars import DeformParams, ParameterError, half_index_product, q_power
-from .report import IdentityReport, make_report, worst
+from .report import IdentityReport, frobenius, make_report, residual, worst
 
 KINDS = ("quantum_double", "yan_claimed", "general_family")
 #: the default cap on check_yang_baxter's triple tensor dimension and the suite's caps.tensor
@@ -213,7 +215,7 @@ def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.
     window: raw and over ||R||_F ||right||_F (floored at 1e-300)."""
     deg = {"N": 0, "a": -1, "adag": 1}[gen]
     win = _mask(dims, deg, W)
-    raw = frobenius((left @ R - _shift(R, deg) @ right)[win])
+    raw, _ = residual((left @ R)[win], (_shift(R, deg) @ right)[win])
     nrm = raw / max(frobenius(R[_mask(dims, 0, W)]) * frobenius(right[win]), 1e-300)
     return make_report(f"{name}_{gen}", _echo(spec, fam.params, {"gen": gen}), list(dims), W,
                        raw, nrm, fam.params.tol)
@@ -241,10 +243,13 @@ def _triple_layout(dims: tuple[int, int, int], wmax: int) -> tuple:
     n_a and lowers n_b by the same k, so along a product of R-legs n1 only
     rises, n3 only falls and n2 rises by at most what n3 falls: between window
     states (every n_i <= wmax) it passes only through states with n1, n3 <=
-    wmax and n2 <= 2 wmax.  Returns those states by sector; the window states'
-    positions w, columns in their sector's block and (row, column) pairs over
-    each block; and for R12, R13, R23 a grid of pair-sector blocks (legs, each
-    row's pair sector and slots, the states there or -1, each state's place)."""
+    wmax and n2 <= 2 wmax.  Orders those states by sector and returns the row and
+    column states of every window-block entry; the window states' positions w in
+    that order, their columns in their sector's block and (row, column) pairs over
+    each block; for R12, R13, R23 a grid of pair-sector blocks (legs, each row's
+    pair sector and slots, the states there or -1, each state's place); and for
+    fusion's ladders each entry's row and column slots in its (n1, n2) and
+    (n2, n3) pair sectors."""
     n = np.indices((wmax + 1, min(2 * wmax + 1, dims[1]), wmax + 1)).reshape(3, -1)
     n = n[:, n.sum(axis=0) <= 3 * wmax]
     states = n[:, np.argsort(n.sum(axis=0), kind="stable")]
@@ -261,14 +266,19 @@ def _triple_layout(dims: tuple[int, int, int], wmax: int) -> tuple:
         place[pos[~pad]] = np.flatnonzero(~pad)
         legs.append((a, b, keys // dims[f] - keys % dims[f], slot[order][take], pos, place))
     col = np.arange(len(w)) - np.searchsorted(total[w], total[w])
-    return states, w, col, np.nonzero(total[w][:, None] == total[w]), legs
+    r, c = np.nonzero(total[w][:, None] == total[w])
+    rows, cols = states[:, w[r]], states[:, w[c]]
+    slot12, slot23 = _pair_sectors(*dims[:2])[3], _pair_sectors(*dims[1:])[3]
+    slots = (slot12[rows[0], rows[1]], slot12[cols[0], cols[1]],
+             slot23[rows[1], rows[2]], slot23[cols[1], cols[2]])
+    return rows, cols, w, col, (r, c), legs, slots
 
 
 def _r_chains(spec: RSpec, reps: tuple[FockRep, FockRep, FockRep], wmax: int, *chains):
     """Every window-block entry of products of R-legs, all sectors at once:
     (row states, column states, per chain of legs 0, 1, 2 for R12, R13, R23
     the entries of their product); a leg is one batched product on its grid."""
-    states, w, col, (r, c), legs = _triple_layout(tuple(x.dim for x in reps), wmax)
+    rows, cols, w, col, (r, c), legs, _ = _triple_layout(tuple(x.dim for x in reps), wmax)
     blocks = []
     for a, b, sec, slot, pos, _ in legs:
         R = _held_r(spec, reps[a], reps[b])[sec[:, None, None], slot[:, :, None], slot[:, None, :]]
@@ -285,27 +295,7 @@ def _r_chains(spec: RSpec, reps: tuple[FockRep, FockRep, FockRep], wmax: int, *c
                 np.matmul(blocks[leg], z[place[pos]], out=out[:-1].reshape(G, P, -1))
             z, place = out, at
         return z[place[w]][r, col[c]]
-    return states[:, w[r]], states[:, w[c]], [product(chain) for chain in chains]
-
-
-def _frobenius(x: np.ndarray) -> float:
-    """||x||_F. Near q = 1 R's entries reach 1e250 or 1e-200, where their
-    squares overflow or underflow, so when max|x| is a normal double outside
-    (1e-150, 1e150) the sum runs over |x| / max|x|. Subnormal entries keep
-    the plain sum: they carry too few digits to scale."""
-    mag = np.abs(x)
-    scale = float(mag.max(initial=0.0))
-    if np.finfo(float).tiny <= scale < math.inf and not 1e-150 < scale < 1e150:
-        mag /= scale
-        return scale * math.sqrt(np.vdot(mag, mag))
-    return math.sqrt(np.vdot(x, x).real)
-
-
-def _sector_residual(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
-    """(raw, over ||rhs||_F) Frobenius residual of block entries; no unit
-    floor, since R's absolute scale (exp(-alpha**2/gamma)-type) is moot."""
-    raw = _frobenius(lhs - rhs)
-    return raw, raw / max(_frobenius(rhs), 1e-300)
+    return rows, cols, [product(chain) for chain in chains]
 
 
 def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
@@ -316,8 +306,8 @@ def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
         raise ParameterError(f"triple tensor dimension {math.prod(dims)} exceeds cap")
     W = _triple_window(dims, window).max_index
     _, _, sides = _r_chains(spec, (rep1, rep2, rep3), W, (0, 1, 2), (2, 1, 0))
-    return make_report("yang_baxter", _echo(spec, p), list(dims), W, *_sector_residual(*sides),
-                       p.tol)
+    return make_report("yang_baxter", _echo(spec, p), list(dims), W,
+                       *residual(*sides, floor=1e-300), p.tol)
 
 
 def _ladder(gen: str, s: float, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
@@ -343,20 +333,20 @@ def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
     W = _triple_window(dims, window).max_index
     (n1, n2, n3), (m1, m2, m3), (left, right) = _r_chains(spec, reps, W, (1, 2), (1, 0))
     series, (N1, N2, N3) = _series(spec, p), (x.n_diag() for x in reps)
-    slot12, slot23 = _pair_sectors(*dims[:2])[3], _pair_sectors(*dims[1:])[3]
+    *_, (row12, col12, row23, col23) = _triple_layout(dims, W)
     dn12, dn23 = (np.add.outer(a, b).reshape(-1) + fam.beta_const for a, b in ((N1, N2), (N2, N3)))
     sides = (
         ("fusion_left", q_power(series.exponent(dn12, N3), p), m3 - n3, left,
          _ladder("adag", series.su, fam, rep1, rep2, W),
          _dressed_powers(rep3.matA, series.sv, N3, W + 1, p),
-         (m1 + m2, slot12[n1, n2], slot12[m1, m2]), (n3, m3)),
+         (m1 + m2, row12, col12), (n3, m3)),
         ("fusion_right", q_power(series.exponent(N1, dn23), p), n1 - m1, right,
          _dressed_powers(rep1.matAdag, series.su, N1, W + 1, p),
          _ladder("a", series.sv, fam, rep2, rep3, W),
-         (n1, m1), (m2 + m3, slot23[n2, n3], slot23[m2, m3])))
-    return [make_report(name, _echo(spec, p), list(dims), W, *_sector_residual(_series_sum(
-        series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs), p.tol)
-        for name, pref, k, rhs, raising, lowering, up, low in sides]
+         (n1, m1), (m2 + m3, row23, col23)))
+    return [make_report(name, _echo(spec, p), list(dims), W, *residual(_series_sum(
+        series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs,
+        floor=1e-300), p.tol) for name, pref, k, rhs, raising, lowering, up, low in sides]
 
 
 def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> np.ndarray:
@@ -377,12 +367,11 @@ def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep)
 def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                            window: Window | None = None) -> IdentityReport:
     """R ((S (x) I)R) = ((S (x) I)R) R = I on the window, per pair sector;
-    normalized like fockrep.residual, by max(1, ||I||_F) on the window."""
+    normalized by max(1, ||I||_F) on the window."""
     p, dims = fam.params, (rep1.dim, rep2.dim)
     R, win, eye = _pair_setup(spec, fam, rep1, rep2, window)
-    Rinv = _antipode_blocks(spec, fam, rep1, rep2)
-    raws, nrms = zip(*(block_residual(prod, eye, dims, 0, win.max_index)
-                       for prod in (R @ Rinv, Rinv @ R)))
+    Rinv, cut = _antipode_blocks(spec, fam, rep1, rep2), _mask(dims, 0, win.max_index)
+    raws, nrms = zip(*(residual(prod[cut], eye[cut]) for prod in (R @ Rinv, Rinv @ R)))
     return make_report("antipode_inverse", _echo(spec, p), list(dims), win.max_index,
                        worst(raws), worst(nrms), p.tol)
 
@@ -409,8 +398,8 @@ def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep,
         row, col = np.indices((D, D))
         up, low = ((row, col) if len(leg[0]) > 1 else (0, 0) for leg in (raising, lowering))
         got = _series_sum(series, pref[row], raising, lowering, sign * (row - col), up, low)
-        raw, nrm = residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))
-        reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1, raw, nrm, p.tol))
+        reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1,
+                                   *residual(got, np.eye(D, dtype=complex)), p.tol))
     return reports
 
 

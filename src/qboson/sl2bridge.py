@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import FockRep, Window, build_rep, casimir, frobenius, residual
-from .hopfops import (HopfFamily, _coproduct_blocks, _pair_op, _shift, _unit, block_residual,
-                      counit_leg, qpow, rep_word, word)
+from .fockrep import FockRep, Window, build_rep, casimir
+from .hopfops import (HopfFamily, _coproduct_blocks, _mask, _pair_op, _shift, _unit, counit_leg,
+                      qpow, rep_word, word)
 from .qscalars import DeformParams, ParameterError, q_number, q_power
-from .report import IdentityReport, make_report, worst
+from .report import IdentityReport, frobenius, make_report, residual, worst
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def check_sl2(triple: Sl2Triple, window: Window | None = None) -> IdentityReport
     win = window or Window(D - 2, guard=1)
     h, e, f = triple.h, triple.e, triple.f
     bracket_h = np.diag(q_number(np.diag(h), pb))  # h is diagonal in the Fock basis
-    raws, nrms = zip(*(residual(lhs, rhs, (D,), win)
+    raws, nrms = zip(*(residual(*win.cut(lhs, rhs))
                        for lhs, rhs in (((h @ e - e @ h), 2.0 * e),
                                         ((h @ f - f @ h), -2.0 * f),
                                         ((e @ f - f @ e), bracket_h))))
@@ -99,8 +99,7 @@ def symmetrized_relation_residual(matN: np.ndarray, matA: np.ndarray,
     nd = np.diag(matN)
     lhs = matA @ matAdag - matAdag @ matA
     rhs = np.diag(q_number(nd + 0.5, p) - q_number(nd - 0.5, p))
-    _, nrm = residual(lhs, rhs, (D,), win)
-    return nrm
+    return residual(*win.cut(lhs, rhs))[1]
 
 
 def casimir_centrality(rep: FockRep, window: Window | None = None) -> float:
@@ -108,7 +107,7 @@ def casimir_centrality(rep: FockRep, window: Window | None = None) -> float:
     D = rep.dim
     win = window or Window(D - 2, guard=1)
     C = casimir(rep)
-    return worst(residual(C @ x, x @ C, (D,), win)[1] for x in (rep.matN, rep.matA, rep.matAdag))
+    return worst(residual(*win.cut(C @ x, x @ C))[1] for x in (rep.matN, rep.matA, rep.matAdag))
 
 
 def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None) -> IdentityReport:
@@ -130,7 +129,8 @@ def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None) ->
     da = _coproduct_blocks(word("a"), fam, rep, rep)
     rhs = _pair_op((D, D), 0, lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc)
                    * q_number(n[ir] + n[jr] + fam.beta_const - 0.5, p))
-    raw, nrm = block_residual(_shift(dad, -1) @ da, rhs, (D, D), 0, win.max_index)
+    cut = _mask((D, D), 0, win.max_index)
+    raw, nrm = residual((_shift(dad, -1) @ da)[cut], rhs[cut])
     return make_report("hopf_ideal_witness", {"q": str(p.q), "c": "0.5"}, [D, D],
                        win.max_index, raw, nrm, p.tol)
 

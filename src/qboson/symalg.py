@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import FockRep, Window, residual
+from .fockrep import FockRep, Window
 from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
-from .report import IdentityReport, make_report, worst
+from .report import IdentityReport, make_report, residual, worst
 
 DEGREE_CAP = 8
 
@@ -645,6 +645,6 @@ def quotient_cross_check(rep: FockRep, window: Window | None = None) -> Identity
                           np.diag(q_number((2 * nd + 1) / 2.0, p)
                                   - q_number((2 * nd - 1) / 2.0, p))),
     }
-    raws, nrms = zip(*(residual(lhs, rhs, (D,), win) for lhs, rhs in checks.values()))
+    raws, nrms = zip(*(residual(*win.cut(lhs, rhs)) for lhs, rhs in checks.values()))
     return make_report("quotient_cross", {"q": str(p.q), "c": str(rep.c)},
                        [D], win.max_index, worst(raws), worst(nrms), p.tol)

@@ -7,8 +7,7 @@ lines; all tolerances are pinned here, nothing is deferred.
 import numpy as np
 
 from qboson import DeformParams, Window, build_rep, q_number
-from qboson.fockrep import (casimir, check_relation, classical_limit_residual,
-                            window_block, window_indices)
+from qboson.fockrep import casimir, check_relation, classical_limit_residual
 from qboson.hopfops import HopfFamily, check_hopf_axioms, default_axiom_words, word
 from qboson.rmatrix import (RSpec, build_r, check_antipode_inverse, check_counit,
                             check_fusion, check_intertwiner, check_yan_relation,
@@ -17,6 +16,7 @@ from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
                               realize_sl2, witness_projection_residual)
 from qboson.symalg import dual_bracket_check, pairing_check
 from test_hopfops import coproduct_op, opposite_coproduct_op
+from test_fockrep import window_block, window_indices
 
 Q_BOTH = (1.3, 0.7 + 0.2j)
 QD = RSpec(kind="quantum_double")

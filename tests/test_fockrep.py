@@ -1,10 +1,45 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 from qboson import DeformParams, ParameterError, Window, build_rep, casimir, q_number
-from qboson.fockrep import (DimensionError, WindowError, check_relation,
-                            classical_limit_residual, residual, window_block,
-                            window_indices)
+from qboson.fockrep import DimensionError, WindowError, check_relation, classical_limit_residual
+from qboson.report import residual
+
+
+# ---------------------------------------------------------------------------
+# dense n-leg windowing, an oracle: the package cuts only D x D windows
+# (Window.cut) and pair-sector stacks (hopfops._mask)
+
+
+@functools.cache
+def window_indices(dims: tuple[int, ...], max_index: int) -> np.ndarray:
+    """Flat indices of the tensor-product basis with every factor <= max_index.
+
+    Built once per (dims, max_index) and shared, so the array is read-only."""
+    keep = []
+    for tup in itertools.product(*(range(min(d, max_index + 1)) for d in dims)):
+        flat = 0
+        for t, d in zip(tup, dims):
+            flat = flat * d + t
+        keep.append(flat)
+    idx = np.array(sorted(keep), dtype=int)
+    idx.setflags(write=False)
+    return idx
+
+
+def window_block(mat: np.ndarray, dims: tuple[int, ...], window: Window) -> np.ndarray:
+    window.validate(*dims)
+    idx = window_indices(dims, window.max_index)
+    return mat[np.ix_(idx, idx)]
+
+
+def windowed_residual(lhs: np.ndarray, rhs: np.ndarray, dims: tuple[int, ...],
+                      window: Window) -> tuple[float, float]:
+    """report.residual of the window blocks of two dense n-leg operators."""
+    return residual(window_block(lhs, dims, window), window_block(rhs, dims, window))
 
 
 def test_build_rep_fock_preset():
@@ -143,7 +178,7 @@ def test_window_indices_cached_and_read_only(dims, max_index):
 def test_residual_normalization():
     lhs = np.eye(4) * 2.0
     rhs = np.eye(4)
-    raw, nrm = residual(lhs, rhs, (4,), Window(3))
+    raw, nrm = windowed_residual(lhs, rhs, (4,), Window(3))
     assert raw == pytest.approx(2.0)
     assert nrm == pytest.approx(1.0)
 

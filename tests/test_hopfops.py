@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
-from qboson.fockrep import residual, window_block, window_indices
 from qboson.hopfops import (HopfFamily, _coproduct_blocks, _mask, _pair_sectors, _word_blocks,
                             antipode_op, check_hopf_axioms, closed_coproduct_letter, counit,
                             default_axiom_words, qbar_family, qpow, rep_word, sweedler_letter,
                             word)
 from qboson.report import verdict_of
+from test_fockrep import window_block, window_indices, windowed_residual
 
 
 def sweedler_expand(w, fam):
@@ -104,7 +104,7 @@ def dense_delta2(w, rep, fam, side):
 def dense_coassoc(w, rep, fam, window):
     """(left, right, normalized residual) of coassociativity, dense."""
     left, right = dense_delta2(w, rep, fam, "left"), dense_delta2(w, rep, fam, "right")
-    _, nrm = residual(left, right, (rep.dim,) * 3, window)
+    _, nrm = windowed_residual(left, right, (rep.dim,) * 3, window)
     return left, right, nrm
 
 
@@ -128,7 +128,7 @@ def sweedler_counit_antipode(w, rep, fam, window):
     }
     out = {}
     for tag, (terms, want) in sides.items():
-        _, nrm = residual(sum(c * X @ Y for c, X, Y in terms), want, (D,), window)
+        _, nrm = windowed_residual(sum(c * X @ Y for c, X, Y in terms), want, (D,), window)
         scale = sum(abs(c) * np.linalg.norm(X) * np.linalg.norm(Y) for c, X, Y in terms)
         out[tag] = nrm, scale / max(1.0, np.linalg.norm(window_block(want, (D,), window)))
     return out
@@ -226,7 +226,7 @@ def test_coproduct_homomorphism(params):
         v = word(*rng.choice(gens, 2))
         duv = coproduct_op(u * v, rep, rep, fam)
         prod = coproduct_op(u, rep, rep, fam) @ coproduct_op(v, rep, rep, fam)
-        _, nrm = residual(duv, prod, (7, 7), win)
+        _, nrm = windowed_residual(duv, prod, (7, 7), win)
         assert nrm <= 1e-12
 
 
@@ -275,7 +275,7 @@ def test_antipode_antihomomorphism(params):
         v = word(*rng.choice(gens, 2))
         lhs = antipode_op(u * v, rep, fam)
         rhs = antipode_op(v, rep, fam) @ antipode_op(u, rep, fam)
-        _, nrm = residual(lhs, rhs, (7,), win)
+        _, nrm = windowed_residual(lhs, rhs, (7,), win)
         assert nrm <= 1e-12
 
 
@@ -343,7 +343,7 @@ def test_coassociativity_of_a(params):
     fam = HopfFamily.canonical(params)
     left = dense_delta2(word("a"), rep, fam, "left")
     right = dense_delta2(word("a"), rep, fam, "right")
-    _, nrm = residual(left, right, (5, 5, 5), Window(3, guard=1))
+    _, nrm = windowed_residual(left, right, (5, 5, 5), Window(3, guard=1))
     assert nrm <= 1e-12
 
 
@@ -388,7 +388,7 @@ def test_family_respects_symmetrized_relation(params_real):
         dn = np.diag(coproduct_op(word("N"), rep, rep, fam))
         lhs = da @ dad - dad @ da
         rhs = np.diag(q_number(dn + 0.5, params_real) - q_number(dn - 0.5, params_real))
-        _, nrm = residual(lhs, rhs, (8, 8), Window(5, guard=1))
+        _, nrm = windowed_residual(lhs, rhs, (8, 8), Window(5, guard=1))
         assert nrm <= 1e-12
 
 

@@ -17,8 +17,8 @@ import pytest
 from qboson import DeformParams, cli, hopfops, rmatrix, symalg
 from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
-from qboson.report import (IdentityReport, dump_matrix, load_matrix, make_report,
-                           verdict_of)
+from qboson.report import (IdentityReport, dump_matrix, frobenius, load_matrix, make_report,
+                           residual, verdict_of)
 
 FAST_CONFIG = """
 # desk-scale smoke configuration
@@ -50,7 +50,7 @@ def fast_config(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# verdicts and matrix dumps
+# verdicts, residuals and matrix dumps
 
 
 def test_verdict_zones():
@@ -66,6 +66,43 @@ def test_verdict_non_finite_fails():
     # a NaN residual proves nothing; it must not land in the gray zone
     for bad in (float("nan"), float("inf")):
         assert verdict_of(bad, 1e-9) == "fail"
+
+
+def _residual_pair():
+    rng = np.random.default_rng(3)
+    rhs = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    return rhs + 1e-3 * rng.normal(size=(5, 5)), rhs
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_residual_is_scale_free_beyond_the_square_range(scale):
+    # squared entries of 1e200 overflow and of 1e-200 underflow; the
+    # residual scales raw and leaves normalized as it was
+    lhs, rhs = _residual_pair()
+    raw, nrm = residual(lhs, rhs, floor=1e-300)
+    raw_s, nrm_s = residual(scale * lhs, scale * rhs, floor=1e-300)
+    assert raw_s == pytest.approx(scale * raw, rel=1e-14)
+    assert nrm_s == pytest.approx(nrm, rel=1e-14)
+    assert frobenius(scale * rhs) == pytest.approx(scale * np.linalg.norm(rhs), rel=1e-14)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_residual_nan_entry_fails(side):
+    pair = list(_residual_pair())
+    pair[side][2, 3] = np.nan
+    raw, nrm = residual(*pair)
+    assert math.isnan(raw) and math.isnan(nrm)
+    assert verdict_of(nrm, 1e-9) == "fail"
+
+
+def test_residual_floor_bounds_the_denominator():
+    small, zero = np.full((2, 2), 1e-3), np.zeros((2, 2))
+    # the unit floor keeps a residual against a small or zero rhs absolute
+    assert residual(2 * small, small) == (pytest.approx(2e-3), pytest.approx(2e-3))
+    assert residual(small, zero) == (pytest.approx(2e-3), pytest.approx(2e-3))
+    # the 1e-300 floor divides by ||rhs||_F, and by 1e-300 when rhs is zero
+    assert residual(2 * small, small, floor=1e-300)[1] == pytest.approx(1.0)
+    assert residual(small, zero, floor=1e-300)[1] == pytest.approx(2e297)
 
 
 def test_dump_matrix_format(tmp_path):

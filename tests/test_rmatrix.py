@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rmatrix
-from qboson.fockrep import residual, window_block, window_indices
 from qboson.hopfops import (HopfFamily, _coproduct_blocks, _pair_sectors, antipode_op, counit,
                             qpow, rep_word, word)
 from qboson.report import verdict_of
@@ -19,6 +18,7 @@ from qboson.rmatrix import (RSpec, _antipode_blocks, _dressed_powers, _ladder, _
                             check_intertwiner, check_yan_relation, check_yang_baxter,
                             family_for)
 from test_hopfops import coproduct_op, opposite_coproduct_op, qbar_coproduct_op, scatter
+from test_fockrep import window_block, window_indices, windowed_residual
 
 QD = RSpec(kind="quantum_double")
 YAN = RSpec(kind="yan_claimed")
@@ -194,6 +194,20 @@ def test_yang_baxter_near_classical():
     rep = build_rep(8, 0.5, p)
     rpt = check_yang_baxter(QD, rep, rep, rep)
     assert rpt.normalized_residual <= 1e-8
+
+
+def test_intertwiners_near_classical_do_not_overflow():
+    # at q = 1.005 the general family's R reaches 1e200 on the window, so its
+    # squared entries overflow; the residual and its ||R|| ||Delta|| scale
+    # must still be finite, and the true identity must pass at rounding level
+    p = DeformParams(q=1.005)
+    spec = RSpec("general_family", m=1.0, K=0, sign="upper")
+    rep = build_rep(8, 0.5, p)
+    for gen in ("N", "a", "adag"):
+        rpt = check_intertwiner(spec, family_for(spec, p), rep, rep, gen)
+        assert math.isfinite(rpt.raw_residual), gen
+        assert rpt.normalized_residual <= 1e-13, gen
+        assert rpt.verdict == "pass", gen
 
 
 def test_yang_baxter_dim_cap(params_real):
@@ -464,7 +478,7 @@ def dense_pair_checks(spec, fam, rep, window):
     dbar = qbar_coproduct_op(word("N"), rep, rep, fam) + fam.beta_const * eye
     out["yan_relation_N_stripped"] = twisted(dg, dbar, dg, right_is_r=True)
     Rinv = dense_antipode_leg(spec, fam, rep, rep)
-    raws = [residual(prod, eye, (D, D), win)[0] for prod in (R @ Rinv, Rinv @ R)]
+    raws = [windowed_residual(prod, eye, (D, D), win)[0] for prod in (R @ Rinv, Rinv @ R)]
     out["antipode_inverse"] = (max(raws), max(1.0, norm(window_block(eye, (D, D), win))),
                                2 * norm(R) * norm(Rinv))
     series, n = _series(spec, fam.params), rep.n_diag()
@@ -476,7 +490,7 @@ def dense_pair_checks(spec, fam, rep, window):
              lambda k: rep_word(series.words(k)[0], rep) * counit(series.words(k)[1], fam))):
         got = q_power(pref, fam.params).reshape(-1, 1) * sum(
             series.coefficient(k) * leg_k(k) for k in range(D))
-        raw = residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))[0]
+        raw = windowed_residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))[0]
         out[name] = (raw, max(1.0, math.sqrt(D)), norm(got) + math.sqrt(D))
     return out
 

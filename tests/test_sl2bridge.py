@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_number
-from qboson.fockrep import residual
 from qboson.hopfops import HopfFamily, word
 from qboson.sl2bridge import (casimir_centrality, check_sl2,
                               hopf_ideal_witness, inverse_realization,
@@ -12,6 +11,7 @@ from qboson.sl2bridge import (casimir_centrality, check_sl2,
                               witness_counit_leg_residual,
                               witness_projection_residual)
 from test_hopfops import coproduct_op
+from test_fockrep import windowed_residual
 
 
 def test_realize_validation(params_real):
@@ -127,7 +127,7 @@ def test_witness_matches_dense_oracle(q, D):
     lhs = coproduct_op(word("adag"), rep, rep, fam) @ coproduct_op(word("a"), rep, rep, fam)
     dn = np.add.outer(rep.n_diag(), rep.n_diag()).reshape(-1) + fam.beta_const
     win = Window(min(3, D - 2), guard=1)
-    raw, nrm = residual(lhs, np.diag(q_number(dn - 0.5, p)), (D, D), win)
+    raw, nrm = windowed_residual(lhs, np.diag(q_number(dn - 0.5, p)), (D, D), win)
     rpt = hopf_ideal_witness(D, fam)
     assert rpt.window == win.max_index and rpt.verdict == "fail"
     assert abs(rpt.raw_residual - raw) <= 1e-13 * raw

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson import symalg
-from qboson.fockrep import residual
+from qboson.report import residual
 from qboson.symalg import (BETA, EPS, NU, NU_PRIME, DegreeOverflowError,
                            DualElement, PlusElement, TensorPlusElement,
                            _coproduct_key, _mul_keys,
@@ -20,6 +20,7 @@ from qboson.symalg import (BETA, EPS, NU, NU_PRIME, DegreeOverflowError,
                            pairing_closed_form,
                            pairing_gram, qnu, quotient_cross_check,
                            straighten_cross)
+from test_fockrep import windowed_residual
 
 
 def to_matrix(x: PlusElement, rep) -> np.ndarray:
@@ -206,7 +207,7 @@ def test_multiply_matches_representation(params):
         x, y = PlusElement({xk: 1.0}), PlusElement({yk: 1.0})
         sym = to_matrix(multiply(x, y, params), rep)
         mat = to_matrix(x, rep) @ to_matrix(y, rep)
-        _, nrm = residual(sym, mat, (12,), win)
+        _, nrm = windowed_residual(sym, mat, (12,), win)
         assert nrm <= 1e-12, (xk, yk)
 
 
@@ -360,7 +361,7 @@ def test_coproduct_matches_representation(params):
             - params.ialpha_over_gamma * np.eye(100)
         want = want @ np.linalg.matrix_power(dnp, m)
         want = want @ np.linalg.matrix_power(coproduct_op(word("adag"), rep, rep, fam), k)
-        _, nrm = residual(got, want, (10, 10), win)
+        _, nrm = windowed_residual(got, want, (10, 10), win)
         assert nrm <= 1e-12, (k, m)
 
 
@@ -583,7 +584,7 @@ def test_dual_to_lowering_isomorphism(params):
     # nu -> N, beta -> a sends [nu, beta] = -beta to [N, a] = -a
     rep = build_rep(10, 0.5, params)
     lhs = rep.matN @ rep.matA - rep.matA @ rep.matN
-    _, nrm = residual(lhs, -rep.matA, (10,), Window(8, guard=1))
+    _, nrm = windowed_residual(lhs, -rep.matA, (10,), Window(8, guard=1))
     assert nrm <= 1e-12
 
 
