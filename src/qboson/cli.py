@@ -65,8 +65,8 @@ class SuiteConfig:
     window: int = 4
     dim_pair: int = 12
     dim_triple: int = 8
-    tensor_cap: int = rmatrix.TENSOR_CAP
-    degree_cap: int = symalg.DEGREE_CAP
+    tensor_cap: int = 1 << 16  # bounds dims.pair ** 2 and dims.triple ** 3
+    degree_cap: int = 8  # bounds pairing.kmax and pairing.mmax
     rep_dims: tuple = (12, 12)
     rep_shifts: tuple = (0.0 + 0.0j, 0.5 + 0.0j)
     family_m: tuple = (-0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0)
@@ -227,15 +227,22 @@ def _validate_config(config: SuiteConfig) -> None:
             raise ConfigError(f"unknown family sign {sign!r}")
     for spec in config.rspecs:
         parse_rspec(spec)
-    for d in (*config.rep_dims, config.dim_pair, config.axiom_dim):
+    for d in (*config.rep_dims, config.dim_pair, config.dim_triple, config.axiom_dim):
         if d < 2:
             raise ConfigError("all representation dimensions must be >= 2")
-    if config.dim_pair ** 2 > config.tensor_cap or config.dim_triple ** 3 > config.tensor_cap:
-        raise ConfigError("configured dimensions exceed the tensor cap")
+    if config.axiom_max_word_len < 1:
+        raise ConfigError("axioms.max_word_len must be >= 1")
     if config.window < 0 or config.window + 1 > config.dim_pair - 1:
         raise ConfigError("window must be >= 0 and fit into the pairwise dimension")
     if config.pairing_kmax < 0 or config.pairing_mmax < 0:
         raise ConfigError("pairing kmax and mmax must be >= 0")
+    # the only size bounds: no check function carries a cap of its own
+    if config.dim_pair ** 2 > config.tensor_cap or config.dim_triple ** 3 > config.tensor_cap:
+        raise ConfigError(f"dims.pair ** 2 and dims.triple ** 3 exceed the tensor cap "
+                          f"caps.tensor = {config.tensor_cap}")
+    if max(config.pairing_kmax, config.pairing_mmax) > config.degree_cap:
+        raise ConfigError(f"pairing kmax and mmax exceed the degree cap "
+                          f"caps.degree = {config.degree_cap}")
     if config.seed < 0:
         raise ConfigError("seed must be >= 0")
 
@@ -284,7 +291,7 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
     # six products uv of two-letter words, drawn letter by letter
     uv_words = [hopfops.word(*(gens[int(3 * word_rng.random())] for _ in range(4)))
                 for _ in range(6)]
-    Dp, Dt, Da, cap = config.dim_pair, config.dim_triple, config.axiom_dim, config.degree_cap
+    Dp, Dt, Da = config.dim_pair, config.dim_triple, config.axiom_dim
     pinv, canonical = p.inverted(), hopfops.HopfFamily.canonical(p)
     win_casimir = fockrep.Window(min(8, Dp - 2), guard=1)
 
@@ -314,8 +321,8 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
                 ("nu", "araise", {(akey, dw_nu): 1.0, (akey, dw_eps): 1.0}),
                 ("nu", "nprime", {(nkey, dw_nu): 1.0}),
                 ("beta", "nprime", {(nkey, dw_beta): 1.0, (unit, dw_beta): 1.0})):
-            got = symalg.straighten_cross(fname, xname, p, cap)
-            yield symalg.cross_terms_difference(got, expected, p, grid=2, cap=cap)
+            got = symalg.straighten_cross(fname, xname, p)
+            yield symalg.cross_terms_difference(got, expected, p, grid=2)
 
     def inverse_round_trip():
         triple = sl2bridge.realize_sl2(fockrep.build_rep(Dp, 0.5, p), 1.0)
@@ -352,9 +359,9 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
                  hopfops.homomorphism_residuals(uv_words, fockrep.build_rep(Da, 0.5, p),
                                                 canonical, fockrep.Window(Da - 1 - 4, guard=4)))),
              ("pairing_eqn", partial(symalg.pairing_check, config.pairing_kmax,
-                                     config.pairing_mmax, p, cap)),
-             ("dual_bracket", partial(symalg.dual_bracket_check, p, cap=cap)),
-             ("dual_hopf", partial(symalg.dual_hopf_check, p, deg=2, cap=cap)),
+                                     config.pairing_mmax, p)),
+             ("dual_bracket", partial(symalg.dual_bracket_check, p)),
+             ("dual_hopf", partial(symalg.dual_hopf_check, p, deg=2)),
              largest("cross_straighten", [2], 2, cross),
              ("quotient_cross", lambda: symalg.quotient_cross_check(
                  fockrep.build_rep(Dp, 0.5, p)))]
@@ -367,8 +374,7 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
         rows += [(f"{label}:intertwiner_{gen}",
                   partial(rmatrix.check_intertwiner, spec, fam, *pair_reps, gen, win_pair))
                  for gen in ("N", "a", "adag")]
-        rows += [(f"{label}:yang_baxter", partial(rmatrix.check_yang_baxter, spec, *triple_reps,
-                                                  dim_cap=config.tensor_cap)),
+        rows += [(f"{label}:yang_baxter", partial(rmatrix.check_yang_baxter, spec, *triple_reps)),
                  (f"{label}:fusion", partial(rmatrix.check_fusion, spec, fam, *triple_reps)),
                  (f"{label}:antipode_inverse",
                   partial(rmatrix.check_antipode_inverse, spec, fam, *pair_reps, win_pair)),
@@ -532,8 +538,8 @@ def _cmd_rmatrix(args) -> int:
 def _cmd_pairing(args) -> int:
     config = _load_config(args)
     kmax, mmax, p = config.pairing_kmax, config.pairing_mmax, config.params()
-    G = symalg.pairing_gram(kmax, mmax, p, config.degree_cap)
-    report = symalg.pairing_check(kmax, mmax, p, config.degree_cap, gram=G)
+    G = symalg.pairing_gram(kmax, mmax, p)
+    report = symalg.pairing_check(kmax, mmax, p, gram=G)
     if config.dump_dir:
         path = dump_matrix(G, Path(config.dump_dir) / "pairing_gram.mtx")
         print(f"wrote {path}")

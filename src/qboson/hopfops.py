@@ -27,7 +27,7 @@ canonical coproducts, so that sign is fixed by consistency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
 
@@ -331,13 +331,8 @@ def antipode_op(w: GenWord, rep: FockRep, fam: HopfFamily) -> np.ndarray:
 
 
 def qbar_family(fam: HopfFamily) -> HopfFamily:
-    """The family with DeformParams rebuilt at 1/q and the same branch
-    integer; gamma negates, so the constant i*alpha/gamma flips sign."""
-    p = fam.params
-    pbar = DeformParams(q=1.0 / p.q, kappa=p.kappa, tol=p.tol)
-    if fam.is_canonical():
-        return HopfFamily.canonical(pbar)
-    return HopfFamily(m=fam.m, K=fam.K, sign=fam.sign, params=pbar)
+    """The same family (m, K, sign) at 1/q; see DeformParams.inverted."""
+    return replace(fam, params=fam.params.inverted())
 
 
 # ---------------------------------------------------------------------------

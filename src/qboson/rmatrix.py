@@ -40,7 +40,6 @@ the entries under hopfops._mask, triple on every window-block entry.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -53,8 +52,6 @@ from .qscalars import DeformParams, ParameterError, half_index_product, q_power
 from .report import IdentityReport, frobenius, make_report, residual, worst
 
 KINDS = ("quantum_double", "yan_claimed", "general_family")
-#: the default cap on check_yang_baxter's triple tensor dimension and the suite's caps.tensor
-TENSOR_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -299,11 +296,9 @@ def _r_chains(spec: RSpec, reps: tuple[FockRep, FockRep, FockRep], wmax: int, *c
 
 
 def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
-                      window: Window | None = None, dim_cap: int = TENSOR_CAP) -> IdentityReport:
+                      window: Window | None = None) -> IdentityReport:
     """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor, per sector."""
     p, dims = rep1.params, (rep1.dim, rep2.dim, rep3.dim)
-    if math.prod(dims) > dim_cap:
-        raise ParameterError(f"triple tensor dimension {math.prod(dims)} exceeds cap")
     W = _triple_window(dims, window).max_index
     _, _, sides = _r_chains(spec, (rep1, rep2, rep3), W, (0, 1, 2), (2, 1, 0))
     return make_report("yang_baxter", _echo(spec, p), list(dims), W,

@@ -51,19 +51,7 @@ from .fockrep import FockRep, Window
 from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
 from .report import IdentityReport, make_report, residual, worst
 
-DEGREE_CAP = 8
-
 Key = tuple  # (k, m, two_s)
-
-
-class DegreeOverflowError(RuntimeError):
-    """Raised when a product or coproduct would exceed the degree cap."""
-
-
-def _check_cap(k: int, m: int, cap: int) -> None:
-    if k > cap or m > cap:
-        raise DegreeOverflowError(
-            f"degree (k={k}, m={m}) exceeds cap {cap}; raise the cap explicitly")
 
 
 class _Combination:
@@ -140,7 +128,7 @@ class TensorPlusElement(_Combination):
 # normal-ordered product
 
 
-def _mul_keys(key1: Key, key2: Key, p: DeformParams, cap: int) -> dict:
+def _mul_keys(key1: Key, key2: Key, p: DeformParams) -> dict:
     """Product of two basis monomials in normal order.
 
     Moving adag**k1 through the q-power contributes q**(-s2*k1/2);
@@ -148,7 +136,6 @@ def _mul_keys(key1: Key, key2: Key, p: DeformParams, cap: int) -> dict:
     """
     k1, m1, t1 = key1
     k2, m2, t2 = key2
-    _check_cap(k1 + k2, m1 + m2, cap)
     scale = q_power(-t2 * k1 / 4.0, p)  # exponent -(s2/2)*k1 with s2 = t2/2
     out: dict = {}
     for j in range(m2 + 1):
@@ -158,12 +145,11 @@ def _mul_keys(key1: Key, key2: Key, p: DeformParams, cap: int) -> dict:
     return out
 
 
-def multiply(x: PlusElement, y: PlusElement, p: DeformParams,
-             cap: int = DEGREE_CAP) -> PlusElement:
+def multiply(x: PlusElement, y: PlusElement, p: DeformParams) -> PlusElement:
     out: dict = {}
     for key1, c1 in x.terms.items():
         for key2, c2 in y.terms.items():
-            for key, c in _mul_keys(key1, key2, p, cap).items():
+            for key, c in _mul_keys(key1, key2, p).items():
                 out[key] = out.get(key, 0.0) + c1 * c2 * c
     return PlusElement(out)
 
@@ -204,7 +190,7 @@ def _coproduct_coeff(k: int, r: int, t, p: DeformParams):
 
 
 @functools.lru_cache(maxsize=None)
-def _coproduct_key(key: Key, p: DeformParams, cap: int) -> TensorPlusElement:
+def _coproduct_key(key: Key, p: DeformParams) -> TensorPlusElement:
     """Delta(E[k, m, s]) expanded in the tensor basis, in closed form.
 
     Legs: Delta(q**(sN/2)) = e^{-is alpha/2} q**(sN/2) (x) q**(sN/2),
@@ -218,7 +204,6 @@ def _coproduct_key(key: Key, p: DeformParams, cap: int) -> TensorPlusElement:
         c_r(k, t) = e^{-i t alpha/4} e^{-i k alpha/2} [k r]_w i**(k-r) q**(r(k-r)/2).
     """
     k, m, t = key
-    _check_cap(k, m, cap)
     out: dict = {}
     for r in range(k + 1):
         c_r = _coproduct_coeff(k, r, t, p)
@@ -227,14 +212,14 @@ def _coproduct_key(key: Key, p: DeformParams, cap: int) -> TensorPlusElement:
     return TensorPlusElement(out)
 
 
-def coproduct_sym(x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP) -> TensorPlusElement:
+def coproduct_sym(x: PlusElement, p: DeformParams) -> TensorPlusElement:
     out = TensorPlusElement()
     for key, c in x.terms.items():
-        out = out + _coproduct_key(key, p, cap).scaled(c)
+        out = out + _coproduct_key(key, p).scaled(c)
     return out
 
 
-def antipode_sym_inv(x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP) -> PlusElement:
+def antipode_sym_inv(x: PlusElement, p: DeformParams) -> PlusElement:
     """Inverse antipode: S^{-1}(adag) = -q**(-1/2) adag, S^{-1}(Np) = -Np,
     S^{-1}(q**(sN/2)) = e^{is alpha} q**(-sN/2); antihomomorphic order."""
     out = PlusElement()
@@ -242,8 +227,8 @@ def antipode_sym_inv(x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP) -> 
         coeff = c * ((-1.0) ** (k + m)) * q_power(-k / 2.0, p) \
             * complex(np.exp(1j * (t / 2.0) * p.alpha))
         elem = PlusElement({(k, 0, 0): coeff})
-        elem = multiply(elem, PlusElement({(0, m, 0): 1.0}), p, cap)
-        elem = multiply(elem, PlusElement({(0, 0, -t): 1.0}), p, cap)
+        elem = multiply(elem, PlusElement({(0, m, 0): 1.0}), p)
+        elem = multiply(elem, PlusElement({(0, 0, -t): 1.0}), p)
         out = out + elem
     return out
 
@@ -309,12 +294,11 @@ def _degree(f: tuple) -> int:
     return 1 if f == BETA else 0
 
 
-def _grid_box(keys, cap: int, split: str) -> tuple:
+def _grid_box(keys, split: str) -> tuple:
     """The smallest box holding every key a word splits the given keys into:
     the rest of a word is read at (k - d, ., t + 2d) after a left split, at
     (k - d, ., t - 2d) after a right one, and the degrees d add up to <= k."""
     kmax, mmax = max(k for k, _, _ in keys), max(m for _, m, _ in keys)
-    _check_cap(kmax, mmax, cap)
     tmin, tmax = min(t for _, _, t in keys), max(t for _, _, t in keys)
     t0 = tmin if split == "left" else tmin - 2 * kmax
     return kmax, mmax, t0, tmax - tmin + 2 * kmax + 1
@@ -370,9 +354,9 @@ def _word_vector(factors: tuple, box: tuple, p: DeformParams, split: str,
     return memo[factors]
 
 
-def _word_table(words, keys, p: DeformParams, cap: int, split: str = "left") -> np.ndarray:
+def _word_table(words, keys, p: DeformParams, split: str = "left") -> np.ndarray:
     """Values of the dual words on the basis keys, shape (len(words), len(keys))."""
-    box = _grid_box(keys, cap, split)
+    box = _grid_box(keys, split)
     k, m, t = (np.array(axis) for axis in zip(*keys))
     memo: dict = {}
     return np.array([_word_vector(tuple(w), box, p, split, memo)[k, t - box[2], m]
@@ -389,8 +373,7 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
-def eval_word(factors, x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP,
-              split: str = "left") -> complex:
+def eval_word(factors, x: PlusElement, p: DeformParams, split: str = "left") -> complex:
     """Evaluate the dual product f1 f2 ... fr on x via iterated coproducts.
 
     'split' chooses the recursion side; coassociativity makes the result
@@ -398,7 +381,7 @@ def eval_word(factors, x: PlusElement, p: DeformParams, cap: int = DEGREE_CAP,
     """
     if not x.terms:
         return 0.0 + 0.0j
-    row = _word_table([factors], list(x.terms), p, cap, split)[0]
+    row = _word_table([factors], list(x.terms), p, split)[0]
     return sum((c * v for c, v in zip(x.terms.values(), row)), start=0.0 + 0.0j)
 
 
@@ -420,12 +403,10 @@ def dual_basis_factors(k: int, m: int) -> tuple:
     return (NU_PRIME,) * m + (qnu(-k / 2.0),) + (BETA,) * k
 
 
-def eval_functional(f: DualElement, x: PlusElement, p: DeformParams,
-                    cap: int = DEGREE_CAP) -> complex:
+def eval_functional(f: DualElement, x: PlusElement, p: DeformParams) -> complex:
     out = 0.0 + 0.0j
     for (k, m), c in f.terms:
-        _check_cap(k, m, cap)
-        out += c * eval_word(dual_basis_factors(k, m), x, p, cap)
+        out += c * eval_word(dual_basis_factors(k, m), x, p)
     return out
 
 
@@ -441,28 +422,27 @@ def pairing_closed_form(k: int, m: int, l: int, n: int, p: DeformParams) -> comp
             / (p.gamma ** n) * half_index_product(k, p))
 
 
-def pairing_gram(kmax: int, mmax: int, p: DeformParams,
-                 cap: int = DEGREE_CAP) -> np.ndarray:
-    """Gram matrix of the pairing over (k, m), (l, n) up to the caps, as one
+def pairing_gram(kmax: int, mmax: int, p: DeformParams) -> np.ndarray:
+    """Gram matrix of the pairing over (k, m), (l, n) up to kmax, mmax, as one
     pass over the key grid: every dual basis word on every tie key (l, n, 2l)."""
     pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
     return _word_table([dual_basis_factors(k, m) for k, m in pairs],
-                       [(l, n, 2 * l) for l, n in pairs], p, cap)
+                       [(l, n, 2 * l) for l, n in pairs], p)
 
 
-def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
+def pairing_check(kmax: int, mmax: int, p: DeformParams,
                   gram: np.ndarray | None = None) -> IdentityReport:
     """Compare the dual-multiplication pairing with the closed form.
 
     The table compared is 'gram' when the caller already holds
-    pairing_gram(kmax, mmax, p, cap), and is evaluated here otherwise.
+    pairing_gram(kmax, mmax, p), and is evaluated here otherwise.
     The raw residual is the largest absolute deviation; the normalized one
     divides it by max(1, largest |closed form|) over the table, because the
     entries grow like n!/gamma^n and an absolute test would fail on
     rounding alone for q near 1.
     """
     pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
-    G = pairing_gram(kmax, mmax, p, cap) if gram is None else gram
+    G = pairing_gram(kmax, mmax, p) if gram is None else gram
     if G.shape != (len(pairs), len(pairs)):
         raise ParameterError(f"pairing table has shape {G.shape}, expected "
                              f"{(len(pairs), len(pairs))} for kmax={kmax}, mmax={mmax}")
@@ -474,17 +454,16 @@ def pairing_check(kmax: int, mmax: int, p: DeformParams, cap: int = DEGREE_CAP,
                        [kmax + 1, mmax + 1], kmax, dev, dev / max(1.0, scale), p.tol)
 
 
-def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4,
-                       cap: int = DEGREE_CAP) -> IdentityReport:
+def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4) -> IdentityReport:
     """[nu, beta] + beta evaluates to zero on every tie basis element."""
     keys = [(l, n, 2 * l) for l in range(lmax + 1) for n in range(nmax + 1)]
-    nu_beta, beta_nu, beta = _word_table([(NU, BETA), (BETA, NU), (BETA,)], keys, p, cap)
+    nu_beta, beta_nu, beta = _word_table([(NU, BETA), (BETA, NU), (BETA,)], keys, p)
     dev = float(np.abs(nu_beta - beta_nu + beta).max())
     return make_report("dual_bracket", {"lmax": lmax, "nmax": nmax, "q": str(p.q)},
                        [lmax + 1, nmax + 1], lmax, dev, dev, p.tol)
 
 
-def dual_hopf_check(p: DeformParams, deg: int = 3, cap: int = DEGREE_CAP) -> IdentityReport:
+def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
     """Duality of the opposite dual coproduct and inverse antipode.
 
     (T Delta0(f), x (x) y) = (f, y x) for f in {nu, beta}, and
@@ -493,8 +472,8 @@ def dual_hopf_check(p: DeformParams, deg: int = 3, cap: int = DEGREE_CAP) -> Ide
     iag = p.ialpha_over_gamma
     ph = complex(np.exp(-1j * p.alpha / 2.0))
     keys = [(l, n, 2 * l) for l in range(deg + 1) for n in range(deg + 1)]
-    sxs = {x: antipode_sym_inv(PlusElement({x: 1.0}), p, cap) for x in keys}
-    yxs = {(x, y): multiply(PlusElement({y: 1.0}), PlusElement({x: 1.0}), p, cap)
+    sxs = {x: antipode_sym_inv(PlusElement({x: 1.0}), p) for x in keys}
+    yxs = {(x, y): multiply(PlusElement({y: 1.0}), PlusElement({x: 1.0}), p)
            for x in keys for y in keys}
     # each generator's value on each key met, computed once
     met = set(keys).union(*(z.terms for z in (*sxs.values(), *yxs.values())))
@@ -548,11 +527,11 @@ def _dual_triple(fname: str, p: DeformParams) -> list[tuple[complex, tuple, tupl
     raise ParameterError("straightening is defined for the generators nu, beta")
 
 
-def _coproduct3(x: PlusElement, p: DeformParams, cap: int) -> dict:
+def _coproduct3(x: PlusElement, p: DeformParams) -> dict:
     """(Delta (x) id) Delta(x) as a dict of key triples."""
     out: dict = {}
-    for (key1, key2), c in coproduct_sym(x, p, cap).terms.items():
-        for (key1a, key1b), c1 in _coproduct_key(key1, p, cap).terms.items():
+    for (key1, key2), c in coproduct_sym(x, p).terms.items():
+        for (key1a, key1b), c1 in _coproduct_key(key1, p).terms.items():
             key = (key1a, key1b, key2)
             out[key] = out.get(key, 0.0) + c * c1
     return out
@@ -573,8 +552,7 @@ def dual_word_factors(dword: tuple) -> tuple:
     return (qnu(two_c / 2.0),) * bool(two_c) + (NU,) * npow + (BETA,) * bpow
 
 
-def straighten_cross(fname: str, xname: str, p: DeformParams,
-                     cap: int = DEGREE_CAP) -> dict:
+def straighten_cross(fname: str, xname: str, p: DeformParams) -> dict:
     """Normal-order the cross product (dual generator) * (algebra generator).
 
     Returns a dict keyed by (primal basis key, dual word key) mapping to
@@ -584,7 +562,7 @@ def straighten_cross(fname: str, xname: str, p: DeformParams,
     returned in this dressed form.
     """
     x = {"nprime": PlusElement.n_prime(), "araise": PlusElement.a_dressed()}[xname]
-    legs3 = _coproduct3(x, p, cap)
+    legs3 = _coproduct3(x, p)
     duals3 = _dual_triple(fname, p)
     out: dict = {}
     for (x1, x2, x3), cx in legs3.items():
@@ -601,7 +579,7 @@ def straighten_cross(fname: str, xname: str, p: DeformParams,
 
 
 def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
-                           grid: int = 3, cap: int = DEGREE_CAP) -> float:
+                           grid: int = 3) -> float:
     """Max deviation between two x*f term dicts, as elements of the double.
 
     Terms are grouped by primal key and the dual parts compared by
@@ -615,7 +593,7 @@ def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
     dwords = list(dict.fromkeys(dw for terms in duals.values() for dw in terms))
     keys = [(l, n, 2 * l) for l in range(grid + 1) for n in range(grid + 1)]
     table = dict(zip(dwords, _word_table([dual_word_factors(dw) for dw in dwords],
-                                         keys, p, cap)))
+                                         keys, p)))
     return worst(float(np.abs(sum(c * table[dw] for dw, c in terms.items())).max())
                  for terms in duals.values())
 

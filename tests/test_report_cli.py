@@ -496,6 +496,46 @@ def test_cli_negative_pairing_degree_is_config_error(tmp_path, capsys):
     assert_config_error(["--config", str(cfg), "verify"], capsys)
 
 
+@pytest.mark.parametrize("line", ["pairing.kmax = 9", "pairing.mmax = 9", "caps.degree = 2"])
+def test_parse_config_degree_cap_violation(tmp_path, line):
+    # the pairing table's kmax and mmax (3 by default) are the only degrees a config sets
+    path = tmp_path / "c.cfg"
+    path.write_text(f"q = 1.3\n{line}\n")
+    with pytest.raises(ConfigError, match="caps.degree"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("line", ["pairing.kmax = 9", "caps.degree = -1", "dims.triple = 1",
+                                  "axioms.max_word_len = 0", "axioms.max_word_len = -1"])
+def test_cli_size_errors_exit_2_before_any_case(tmp_path, monkeypatch, capsys, line):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")  # would print 'runtime error:'
+
+    monkeypatch.setattr(cli, "_cases", no_work)
+    monkeypatch.setattr(symalg, "pairing_gram", no_work)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + line + "\n", encoding="utf-8")
+    for command in ("verify", "pairing"):
+        assert_config_error(["--config", str(cfg), command], capsys)
+
+
+def test_cli_oversize_pairing_flag_is_config_error(capsys):
+    assert_config_error(["--q", "1.3", "pairing", "--kmax", "9"], capsys)
+    assert_config_error(["--q", "1.3", "pairing", "--mmax", "9"], capsys)
+
+
+def test_degree_cap_leaves_fixed_degree_checks_alone(tmp_path):
+    # dual_bracket and dual_hopf evaluate up to degree 4, fixed by the checks
+    # themselves; caps.degree bounds only the pairing table
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + "caps.degree = 3\n", encoding="utf-8")
+    config = parse_config(cfg)
+    rows = dict(_cases(config, config.params()))
+    for case_id in ("dual_bracket", "dual_hopf"):
+        [report] = _run_case(case_id, rows[case_id])
+        assert report.error is None and report.verdict == "pass", case_id
+
+
 def test_cli_rmatrix_dump(tmp_path):
     code = main(["--q", "1.3", "--dim", "6", "--dump-dir", str(tmp_path), "rmatrix",
                  "--rspec", "quantum_double"])

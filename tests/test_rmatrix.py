@@ -210,12 +210,6 @@ def test_intertwiners_near_classical_do_not_overflow():
         assert rpt.verdict == "pass", gen
 
 
-def test_yang_baxter_dim_cap(params_real):
-    rep = build_rep(8, 0.5, params_real)
-    with pytest.raises(ParameterError):
-        check_yang_baxter(QD, rep, rep, rep, dim_cap=100)
-
-
 def test_fusion(params):
     rep = build_rep(8, 0.5, params)
     fam = HopfFamily.canonical(params)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson import symalg
 from qboson.report import residual
-from qboson.symalg import (BETA, EPS, NU, NU_PRIME, DegreeOverflowError,
+from qboson.symalg import (BETA, EPS, NU, NU_PRIME,
                            DualElement, PlusElement, TensorPlusElement,
                            _coproduct_key, _mul_keys,
                            antipode_sym_inv, coproduct_sym, cross_terms_difference,
@@ -52,12 +52,12 @@ def assert_elements_close(x: PlusElement, y: PlusElement, tol=1e-12):
 
 
 def _tensor_multiply(xt: TensorPlusElement, yt: TensorPlusElement,
-                     p: DeformParams, cap: int) -> TensorPlusElement:
+                     p: DeformParams) -> TensorPlusElement:
     out: dict = {}
     for (a1, a2), ca in xt.terms.items():
         for (b1, b2), cb in yt.terms.items():
-            left = _mul_keys(a1, b1, p, cap)
-            right = _mul_keys(a2, b2, p, cap)
+            left = _mul_keys(a1, b1, p)
+            right = _mul_keys(a2, b2, p)
             for kl, cl in left.items():
                 for kr, cr in right.items():
                     key = (kl, kr)
@@ -65,7 +65,7 @@ def _tensor_multiply(xt: TensorPlusElement, yt: TensorPlusElement,
     return TensorPlusElement(out)
 
 
-def chain_coproduct_key(key, p: DeformParams, cap: int) -> TensorPlusElement:
+def chain_coproduct_key(key, p: DeformParams) -> TensorPlusElement:
     """Delta(E[k, m, s]) = Delta(q**(sN/2)) Delta(Np)**m Delta(adag)**k, one
     factor at a time."""
     k, m, t = key
@@ -74,16 +74,16 @@ def chain_coproduct_key(key, p: DeformParams, cap: int) -> TensorPlusElement:
     out = TensorPlusElement({((0, 0, t), (0, 0, t)): phase})
     dn = TensorPlusElement({((0, 1, 0), unit_key): 1.0, (unit_key, (0, 1, 0)): 1.0})
     for _ in range(m):
-        out = _tensor_multiply(out, dn, p, cap)
+        out = _tensor_multiply(out, dn, p)
     ph = complex(np.exp(-1j * p.alpha / 2.0))
     da = TensorPlusElement({((1, 0, 0), (0, 0, 2)): ph,
                             ((0, 0, -2), (1, 0, 0)): 1j * ph})
     for _ in range(k):
-        out = _tensor_multiply(out, da, p, cap)
+        out = _tensor_multiply(out, da, p)
     return out
 
 
-def word_oracle(p: DeformParams, cap: int):
+def word_oracle(p: DeformParams):
     """The dual-word recursion that the key-grid engine replaced, kept as its
     oracle, on the product-chain coproduct instead of the closed form.
 
@@ -93,7 +93,7 @@ def word_oracle(p: DeformParams, cap: int):
     word_value(factors, key, split) -> (value, term scale), the scale being
     the same recursion over the absolute values of the terms.
     """
-    coproduct = functools.cache(lambda key: chain_coproduct_key(key, p, cap))
+    coproduct = functools.cache(lambda key: chain_coproduct_key(key, p))
 
     @functools.cache
     def _transfer_row(f, key, side):
@@ -125,10 +125,10 @@ def word_oracle(p: DeformParams, cap: int):
     return _eval_word_key
 
 
-def recursive_gram(kmax: int, mmax: int, p: DeformParams, cap: int) -> np.ndarray:
+def recursive_gram(kmax: int, mmax: int, p: DeformParams) -> np.ndarray:
     """The pairing table by left splitting over the chain coproduct, with
     every atomic value computed where it is used."""
-    coproduct = functools.cache(lambda key: chain_coproduct_key(key, p, cap))
+    coproduct = functools.cache(lambda key: chain_coproduct_key(key, p))
 
     @functools.cache
     def word_value(factors, key):
@@ -227,14 +227,6 @@ def test_multiply_associativity(params):
         assert (lhs - rhs).max_abs() <= 1e-12
 
 
-def test_multiply_overflow():
-    p = DeformParams(q=1.3)
-    with pytest.raises(DegreeOverflowError):
-        multiply(E(5, 0, 5), E(4, 0, 4), p)
-    # the cap can be raised explicitly
-    multiply(E(5, 0, 5), E(4, 0, 4), p, cap=16)
-
-
 # ---------------------------------------------------------------------------
 # coproduct
 
@@ -287,7 +279,7 @@ def test_coproduct_powers_gaussian_binomial(params):
     def tensor_power(base, k):
         out = TensorPlusElement({((0, 0, 0), (0, 0, 0)): 1.0})
         for _ in range(k):
-            out = _tensor_multiply(out, base, params, 8)
+            out = _tensor_multiply(out, base, params)
         return out
 
     X = tensor_of(PlusElement.unit(), A())
@@ -299,8 +291,7 @@ def test_coproduct_powers_gaussian_binomial(params):
         got = coproduct_sym(ak, params)
         acc = TensorPlusElement()
         for j in range(k + 1):
-            term = _tensor_multiply(tensor_power(X, j), tensor_power(Y, k - j),
-                                    params, 8)
+            term = _tensor_multiply(tensor_power(X, j), tensor_power(Y, k - j), params)
             acc = acc + term.scaled(gauss(k, j))
         assert (got - acc).max_abs() <= 1e-11
 
@@ -312,10 +303,10 @@ def test_coproduct_coassociativity(params):
         left: dict = {}
         right: dict = {}
         for (k1, k2), c in coproduct_sym(x, params).terms.items():
-            for (k1a, k1b), c1 in _coproduct_key(k1, params, 8).terms.items():
+            for (k1a, k1b), c1 in _coproduct_key(k1, params).terms.items():
                 key = (k1a, k1b, k2)
                 left[key] = left.get(key, 0) + c * c1
-            for (k2a, k2b), c2 in _coproduct_key(k2, params, 8).terms.items():
+            for (k2a, k2b), c2 in _coproduct_key(k2, params).terms.items():
                 key = (k1, k2a, k2b)
                 right[key] = right.get(key, 0) + c * c2
         keys = set(left) | set(right)
@@ -334,8 +325,8 @@ def test_closed_form_coproduct_matches_product_chain(q, k, m, two_s):
     # odd two_s is a half-integer s
     p = DeformParams(q=q)
     key = (k, m, two_s)
-    got = _coproduct_key(key, p, 8).terms
-    want = chain_coproduct_key(key, p, 8).terms
+    got = _coproduct_key(key, p).terms
+    want = chain_coproduct_key(key, p).terms
     assert set(got) == set(want)
     scale = max(abs(c) for c in want.values())
     assert max(abs(got[x] - want[x]) for x in want) <= 1e-13 * scale
@@ -441,7 +432,7 @@ def _word_and_element(draw):
 def test_eval_word_matches_recursion_oracle(q, word_and_element):
     factors, x = word_and_element
     p = DeformParams(q=q)
-    word_value = word_oracle(p, 8)
+    word_value = word_oracle(p)
     for split in ("left", "right"):
         terms = [(c, word_value(factors, key, split)) for key, c in x.terms.items()]
         want = sum(c * v for c, (v, _) in terms)
@@ -507,8 +498,8 @@ def test_pairing_gram_diagonal(params):
 @pytest.mark.parametrize("q", [1.3, 0.7 + 0.2j, 1.05, 0.6 + 0.6j])
 def test_pairing_gram_matches_recursive_evaluator(q):
     p = DeformParams(q=q)
-    want = recursive_gram(5, 5, p, 12)
-    got = pairing_gram(5, 5, p, 12)
+    want = recursive_gram(5, 5, p)
+    got = pairing_gram(5, 5, p)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
