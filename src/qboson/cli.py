@@ -22,11 +22,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import fockrep, hopfops, rmatrix, sl2bridge, symalg
-from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
-from .report import IdentityReport, dump_matrix, make_report, residual, worst
+from . import fockrep, hopfops, qscalars, rmatrix, sl2bridge, symalg
+from .qscalars import DeformParams, ParameterError
+from .report import IdentityReport, dump_matrix
 
 # The paper's verdict matrix: (fnmatch pattern on a report's "rspec-label:identity"
 # key or its bare identity, claim) rows.  A fail report must fail; an info report
@@ -47,7 +45,7 @@ CLAIMS = (
     # the Yan relation is the published candidate's claim; others report it to compare
     ("quantum_double:yan_relation_*", "info"),
     ("general_family*:yan_relation_*", "info"),
-    # the published shift constant leaves a residual, surfaced, not corrected
+    # the published shift constant misses the symmetrized relation; surfaced, not corrected
     ("inverse_realization_y", "info"),
 )
 
@@ -237,9 +235,10 @@ def _validate_config(config: SuiteConfig) -> None:
     if config.pairing_kmax < 0 or config.pairing_mmax < 0:
         raise ConfigError("pairing kmax and mmax must be >= 0")
     # the only size bounds: no check function carries a cap of its own
-    if config.dim_pair ** 2 > config.tensor_cap or config.dim_triple ** 3 > config.tensor_cap:
-        raise ConfigError(f"dims.pair ** 2 and dims.triple ** 3 exceed the tensor cap "
-                          f"caps.tensor = {config.tensor_cap}")
+    if (max(config.dim_pair, *config.rep_dims) ** 2 > config.tensor_cap
+            or max(config.dim_triple, config.axiom_dim) ** 3 > config.tensor_cap):
+        raise ConfigError(f"dims.pair ** 2, reps.dims ** 2, dims.triple ** 3 or axioms.dim ** 3 "
+                          f"exceeds the tensor cap caps.tensor = {config.tensor_cap}")
     if max(config.pairing_kmax, config.pairing_mmax) > config.degree_cap:
         raise ConfigError(f"pairing kmax and mmax exceed the degree cap "
                           f"caps.degree = {config.degree_cap}")
@@ -269,18 +268,12 @@ def parse_rspec(text: str) -> rmatrix.RSpec:
 # suite
 
 
-def _largest(name: str, p: DeformParams, dims, window: int, deviations) -> IdentityReport:
-    """The report of the largest of deviations(); a NaN deviation fails it."""
-    dev = worst(deviations())
-    return make_report(name, {"q": str(p.q)}, dims, window, dev, dev, p.tol)
-
-
 def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
-    """The suite's ordered rows (case id, callable).
+    """The suite's ordered rows (case id, callable); each check builds its
+    own reports from the window it cut.
 
     The samples are drawn here, in a fixed order, so no case depends on which
-    cases ran before it.  Rows bind their loop values with partial; the
-    functions below read only names bound once, before them.
+    cases ran before it.  Rows bind their loop values with partial.
     """
     rng, word_rng = random.Random(config.seed), random.Random(config.seed + 1)
     # only Random.random() keeps its sequence for a seed across Python versions
@@ -292,81 +285,35 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
     uv_words = [hopfops.word(*(gens[int(3 * word_rng.random())] for _ in range(4)))
                 for _ in range(6)]
     Dp, Dt, Da = config.dim_pair, config.dim_triple, config.axiom_dim
-    pinv, canonical = p.inverted(), hopfops.HopfFamily.canonical(p)
-    win_casimir = fockrep.Window(min(8, Dp - 2), guard=1)
+    canonical = hopfops.HopfFamily.canonical(p)
+    rep_pair, rep_axiom = fockrep.build_rep(Dp, 0.5, p), fockrep.build_rep(Da, 0.5, p)
 
-    def relation(D, c, rel, win):
-        nrm = fockrep.check_relation(fockrep.build_rep(D, c, p), rel, win)
-        return make_report(f"relation_{rel}", {"q": str(p.q), "c": str(c)},
-                           [D], win.max_index, nrm, nrm, p.tol)
-
-    def casimir():
-        for c in (0.5, 1.0, 0.3, 2.0 + 0.5j, -0.7):
-            rep = fockrep.build_rep(Dp, c, p)
-            want = -q_number(complex(c) - 0.5, p) * np.eye(Dp, dtype=complex)
-            yield residual(*win_casimir.cut(fockrep.casimir(rep), want))[1]
-
-    def classical():
-        nrm = fockrep.classical_limit_residual(8, 1e-6, kappa=config.kappa)
-        return make_report("classical_limit", {"eps": 1e-6}, [8], 6, nrm, nrm, 1e-5)
-
-    def axioms(fam, words):
-        return hopfops.check_hopf_axioms(fam, fockrep.build_rep(Da, 0.5, p), words)
-
-    def cross():
-        # nu * A = A nu + A ; nu * Np = Np nu ; beta * Np = Np beta + beta
-        akey, nkey, unit = (1, 0, 2), (0, 1, 0), (0, 0, 0)
-        dw_nu, dw_eps, dw_beta = (0, 1, 0), (0, 0, 0), (0, 0, 1)
-        for fname, xname, expected in (
-                ("nu", "araise", {(akey, dw_nu): 1.0, (akey, dw_eps): 1.0}),
-                ("nu", "nprime", {(nkey, dw_nu): 1.0}),
-                ("beta", "nprime", {(nkey, dw_beta): 1.0, (unit, dw_beta): 1.0})):
-            got = symalg.straighten_cross(fname, xname, p)
-            yield symalg.cross_terms_difference(got, expected, p, grid=2)
-
-    def inverse_round_trip():
-        triple = sl2bridge.realize_sl2(fockrep.build_rep(Dp, 0.5, p), 1.0)
-        matN, matA, matAdag, target = sl2bridge.inverse_realization(triple, 1.0)
-        nrm = sl2bridge.symmetrized_relation_residual(matN, matA, matAdag, target)
-        return make_report("inverse_realization_y", {"q": str(p.q), "shift": "published"},
-                           [Dp], Dp - 2, nrm, nrm, p.tol)
-
-    def largest(name, dims, window, deviations):
-        return name, partial(_largest, name, p, dims, window, deviations)
-
-    rows = [largest("qscalars_qpower_additivity", [20], 0, lambda: (
-                abs(q_power(z1 + z2, p) - q_power(z1, p) * q_power(z2, p)) for z1, z2 in pairs)),
-            largest("qscalars_qnum_inversion", [20], 0, lambda: (
-                abs(q_number(x, p) - q_number(x, pinv)) for x in points)),
-            largest("qscalars_half_index_recursion", [12], 0, lambda: (
-                abs(half_index_product(k, p)
-                    - half_index_product(k - 1, p) * q_number(k / 2.0, p)) for k in range(1, 13)))]
+    rows = [("qscalars_qpower_additivity", partial(qscalars.check_qpower_additivity, pairs, p)),
+            ("qscalars_qnum_inversion", partial(qscalars.check_qnum_inversion, points, p)),
+            ("qscalars_half_index_recursion", partial(qscalars.check_half_index_recursion, p))]
     for D, c in zip(config.rep_dims, config.rep_shifts):
-        win = fockrep.Window(min(8, D - 2), guard=1)
-        rows += [(f"relation_{rel}_c{c}", partial(relation, D, c, rel, win))
+        rep, win = fockrep.build_rep(D, c, p), fockrep.Window(min(8, D - 2), guard=1)
+        rows += [(f"relation_{rel}_c{c}", partial(fockrep.check_relation, rep, rel, win))
                  for rel in (("R2", "R3", "R4", "R5") if c == 0 else ("R1", "Ry"))]
-    rows += [largest("casimir_scalar", [Dp], win_casimir.max_index, casimir),
-             ("classical_limit", classical)]
+    rows += [("casimir_scalar", partial(fockrep.check_casimir_scalar, Dp, p)),
+             ("classical_limit", partial(fockrep.classical_limit_residual, kappa=config.kappa))]
 
     words = hopfops.default_axiom_words(config.axiom_max_word_len)
     # the canonical family may also be on the grid; each family runs once
     fams = dict.fromkeys([canonical] + [
         hopfops.HopfFamily(m=m, K=K, sign=s, params=p)
         for m, K, s in zip(config.family_m, config.family_K, config.family_signs)])
-    rows += [(f"axioms_m{fam.m}_K{fam.K}_{fam.sign}", partial(axioms, fam, words))
-             for fam in fams]
-    rows += [largest("hopf_homomorphism_random", [Da, Da], Da - 1 - 4, lambda: (
-                 hopfops.homomorphism_residuals(uv_words, fockrep.build_rep(Da, 0.5, p),
-                                                canonical, fockrep.Window(Da - 1 - 4, guard=4)))),
+    rows += [(f"axioms_m{fam.m}_K{fam.K}_{fam.sign}",
+              partial(hopfops.check_hopf_axioms, fam, rep_axiom, words)) for fam in fams]
+    rows += [("hopf_homomorphism_random",
+              partial(hopfops.check_homomorphism, uv_words, rep_axiom, canonical)),
              ("pairing_eqn", partial(symalg.pairing_check, config.pairing_kmax,
                                      config.pairing_mmax, p)),
              ("dual_bracket", partial(symalg.dual_bracket_check, p)),
              ("dual_hopf", partial(symalg.dual_hopf_check, p, deg=2)),
-             largest("cross_straighten", [2], 2, cross),
-             ("quotient_cross", lambda: symalg.quotient_cross_check(
-                 fockrep.build_rep(Dp, 0.5, p)))]
+             ("cross_straighten", partial(symalg.cross_straighten_check, p)),
+             ("quotient_cross", partial(symalg.quotient_cross_check, rep_pair))]
 
-    rep_pair = fockrep.build_rep(Dp, 0.5, p)
     triple_reps = (fockrep.build_rep(Dt, 0.5, p),) * 3
     pair_reps, win_pair = (rep_pair, rep_pair), fockrep.Window(config.window, guard=1)
     for spec in map(parse_rspec, config.rspecs):
@@ -383,15 +330,11 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
                   partial(rmatrix.check_yan_relation, spec, fam, *pair_reps, gen, win_pair))
                  for gen in ("N", "a")]
 
-    rows += [("sl2_relations", lambda: sl2bridge.check_sl2(
-                  sl2bridge.realize_sl2(fockrep.build_rep(Dp, 0.5, p), 1.0))),
-             largest("sl2_casimir_central", [Dp], Dp - 2, lambda: (
-                 sl2bridge.casimir_centrality(fockrep.build_rep(Dp, c, p)) for c in (0.5, 1.0))),
+    rows += [("sl2_relations", lambda: sl2bridge.check_sl2(sl2bridge.realize_sl2(rep_pair, 1.0))),
+             ("sl2_casimir_central", partial(sl2bridge.casimir_centrality, Dp, p)),
              ("hopf_ideal_witness", partial(sl2bridge.hopf_ideal_witness, Dt, canonical)),
-             largest("witness_consistency", [Dt], Dt - 2, lambda: (
-                 sl2bridge.witness_projection_residual(Dt, p),
-                 sl2bridge.witness_counit_leg_residual(Dt, canonical))),
-             ("inverse_realization_y", inverse_round_trip)]
+             ("witness_consistency", partial(sl2bridge.witness_consistency, Dt, canonical)),
+             ("inverse_realization_y", partial(sl2bridge.inverse_round_trip, rep_pair))]
     return rows
 
 
@@ -434,13 +377,15 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
     """Run every case of the table in order, a case that raises giving an
     error report, then apply CLAIMS to each report.
 
-    The rmatrix cases share each R, which is held for this run only.
+    The rmatrix cases share each R, and the symalg cases their coproduct
+    and transfer tables; all are keyed by q and held for this run only.
     """
     rows = _cases(config, config.params())
     try:
         reports = [rep for row in rows for rep in _run_case(*row)]
     finally:
         rmatrix.clear_caches()
+        symalg.clear_caches()
     claim_of = _claim_matcher(config.expect_fail)
     for rep in reports:  # a case that raised gave an info report already
         claim = claim_of(f"{rep.params.get('rspec', '-')}:{rep.identity}", rep.identity)
@@ -482,8 +427,9 @@ def _write(path: str | Path, text: str) -> None:
 
 
 def _parse_q(text: str, flag: str) -> complex:
+    """A q flag's value, in the configuration's complex grammar."""
     try:
-        return complex(text.replace("i", "j"))
+        return _SCALAR_PARSERS["complex"](text.strip())
     except ValueError:
         raise ConfigError(f"{flag}: {text!r} is not a complex number") from None
 
@@ -608,10 +554,7 @@ def _scan_share(config: SuiteConfig, q_values: list) -> list[tuple[str, int]]:
     out = []
     for q in q_values:
         sub = replace(config, q=q)
-        try:
-            reports = run_suite(sub)
-        finally:
-            symalg.clear_caches()  # their entries are keyed by q: none is reused
+        reports = run_suite(sub)
         out.append((emit_report(reports, None, sub.echo()), exit_code_for(reports)))
     return out
 

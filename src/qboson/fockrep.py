@@ -8,7 +8,7 @@ A :class:`Window` records the window size W together with the guard g
 test); feasibility means W + g <= D - 1 in every tensor factor.
 Window.cut takes a D x D matrix's window block, which report.residual
 compares; the two-leg checks cut theirs from pair-sector stacks
-(hopfops._mask).
+(hopfops._mask).  Each check here reports the window it cut.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qscalars import DeformParams, ParameterError, q_number, q_power
-from .report import residual
+from .report import IdentityReport, make_report, residual, worst
 
 
 class DimensionError(ValueError):
@@ -115,8 +115,8 @@ def build_rep(D: int, c: complex, p: DeformParams) -> FockRep:
 RELATIONS = ("R1", "R2", "R3", "R4", "R5", "Ry")
 
 
-def check_relation(rep: FockRep, rel: str, window: Window | None = None) -> float:
-    """Normalized windowed residual of one defining-relation variant.
+def check_relation(rep: FockRep, rel: str, window: Window | None = None) -> IdentityReport:
+    """Windowed residual of one defining-relation variant.
 
     R1: [N, a+] = a+          R2: [a, a+] = [N+1] - [N]
     R3: a a+ - q^-1 a+ a = q^N   R4: a a+ - q a+ a = q^-N
@@ -145,7 +145,8 @@ def check_relation(rep: FockRep, rel: str, window: Window | None = None) -> floa
     else:  # Ry
         lhs = a @ ad - ad @ a
         rhs = np.diag(q_number(nd + 0.5, p) - q_number(nd - 0.5, p))
-    return residual(*window.cut(lhs, rhs))[1]
+    return make_report(f"relation_{rel}", {"q": str(p.q), "c": str(rep.c)}, [rep.dim],
+                       window.max_index, *residual(*window.cut(lhs, rhs)), p.tol)
 
 
 def casimir(rep: FockRep) -> np.ndarray:
@@ -153,18 +154,27 @@ def casimir(rep: FockRep) -> np.ndarray:
     return rep.matAdag @ rep.matA - np.diag(q_number(rep.n_diag() - 0.5, rep.params))
 
 
-def classical_limit_residual(D: int, eps: float, window: Window | None = None,
-                             kappa: int = 0) -> float:
-    """Windowed residual of [a, a+] - I at q = 1 + eps, c = 0.
+def check_casimir_scalar(D: int, p: DeformParams) -> IdentityReport:
+    """casimir = -[c - 1/2] I on the window n <= min(8, D - 2), at five shifts c."""
+    win, pairs = Window(min(8, D - 2), guard=1), []
+    for c in (0.5, 1.0, 0.3, 2.0 + 0.5j, -0.7):
+        want = -q_number(complex(c) - 0.5, p) * np.eye(D, dtype=complex)
+        pairs.append(residual(*win.cut(casimir(build_rep(D, c, p)), want)))
+    raws, nrms = zip(*pairs)
+    return make_report("casimir_scalar", {"q": str(p.q)}, [D], win.max_index,
+                       worst(raws), worst(nrms), p.tol)
+
+
+def classical_limit_residual(D: int = 8, eps: float = 1e-6, kappa: int = 0) -> IdentityReport:
+    """Windowed residual of [a, a+] = I at q = 1 + eps, c = 0, with tol 1e-5.
 
     The symmetric bracket has even-order corrections in gamma, so this
     shrinks quadratically in eps (halving eps quarters the residual).
     """
     if eps == 0:
         raise ParameterError("eps must be nonzero (q = 1 is excluded)")
-    p = DeformParams(q=1.0 + eps, kappa=kappa)
-    rep = build_rep(D, 0.0, p)
-    if window is None:
-        window = Window(D - 2, guard=1)
+    rep = build_rep(D, 0.0, DeformParams(q=1.0 + eps, kappa=kappa))
+    window = Window(D - 2, guard=1)
     lhs = rep.matA @ rep.matAdag - rep.matAdag @ rep.matA
-    return residual(*window.cut(lhs, np.eye(D, dtype=complex)))[1]
+    return make_report("classical_limit", {"eps": eps}, [D], window.max_index,
+                       *residual(*window.cut(lhs, np.eye(D, dtype=complex))), 1e-5)

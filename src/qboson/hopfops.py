@@ -12,7 +12,7 @@ letter's three-leg image held as one weight per leg displacement, the
 counit and antipode sides being recursions over D x D letter images.
 closed_coproduct_letter writes the generators' two-leg stacks in closed
 form, apart from that rule, as the reference the homomorphism check
-(homomorphism_residuals) compares the gathered stacks against.  Each
+(check_homomorphism) compares the gathered stacks against.  Each
 comparison goes through report.residual: a stack's window is its entries
 under _mask, an axiom side's is its window block.
 
@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .fockrep import FockRep, Window
 from .qscalars import DeformParams, ParameterError, q_power
-from .report import IdentityReport, make_report, residual
+from .report import IdentityReport, make_report, residual, worst
 
 # a word letter is "N" | "a" | "adag" | ("qpow", s) with s the exponent in q^{sN}
 
@@ -267,21 +267,23 @@ def closed_coproduct_letter(letter, rep1: FockRep, rep2: FockRep, fam: HopfFamil
     return _pair_op((rep1.dim, rep2.dim), _DEG.get(letter, 0), entries)
 
 
-def homomorphism_residuals(words, rep: FockRep, fam: HopfFamily,
-                           window: Window) -> list[float]:
-    """Per word w, the normalized residual on the window of Delta(w), the
-    product of the letter stacks from the Sweedler table, against the product
-    of the closed letter stacks, which do not read that table: a wrong
-    Sweedler term fails it.  Each letter's two stacks are built once."""
-    dims = (rep.dim, rep.dim)
-    window.validate(*dims)
+def check_homomorphism(words, rep: FockRep, fam: HopfFamily) -> IdentityReport:
+    """The largest over words w of the residual of Delta(w), the product of
+    the letter stacks from the Sweedler table, against the product of the
+    closed letter stacks, which do not read that table: a wrong Sweedler term
+    fails it.  The window's guard is the longest word's length, and each
+    letter's two stacks are built once."""
+    dims, guard = (rep.dim, rep.dim), max(len(w.letters) for w in words)
+    W = Window(rep.dim - 1 - guard, guard=guard).max_index
     sides = (cache(lambda ltr: _coproduct_blocks(word(ltr), fam, rep, rep)),
              cache(lambda ltr: closed_coproduct_letter(ltr, rep, rep, fam)))
-    out = []
+    pairs = []
     for w in words:
-        win = _mask(dims, w.letters.count("adag") - w.letters.count("a"), window.max_index)
-        out.append(residual(*(_word_blocks(w, dims, side)[win] for side in sides))[1])
-    return out
+        win = _mask(dims, w.letters.count("adag") - w.letters.count("a"), W)
+        pairs.append(residual(*(_word_blocks(w, dims, side)[win] for side in sides)))
+    raws, nrms = zip(*pairs)
+    return make_report("hopf_homomorphism_random", {"q": str(fam.params.q)}, list(dims), W,
+                       worst(raws), worst(nrms), fam.params.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +384,7 @@ def _delta2_on_columns(w: GenWord, images, W: int, pad: int) -> tuple[np.ndarray
 
 
 def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
-                      sample: list[GenWord] | None = None,
-                      window: Window | None = None) -> list[IdentityReport]:
+                      sample: list[GenWord] | None = None) -> list[IdentityReport]:
     """Residuals of the coassociativity, counit and antipode axioms, every side
     built letter by letter from letter images made once per call: Delta_2 on the
     window columns (_delta2_on_columns), the counit sides as products of the
@@ -425,7 +426,7 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
 
     for w in sample:
         guard = max(1, len(w.letters))
-        win = window or Window(max(0, D - 1 - guard), guard=guard)
+        win = Window(max(0, D - 1 - guard), guard=guard)
         W, cut = win.max_index, (slice(0, win.max_index + 1),) * 2
         win.validate(D, D, D)
         both, lo = _delta2_on_columns(w, images, W, pad)

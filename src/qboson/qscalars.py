@@ -1,5 +1,6 @@
 """Complex q-arithmetic: symmetric q-numbers, q-factorials, half-index
-products and branch-consistent complex powers of q.
+products and branch-consistent complex powers of q, and the three
+identities the suite checks them by.
 
 Every power of q in this package is exp(z * gamma) for one fixed
 gamma = Log(q) (principal branch), recorded in :class:`DeformParams`.
@@ -14,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .report import IdentityReport, make_report, worst
 
 #: largest n probed by the root-of-unity exclusion check
 _ROOT_OF_UNITY_PROBE = 64
@@ -127,3 +130,32 @@ def half_index_product(k: int, p: DeformParams) -> complex:
     for j in range(1, k + 1):
         out *= q_number(j / 2.0, p)
     return out
+
+
+# ---------------------------------------------------------------------------
+# scalar identities: each report is the largest deviation over its inputs
+
+
+def _report(name: str, p: DeformParams, deviations: list) -> IdentityReport:
+    dev = worst(deviations)
+    return make_report(name, {"q": str(p.q)}, [len(deviations)], 0, dev, dev, p.tol)
+
+
+def check_qpower_additivity(pairs, p: DeformParams) -> IdentityReport:
+    """q**(z1 + z2) = q**z1 q**z2 at each pair (z1, z2)."""
+    return _report("qscalars_qpower_additivity", p, [
+        abs(q_power(z1 + z2, p) - q_power(z1, p) * q_power(z2, p)) for z1, z2 in pairs])
+
+
+def check_qnum_inversion(points, p: DeformParams) -> IdentityReport:
+    """[x] is the same at q and at 1/q, at each point x."""
+    pinv = p.inverted()
+    return _report("qscalars_qnum_inversion", p, [
+        abs(q_number(x, p) - q_number(x, pinv)) for x in points])
+
+
+def check_half_index_recursion(p: DeformParams) -> IdentityReport:
+    """prod_{j<=k} [j/2] = prod_{j<k} [j/2] [k/2] for k = 1..12."""
+    return _report("qscalars_half_index_recursion", p, [
+        abs(half_index_product(k, p) - half_index_product(k - 1, p) * q_number(k / 2.0, p))
+        for k in range(1, 13)])

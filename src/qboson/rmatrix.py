@@ -228,12 +228,6 @@ def check_intertwiner(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep
                            win.max_index)
 
 
-def _triple_window(dims: tuple[int, int, int], window: Window | None) -> Window:
-    wmax = (min(dims) - 1) // 2  # the middle factor rises by up to W
-    (window := window or Window(wmax, guard=wmax)).validate(*dims)
-    return window
-
-
 @functools.cache
 def _triple_layout(dims: tuple[int, int, int], wmax: int) -> tuple:
     """The triple sectors n1 + n2 + n3 <= 3 wmax, independent of q.  R_ab raises
@@ -295,11 +289,10 @@ def _r_chains(spec: RSpec, reps: tuple[FockRep, FockRep, FockRep], wmax: int, *c
     return rows, cols, [product(chain) for chain in chains]
 
 
-def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep,
-                      window: Window | None = None) -> IdentityReport:
+def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep) -> IdentityReport:
     """R12 R13 R23 = R23 R13 R12 on the windowed triple tensor, per sector."""
     p, dims = rep1.params, (rep1.dim, rep2.dim, rep3.dim)
-    W = _triple_window(dims, window).max_index
+    W = (min(dims) - 1) // 2  # the middle factor rises by up to W
     _, _, sides = _r_chains(spec, (rep1, rep2, rep3), W, (0, 1, 2), (2, 1, 0))
     return make_report("yang_baxter", _echo(spec, p), list(dims), W,
                        *residual(*sides, floor=1e-300), p.tol)
@@ -318,14 +311,14 @@ def _ladder(gen: str, s: float, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
 
 
 def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                 rep3: FockRep, window: Window | None = None) -> list[IdentityReport]:
+                 rep3: FockRep) -> list[IdentityReport]:
     """(Delta (x) I)R = R13 R23 and (I (x) Delta)R = R13 R12, per sector.
 
     Delta acts on the explicit series summands, its ladder powers _ladder
     stacks; the series side gathers each sector-block entry at
     k = n3(col) - n3(row) on the left, n1(row) - n1(col) on the right."""
     p, reps, dims = fam.params, (rep1, rep2, rep3), (rep1.dim, rep2.dim, rep3.dim)
-    W = _triple_window(dims, window).max_index
+    W = (min(dims) - 1) // 2  # the middle factor rises by up to W
     (n1, n2, n3), (m1, m2, m3), (left, right) = _r_chains(spec, reps, W, (1, 2), (1, 0))
     series, (N1, N2, N3) = _series(spec, p), (x.n_diag() for x in reps)
     *_, (row12, col12, row23, col23) = _triple_layout(dims, W)

@@ -17,7 +17,7 @@ from .fockrep import FockRep, Window, build_rep, casimir
 from .hopfops import (HopfFamily, _coproduct_blocks, _mask, _pair_op, _shift, _unit, counit_leg,
                       qpow, rep_word, word)
 from .qscalars import DeformParams, ParameterError, q_number, q_power
-from .report import IdentityReport, frobenius, make_report, residual, worst
+from .report import IdentityReport, make_report, residual, worst
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,11 @@ def realize_sl2(rep: FockRep, lam: complex) -> Sl2Triple:
     return Sl2Triple(h=h, e=e, f=f, base_params=base)
 
 
-def check_sl2(triple: Sl2Triple, window: Window | None = None) -> IdentityReport:
+def check_sl2(triple: Sl2Triple) -> IdentityReport:
     """Max windowed residual of [h,e] = 2e, [h,f] = -2f, [e,f] = [h] at the base."""
     pb = triple.base_params
     D = triple.h.shape[0]
-    win = window or Window(D - 2, guard=1)
+    win = Window(D - 2, guard=1)
     h, e, f = triple.h, triple.e, triple.f
     bracket_h = np.diag(q_number(np.diag(h), pb))  # h is diagonal in the Fock basis
     raws, nrms = zip(*(residual(*win.cut(lhs, rhs))
@@ -90,27 +90,33 @@ def inverse_realization(triple: Sl2Triple, mu: complex,
     return matN, matA, matAdag, target
 
 
-def symmetrized_relation_residual(matN: np.ndarray, matA: np.ndarray,
-                                  matAdag: np.ndarray, p: DeformParams,
-                                  window: Window | None = None) -> float:
-    """Windowed residual of [a, a+] = [N + 1/2] - [N - 1/2] at base p.q."""
-    D = matN.shape[0]
-    win = window or Window(D - 2, guard=1)
-    nd = np.diag(matN)
+def inverse_round_trip(rep: FockRep) -> IdentityReport:
+    """[a, a+] = [N + 1/2] - [N - 1/2] on the window n <= D - 2, for the boson
+    matrices that inverse_realization recovers with the published shift from
+    realize_sl2(rep, 1), at the base they target (it leaves a residual)."""
+    matN, matA, matAdag, target = inverse_realization(realize_sl2(rep, 1.0), 1.0)
+    nd, win = np.diag(matN), Window(rep.dim - 2, guard=1)
     lhs = matA @ matAdag - matAdag @ matA
-    rhs = np.diag(q_number(nd + 0.5, p) - q_number(nd - 0.5, p))
-    return residual(*win.cut(lhs, rhs))[1]
+    rhs = np.diag(q_number(nd + 0.5, target) - q_number(nd - 0.5, target))
+    return make_report("inverse_realization_y", {"q": str(rep.params.q), "shift": "published"},
+                       [rep.dim], win.max_index, *residual(*win.cut(lhs, rhs)), rep.params.tol)
 
 
-def casimir_centrality(rep: FockRep, window: Window | None = None) -> float:
-    """Max windowed residual of [C, x] for x in {N, a, adag}."""
-    D = rep.dim
-    win = window or Window(D - 2, guard=1)
-    C = casimir(rep)
-    return worst(residual(*win.cut(C @ x, x @ C))[1] for x in (rep.matN, rep.matA, rep.matAdag))
+def casimir_centrality(D: int, p: DeformParams) -> IdentityReport:
+    """Max windowed residual of [C, x] for x in {N, a, adag}, at the shifts
+    c = 1/2 and 1."""
+    win = Window(D - 2, guard=1)
+    pairs = []
+    for c in (0.5, 1.0):
+        rep = build_rep(D, c, p)
+        C = casimir(rep)
+        pairs += [residual(*win.cut(C @ x, x @ C)) for x in (rep.matN, rep.matA, rep.matAdag)]
+    raws, nrms = zip(*pairs)
+    return make_report("sl2_casimir_central", {"q": str(p.q)}, [D], win.max_index,
+                       worst(raws), worst(nrms), p.tol)
 
 
-def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None) -> IdentityReport:
+def hopf_ideal_witness(D: int, fam: HopfFamily) -> IdentityReport:
     """Norm of (pi (x) pi) Delta(C) in the representation that kills C.
 
     With c = 1/2 the Casimir represents to zero, so everything inside
@@ -124,7 +130,7 @@ def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None) ->
     p = fam.params
     rep = build_rep(D, 0.5, p)
     n = rep.n_diag()
-    (win := window or Window(min(3, D - 2), guard=1)).validate(D, D)
+    (win := Window(min(3, D - 2), guard=1)).validate(D, D)
     dad = _coproduct_blocks(word("adag"), fam, rep, rep)
     da = _coproduct_blocks(word("a"), fam, rep, rep)
     rhs = _pair_op((D, D), 0, lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc)
@@ -135,23 +141,22 @@ def hopf_ideal_witness(D: int, fam: HopfFamily, window: Window | None = None) ->
                        win.max_index, raw, nrm, p.tol)
 
 
-def witness_projection_residual(D: int, p: DeformParams) -> float:
-    """||pi(C)||_F in the c = 1/2 representation (must vanish)."""
-    return frobenius(casimir(build_rep(D, 0.5, p)))
+def witness_consistency(D: int, fam: HopfFamily) -> IdentityReport:
+    """The witness's two premises on the whole D x D matrices, in the c = 1/2
+    representation: pi(C) = 0, and (eps (x) id) Delta(C) represents like C.
 
-
-def witness_counit_leg_residual(D: int, fam: HopfFamily) -> float:
-    """Consistency of the counit leg: (eps (x) id) Delta(C) represents like C.
-
-    The raising/lowering parts contract through the explicit Sweedler
-    sums (hopfops.counit_leg, as in the counit axioms); the bracket part
-    goes through the exponentials of Delta(N), whose counit legs collapse
-    exactly.
+    The counit leg's raising/lowering parts contract through the explicit
+    Sweedler sums (hopfops.counit_leg, as in the counit axioms); the
+    bracket part goes through the exponentials of Delta(N), whose counit
+    legs collapse exactly.
     """
     p = fam.params
     rep = build_rep(D, 0.5, p)
     eps_contract = lambda letter: counit_leg(letter, fam, lambda v: rep_word(v, rep, p), True)
     bracket = (eps_contract(qpow(1.0)) * q_power(-0.5, p)
                - eps_contract(qpow(-1.0)) * q_power(0.5, p)) / (p.q - 1.0 / p.q)
-    got = eps_contract("adag") @ eps_contract("a") - bracket
-    return frobenius(got - casimir(rep))
+    C = casimir(rep)
+    raws, nrms = zip(residual(C, np.zeros_like(C)),
+                     residual(eps_contract("adag") @ eps_contract("a") - bracket, C))
+    return make_report("witness_consistency", {"q": str(p.q)}, [D], D - 1,
+                       worst(raws), worst(nrms), p.tol)

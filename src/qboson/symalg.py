@@ -537,29 +537,14 @@ def _coproduct3(x: PlusElement, p: DeformParams) -> dict:
     return out
 
 
-DUAL_WORD_GENS = {EPS: (0, 0, 0), NU: (0, 1, 0), BETA: (0, 0, 1)}
-
-
-def _dual_word_key(f: tuple) -> tuple:
-    """Encode an atomic dual leg as (2c, nu-power, beta-power) of q^{c nu} nu^a beta^b."""
-    if f[0] == "qnu":
-        return (round(2 * f[1]), 0, 0)
-    return DUAL_WORD_GENS[f]
-
-
-def dual_word_factors(dword: tuple) -> tuple:
-    two_c, npow, bpow = dword
-    return (qnu(two_c / 2.0),) * bool(two_c) + (NU,) * npow + (BETA,) * bpow
-
-
 def straighten_cross(fname: str, xname: str, p: DeformParams) -> dict:
     """Normal-order the cross product (dual generator) * (algebra generator).
 
-    Returns a dict keyed by (primal basis key, dual word key) mapping to
-    coefficients, representing sum_i x_i * f_i in the double.  The dual
-    word keys encode q**(c nu) nu^a beta^b; for the pair (beta, A) the
-    q**(+-nu/2)-dressed legs leave the polynomial dual basis and are
-    returned in this dressed form.
+    Returns a dict keyed by (primal basis key, atomic dual functional)
+    mapping to coefficients, representing sum_i x_i * f_i in the double:
+    each dual part is a single atomic leg.  For the pair (beta, A) the
+    legs q**(+-nu/2) leave the polynomial dual basis and are returned as
+    those functionals.
     """
     x = {"nprime": PlusElement.n_prime(), "araise": PlusElement.a_dressed()}[xname]
     legs3 = _coproduct3(x, p)
@@ -573,7 +558,7 @@ def straighten_cross(fname: str, xname: str, p: DeformParams) -> dict:
             v1 = sum(ci * eval_atomic(fi, x1, p) for ci, fi in _s0_inv_atomic(f1, p))
             if v1 == 0:
                 continue
-            key = (x2, _dual_word_key(f2))
+            key = (x2, f2)
             out[key] = out.get(key, 0.0) + cx * cf * v1 * v3
     return {key: c for key, c in out.items() if abs(c) > 0.0}
 
@@ -585,24 +570,36 @@ def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
     Terms are grouped by primal key and the dual parts compared by
     evaluating on all tie basis elements up to the grid degree.
     """
-    duals: dict = {}  # primal key -> {dual word key: coefficient}
+    duals: dict = {}  # primal key -> {atomic functional: coefficient}
     for sign, terms in ((1.0, lhs), (-1.0, rhs)):
-        for (xk, dw), c in terms.items():
+        for (xk, f), c in terms.items():
             group = duals.setdefault(xk, {})
-            group[dw] = group.get(dw, 0.0) + sign * c
-    dwords = list(dict.fromkeys(dw for terms in duals.values() for dw in terms))
+            group[f] = group.get(f, 0.0) + sign * c
+    functionals = list(dict.fromkeys(f for terms in duals.values() for f in terms))
     keys = [(l, n, 2 * l) for l in range(grid + 1) for n in range(grid + 1)]
-    table = dict(zip(dwords, _word_table([dual_word_factors(dw) for dw in dwords],
-                                         keys, p)))
-    return worst(float(np.abs(sum(c * table[dw] for dw, c in terms.items())).max())
+    table = dict(zip(functionals, _word_table([(f,) for f in functionals], keys, p)))
+    return worst(float(np.abs(sum(c * table[f] for f, c in terms.items())).max())
                  for terms in duals.values())
+
+
+def cross_straighten_check(p: DeformParams) -> IdentityReport:
+    """Three cross relations of the double, straightened and compared with
+    their closed forms on the tie basis up to degree 2:
+    nu * A = A nu + A, nu * Np = Np nu, beta * Np = Np beta + beta."""
+    akey, nkey, unit = (1, 0, 2), (0, 1, 0), (0, 0, 0)
+    dev = worst(cross_terms_difference(straighten_cross(fname, xname, p), expected, p, grid=2)
+                for fname, xname, expected in (
+                    ("nu", "araise", {(akey, NU): 1.0, (akey, EPS): 1.0}),
+                    ("nu", "nprime", {(nkey, NU): 1.0}),
+                    ("beta", "nprime", {(nkey, BETA): 1.0, (unit, BETA): 1.0})))
+    return make_report("cross_straighten", {"q": str(p.q)}, [2], 2, dev, dev, p.tol)
 
 
 # ---------------------------------------------------------------------------
 # representation bridge
 
 
-def quotient_cross_check(rep: FockRep, window: Window | None = None) -> IdentityReport:
+def quotient_cross_check(rep: FockRep) -> IdentityReport:
     """Cross relations of the double under nu -> N, beta -> a.
 
     With nu = N the mixed bracket reduces to the symmetrized defining
@@ -612,7 +609,7 @@ def quotient_cross_check(rep: FockRep, window: Window | None = None) -> Identity
         raise ParameterError("quotient identification requires c = 1/2")
     p = rep.params
     D = rep.dim
-    win = window or Window(D - 2, guard=1)
+    win = Window(D - 2, guard=1)
     N, a, ad = rep.matN, rep.matA, rep.matAdag
     nd = rep.n_diag()
     # [N, nu] = 0 holds by definition under nu -> N, so it is not checked

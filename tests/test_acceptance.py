@@ -13,7 +13,7 @@ from qboson.rmatrix import (RSpec, build_r, check_antipode_inverse, check_counit
                             check_fusion, check_intertwiner, check_yan_relation,
                             check_yang_baxter, family_for)
 from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
-                              realize_sl2, witness_projection_residual)
+                              realize_sl2, witness_consistency)
 from qboson.symalg import dual_bracket_check, pairing_check
 from test_hopfops import coproduct_op, opposite_coproduct_op
 from test_fockrep import window_block, window_indices
@@ -35,10 +35,10 @@ def test_criterion_1_defining_relation_equivalence():
         win = Window(8, guard=1)
         rep0 = build_rep(12, 0.0, p)
         for rel in ("R2", "R3", "R4", "R5"):
-            worst = max(worst, check_relation(rep0, rel, win))
+            worst = max(worst, check_relation(rep0, rel, win).normalized_residual)
         rep5 = build_rep(12, 0.5, p)
         for rel in ("R1", "Ry"):
-            worst = max(worst, check_relation(rep5, rel, win))
+            worst = max(worst, check_relation(rep5, rel, win).normalized_residual)
     criterion(1, f"defining-relation equivalence (worst {worst:.2e} <= 1e-12)",
               worst <= 1e-12)
 
@@ -143,17 +143,17 @@ def test_criterion_8_sl2_bridge():
         cas = max(cas, float(np.linalg.norm(casimir(rep) - want)))
     fam = HopfFamily.canonical(p)
     wit = hopf_ideal_witness(8, fam).normalized_residual
-    proj = witness_projection_residual(8, p)
-    central = max(casimir_centrality(build_rep(12, c, p)) for c in (0.5, 1.0))
+    proj = witness_consistency(8, fam).normalized_residual
+    central = casimir_centrality(12, p).normalized_residual
     ok = (sl_res <= 1e-12 and cas <= 1e-12 and wit > 100 * p.tol
           and proj <= 1e-12 and central <= 1e-12)
     criterion(8, f"sl(2) bridge (relations {sl_res:.1e}, Casimir {cas:.1e} <= 1e-12; "
-                 f"witness {wit:.2e} > 1e-7 with pi(C) = {proj:.1e})", ok)
+                 f"witness {wit:.2e} > 1e-7 with its premises at {proj:.1e})", ok)
 
 
 def test_criterion_9_classical_limit():
-    res = classical_limit_residual(8, 1e-6)
-    half = classical_limit_residual(8, 5e-7)
+    res = classical_limit_residual(8, 1e-6).normalized_residual
+    half = classical_limit_residual(8, 5e-7).normalized_residual
     ratio = half / res
     # "halving eps halves the residual within 20%" is read one-sidedly:
     # the residual must drop at least to 0.6x.  The literal two-sided band

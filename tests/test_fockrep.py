@@ -88,25 +88,25 @@ def test_matrices_are_frozen():
 @pytest.mark.parametrize("rel", ["R2", "R3", "R4", "R5"])
 def test_fock_preset_satisfies_all_variants(params, rel):
     rep = build_rep(12, 0.0, params)
-    assert check_relation(rep, rel, Window(8, guard=1)) <= 1e-12
+    assert check_relation(rep, rel, Window(8, guard=1)).normalized_residual <= 1e-12
 
 
 @pytest.mark.parametrize("rel", ["R1", "Ry"])
 def test_half_shift_satisfies_symmetrized(params, rel):
     rep = build_rep(12, 0.5, params)
-    assert check_relation(rep, rel, Window(8, guard=1)) <= 1e-12
+    assert check_relation(rep, rel, Window(8, guard=1)).normalized_residual <= 1e-12
 
 
 def test_generalized_rep_fails_r5(params_real):
     # a+ a = [N - 1/2] - [c - 1/2] differs from [N] once c != 1/2
     rep = build_rep(12, 1.0, params_real)
-    assert check_relation(rep, "R5") > 1e-3
+    assert check_relation(rep, "R5").normalized_residual > 1e-3
 
 
 def test_relation_r1_any_shift(params):
     for c in (0.0, 0.5, 1.0, 0.3 + 0.1j):
         rep = build_rep(10, c, params)
-        assert check_relation(rep, "R1") <= 1e-12
+        assert check_relation(rep, "R1").normalized_residual <= 1e-12
 
 
 def test_check_relation_rejects_unknown(params_real):
@@ -126,23 +126,25 @@ def test_casimir_scalar(params):
 
 
 def test_classical_limit_absolute():
-    assert classical_limit_residual(8, 1e-3) < 1e-2
-    assert classical_limit_residual(8, 1e-6) < 1e-5
+    assert classical_limit_residual(8, 1e-3).normalized_residual < 1e-2
+    report = classical_limit_residual()  # the suite's case: D = 8, eps = 1e-6
+    assert (report.dims, report.window, report.params) == ([8], 6, {"eps": 1e-6})
+    assert report.normalized_residual < 1e-5 and report.verdict == "pass"
 
 
 def test_classical_limit_rate_is_quadratic():
     # frozen from the halving oracle: the symmetric bracket has even-order
     # corrections, so halving eps quarters the residual
-    r1 = classical_limit_residual(8, 1e-3)
-    r2 = classical_limit_residual(8, 5e-4)
+    r1, r2, r3 = (classical_limit_residual(8, eps).normalized_residual
+                  for eps in (1e-3, 5e-4, 2.5e-4))
     assert 0.2 < r2 / r1 < 0.3
-    r3 = classical_limit_residual(8, 2.5e-4)
     assert 0.2 < r3 / r2 < 0.3
 
 
 def test_classical_limit_d2_window_is_exact():
     # the only windowed entry is [1] - 1 = 0
-    assert classical_limit_residual(2, 1e-3, Window(0, guard=1)) <= 1e-15
+    report = classical_limit_residual(2, 1e-3)
+    assert report.window == 0 and report.normalized_residual <= 1e-15
 
 
 def test_classical_limit_rejects_zero_eps():

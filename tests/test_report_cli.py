@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qboson import DeformParams, cli, hopfops, rmatrix, symalg
+from qboson import DeformParams, build_rep, cli, hopfops, rmatrix, symalg
 from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
+from qboson.qscalars import check_qnum_inversion
 from qboson.report import (IdentityReport, dump_matrix, frobenius, load_matrix, make_report,
-                           residual, verdict_of)
+                           residual, verdict_of, worst)
 
 FAST_CONFIG = """
 # desk-scale smoke configuration
@@ -340,15 +341,40 @@ def test_exit_code_errored_case():
     assert exit_code_for([ok, crashed]) == 1
 
 
-def test_largest_fails_on_nan():
+def test_worst_fails_on_nan():
     # a NaN deviation is the largest, wherever it falls among the samples
-    p = DeformParams(q=1.3)
     for devs in ([math.nan, 1e-12], [1e-12, math.nan], [math.nan]):
-        rep = cli._largest("x", p, [1], 0, lambda: iter(devs))
-        assert rep.verdict == "fail" and math.isnan(rep.raw_residual), devs
-    rep = cli._largest("x", p, [1], 0, lambda: [1e-12, 0.0])
-    assert (rep.verdict, rep.raw_residual) == ("pass", 1e-12)
-    assert cli._largest("x", p, [1], 0, lambda: []).raw_residual == 0.0
+        assert math.isnan(worst(iter(devs))), devs
+    assert worst([1e-12, 0.0]) == 1e-12
+    assert worst([]) == 0.0
+    # so a check that reports the largest deviation fails on a NaN sample
+    p = DeformParams(q=1.3)
+    rep = check_qnum_inversion([1.0, math.nan, 2.0], p)
+    assert rep.verdict == "fail" and math.isnan(rep.raw_residual)
+    assert check_qnum_inversion([1.0, 2.0], p).verdict == "pass"
+
+
+def _case_report(config, case_id):
+    rows = dict(_cases(config, config.params()))
+    [report] = _run_case(case_id, rows[case_id])
+    return report
+
+
+def test_relation_case_reports_the_residual_pair(fast_config):
+    # raw is ||lhs - rhs||_F on the window, the normalized residual times
+    # max(1, ||rhs||_F), not a copy of the normalized value
+    report = _case_report(fast_config, "relation_R1_c(0.5+0j)")
+    D, p = fast_config.rep_dims[1], fast_config.params()
+    rhs = build_rep(D, 0.5, p).matAdag[:report.window + 1, :report.window + 1]
+    assert report.normalized_residual > 0 and frobenius(rhs) > 1
+    assert report.raw_residual == pytest.approx(report.normalized_residual * frobenius(rhs),
+                                                rel=1e-12, abs=0)
+
+
+def test_witness_consistency_reports_the_whole_matrix(fast_config):
+    # both premises are measured on the whole D x D matrices
+    report = _case_report(fast_config, "witness_consistency")
+    assert (report.dims, report.window) == ([fast_config.dim_triple], fast_config.dim_triple - 1)
 
 
 def test_expected_for_patterns():
@@ -479,6 +505,33 @@ def test_cli_q_values_validated_up_front(capsys):
     assert_config_error(["--q", "x", "verify"], capsys)
 
 
+def test_cli_q_flags_read_the_config_grammar(tmp_path, capsys):
+    # --q and --q-list values parse as a config's q does, so a non-finite one
+    # gives the config's message
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("q = Infinity\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "verify"]) == 2
+    want = capsys.readouterr().err
+    assert want == "error: q must be finite (q = (inf+0j))\n"
+    for argv in (["--q", "Infinity", "verify"], ["scan", "--q-list", "1.3, Infinity"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == want, argv
+
+
+def test_parse_config_tensor_cap_bounds_every_dimension(tmp_path):
+    # reps.dims entries are bounded by their square, axioms.dim by its cube
+    path = tmp_path / "c.cfg"
+    for lines, ok in (("reps.dims = [256, 256]", True), ("reps.dims = [12, 257]", False),
+                      ("axioms.dim = 40", True), ("axioms.dim = 41", False),
+                      ("caps.tensor = 1000\naxioms.dim = 11", False)):
+        path.write_text(f"q = 1.3\n{lines}\n")
+        if ok:
+            parse_config(path)
+        else:
+            with pytest.raises(ConfigError, match="caps.tensor"):
+                parse_config(path)
+
+
 def test_cli_negative_window_is_config_error(capsys):
     assert_config_error(["--window", "-1", "verify"], capsys)
 
@@ -506,7 +559,8 @@ def test_parse_config_degree_cap_violation(tmp_path, line):
 
 
 @pytest.mark.parametrize("line", ["pairing.kmax = 9", "caps.degree = -1", "dims.triple = 1",
-                                  "axioms.max_word_len = 0", "axioms.max_word_len = -1"])
+                                  "axioms.max_word_len = 0", "axioms.max_word_len = -1",
+                                  "reps.dims = [300, 300]", "axioms.dim = 41"])
 def test_cli_size_errors_exit_2_before_any_case(tmp_path, monkeypatch, capsys, line):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")  # would print 'runtime error:'
@@ -695,14 +749,20 @@ def _symalg_cache_sizes():
 
 def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
     # the caches are keyed by q; a scan must not carry one point's entries
-    # into the next
-    seen = []
+    # into the next: each suite run starts with them empty and clears them
+    # when it ends, as it clears rmatrix's held R
+    starts, ends = [], []
+    clear, suite = symalg.clear_caches, run_suite
+
+    def traced_clear():
+        ends.append(_symalg_cache_sizes())
+        clear()
 
     def traced_run_suite(config):
-        reports = run_suite(config)
-        seen.append(_symalg_cache_sizes())
-        return reports
+        starts.append(_symalg_cache_sizes())
+        return suite(config)
 
+    monkeypatch.setattr(symalg, "clear_caches", traced_clear)
     monkeypatch.setattr(cli, "run_suite", traced_run_suite)
     # a forked child's cache sizes cannot be seen here: run every point in
     # this process
@@ -711,16 +771,17 @@ def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
     def scan(values):
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(FAST_CONFIG + f"scan.q_values = [{values}]\n", encoding="utf-8")
-        symalg.clear_caches()
-        seen.clear()
+        clear()
+        starts.clear()
+        ends.clear()
         assert main(["--config", str(cfg), "--out", str(tmp_path / "s.json"), "scan"]) == 0
-        return list(seen), _symalg_cache_sizes()
+        return list(starts), list(ends), _symalg_cache_sizes()
 
-    (one_point,), after_one = scan("1.4")
-    (_, last_point), after_two = scan("1.2, 1.4")
+    (_, (one_point,), after_one) = scan("1.4")
+    (started, (_, last_point), after_two) = scan("1.2, 1.4")
     assert all(size > 0 for size in one_point)
     assert last_point == one_point
-    assert all(two <= one for two, one in zip(after_two, after_one))
+    assert started == [(0, 0, 0)] * 2 and after_one == after_two == (0, 0, 0)
 
 
 def test_run_suite_builds_each_r_once(fast_config, monkeypatch):

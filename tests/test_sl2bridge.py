@@ -3,13 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qboson import DeformParams, ParameterError, Window, build_rep, q_number
+from qboson import DeformParams, ParameterError, Window, build_rep, q_number, sl2bridge
 from qboson.hopfops import HopfFamily, word
-from qboson.sl2bridge import (casimir_centrality, check_sl2,
-                              hopf_ideal_witness, inverse_realization,
-                              realize_sl2, symmetrized_relation_residual,
-                              witness_counit_leg_residual,
-                              witness_projection_residual)
+from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
+                              inverse_realization, inverse_round_trip, realize_sl2,
+                              witness_consistency)
+from qboson.report import residual
 from test_hopfops import coproduct_op
 from test_fockrep import windowed_residual
 
@@ -45,6 +44,14 @@ def test_sl2_relations_any_generalized_shift(params_real):
     assert check_sl2(realize_sl2(rep, 1.0)).normalized_residual <= 1e-12
 
 
+def symmetrized_residual(matN, matA, matAdag, p):
+    """report.residual of [a, a+] = [N + 1/2] - [N - 1/2] at base p.q on the
+    window n <= D - 2."""
+    cut, nd = (slice(0, matN.shape[0] - 1),) * 2, np.diag(matN)
+    rhs = np.diag(q_number(nd + 0.5, p) - q_number(nd - 0.5, p))
+    return residual((matA @ matAdag - matAdag @ matA)[cut], rhs[cut])
+
+
 def test_inverse_round_trip_matched_shift(params):
     # realize at base sqrt(q) from a rep at q, invert with the matched
     # constant: the symmetrized relation at base q is recovered exactly
@@ -52,7 +59,7 @@ def test_inverse_round_trip_matched_shift(params):
     triple = realize_sl2(rep, 2.0)
     matN, matA, matAdag, target = inverse_realization(triple, 1.5, shift="matched")
     assert target.q == pytest.approx(complex(params.q))
-    assert symmetrized_relation_residual(matN, matA, matAdag, target) <= 1e-12
+    assert symmetrized_residual(matN, matA, matAdag, target)[1] <= 1e-12
     # and the recovered number operator is the original one
     assert np.abs(matN - rep.matN).max() <= 1e-12
 
@@ -61,10 +68,13 @@ def test_inverse_published_shift_leaves_residual(params):
     # the printed quarter constant does not satisfy the target relation;
     # the residual is surfaced, not silently corrected
     rep = build_rep(12, 0.5, params)
+    report = inverse_round_trip(rep)
+    assert report.normalized_residual > 0.1
+    assert (report.dims, report.window, report.params["shift"]) == ([12], 10, "published")
+    # it is report.residual's pair on the window n <= 10, at the target base
     triple = realize_sl2(rep, 1.0)
-    matN, matA, matAdag, target = inverse_realization(triple, 1.0, shift="published")
-    res = symmetrized_relation_residual(matN, matA, matAdag, target)
-    assert res > 0.1
+    pair = symmetrized_residual(*inverse_realization(triple, 1.0))
+    assert (report.raw_residual, report.normalized_residual) == pair
     with pytest.raises(ParameterError):
         inverse_realization(triple, 0.0)
     with pytest.raises(ParameterError):
@@ -81,9 +91,9 @@ def test_inverse_preserves_grading(params):
 
 
 def test_casimir_centrality(params):
-    for c in (0.5, 1.0):
-        rep = build_rep(12, c, params)
-        assert casimir_centrality(rep) <= 1e-12
+    report = casimir_centrality(12, params)
+    assert report.normalized_residual <= 1e-12
+    assert (report.dims, report.window) == ([12], 10)
 
 
 def test_hopf_ideal_witness(params):
@@ -95,15 +105,14 @@ def test_hopf_ideal_witness(params):
 
 def test_witness_stable_across_truncations(params_real):
     fam = HopfFamily.canonical(params_real)
-    values = [hopf_ideal_witness(D, fam, window=Window(3, guard=1)).raw_residual
-              for D in (6, 8, 12)]
+    values = [hopf_ideal_witness(D, fam).raw_residual for D in (6, 8, 12)]
     assert max(values) <= 2 * min(values)
 
 
 def test_witness_consistency_legs(params):
     fam = HopfFamily.canonical(params)
-    assert witness_projection_residual(8, params) <= 1e-12
-    assert witness_counit_leg_residual(8, fam) <= 1e-12
+    report = witness_consistency(8, fam)
+    assert report.normalized_residual <= 1e-12 and report.raw_residual <= 1e-12
 
 
 def test_witness_near_classical_diverges():
@@ -144,8 +153,14 @@ def test_check_sl2_fails_on_a_nan_bracket():
     assert np.isnan(rpt.normalized_residual) and rpt.verdict == "fail"
 
 
-def test_casimir_centrality_keeps_a_nan():
-    rep = build_rep(8, 0.5, DeformParams(q=1.3))
-    a = rep.matA.copy()
-    a[0, 1] = np.nan
-    assert np.isnan(casimir_centrality(replace(rep, matA=a)))
+def test_casimir_centrality_keeps_a_nan(monkeypatch):
+    def with_nan(D, c, p):
+        rep = build_rep(D, c, p)
+        a = rep.matA.copy()
+        if c == 1.0:  # the second of the two shifts
+            a[0, 1] = np.nan
+        return replace(rep, matA=a)
+
+    monkeypatch.setattr(sl2bridge, "build_rep", with_nan)
+    report = casimir_centrality(8, DeformParams(q=1.3))
+    assert np.isnan(report.normalized_residual) and report.verdict == "fail"

@@ -13,7 +13,8 @@ from qboson.report import residual
 from qboson.symalg import (BETA, EPS, NU, NU_PRIME,
                            DualElement, PlusElement, TensorPlusElement,
                            _coproduct_key, _mul_keys,
-                           antipode_sym_inv, coproduct_sym, cross_terms_difference,
+                           antipode_sym_inv, coproduct_sym, cross_straighten_check,
+                           cross_terms_difference,
                            dual_basis_factors,
                            dual_bracket_check, dual_hopf_check, eval_atomic,
                            eval_functional, eval_word, multiply, pairing_check,
@@ -529,21 +530,25 @@ def test_antipode_sym_inv_on_raising(params):
 
 def test_straighten_cross_generators(params):
     akey, nkey, unit = (1, 0, 2), (0, 1, 0), (0, 0, 0)
-    dw_nu, dw_eps, dw_beta = (0, 1, 0), (0, 0, 0), (0, 0, 1)
     cases = (
-        ("nu", "araise", {(akey, dw_nu): 1.0, (akey, dw_eps): 1.0}),   # [nu, A] = A
-        ("nu", "nprime", {(nkey, dw_nu): 1.0}),                        # [nu, Np] = 0
-        ("beta", "nprime", {(nkey, dw_beta): 1.0, (unit, dw_beta): 1.0}),  # [beta,Np]=beta
+        ("nu", "araise", {(akey, NU): 1.0, (akey, EPS): 1.0}),   # [nu, A] = A
+        ("nu", "nprime", {(nkey, NU): 1.0}),                     # [nu, Np] = 0
+        ("beta", "nprime", {(nkey, BETA): 1.0, (unit, BETA): 1.0}),  # [beta,Np]=beta
     )
     for fname, xname, expected in cases:
         got = straighten_cross(fname, xname, params)
         assert cross_terms_difference(got, expected, params) <= 1e-12, (fname, xname)
+    # the suite's case compares these three on the tie basis up to degree 2
+    report = cross_straighten_check(params)
+    assert report.verdict == "pass" and (report.dims, report.window) == ([2], 2)
 
 
 def test_straighten_beta_raising_is_dressed(params):
     # (beta, A) leaves the polynomial dual basis: q**(+-nu/2) factors appear
     got = straighten_cross("beta", "araise", params)
-    assert any(dw[0] != 0 for (_, dw) in got)
+    assert any(f[0] == "qnu" for (_, f) in got)
+    # straightening gives single atomic dual legs only
+    assert {f for (_, f) in got} <= {NU, EPS, BETA, qnu(0.5), qnu(-0.5)}
     # its content is verified in representations via the quotient check
 
 
@@ -601,7 +606,6 @@ def test_dual_hopf_fails_on_a_nan(params, monkeypatch):
 
 def test_cross_terms_difference_keeps_a_nan_group(params):
     # the first primal group cancels, the second is NaN
-    dw = (0, 1, 0)
-    lhs = {((1, 0, 2), dw): 1.0, ((0, 1, 0), dw): np.nan}
-    rhs = {((1, 0, 2), dw): 1.0}
+    lhs = {((1, 0, 2), NU): 1.0, ((0, 1, 0), NU): np.nan}
+    rhs = {((1, 0, 2), NU): 1.0}
     assert np.isnan(cross_terms_difference(lhs, rhs, params, grid=2))
