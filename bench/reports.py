@@ -11,8 +11,8 @@ from its own root with PYTHONPATH=src, on the same configurations:
 * ``--config perfbench/configs/tensor.cfg``;
 * ``--config perfbench/configs/scan.cfg --q Q`` for each of its
   ``scan.q_values`` (a scan point's report is the verify report at that q);
-* one errored configuration (axioms.dim = 2), whose ten ``axioms_*``
-  cases and ``hopf_homomorphism_random`` raise.
+* one errored configuration (axioms.dim = 2), whose nine ``axioms_*``
+  sweeps and ``hopf_homomorphism_random`` raise: 10 error reports.
 
 Every report drops ``wall_time`` and the config's ``out_report`` path.  The
 two sides' reports are aligned by (identity, params), so a report that only

@@ -36,14 +36,19 @@ splitting off f is one batched product of that vector with f's transfer
 weights, a lower-triangular (m, m') matrix per (k, t).  Vectors are
 memoized by suffix, so the words of one table share their tails.  The
 pairing table, the dual bracket and the cross straightening evaluate
-through this path; clear_caches() empties its caches.
+through this path, _word_table; clear_caches() empties its caches.
+
+The dual's Hopf structure is written once, as two tables on the atomic
+functionals: the opposite dual coproduct (_dual_coproduct) and the dual
+inverse antipode (_s0_inv_atomic).  The quantum-double straightening
+reads them, iterating the coproduct table on the first leg for three legs,
+and dual_hopf_check compares every row it reads with the primal structure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -373,41 +378,9 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
-def eval_word(factors, x: PlusElement, p: DeformParams, split: str = "left") -> complex:
-    """Evaluate the dual product f1 f2 ... fr on x via iterated coproducts.
-
-    'split' chooses the recursion side; coassociativity makes the result
-    independent of it, which the tests exercise directly.
-    """
-    if not x.terms:
-        return 0.0 + 0.0j
-    row = _word_table([factors], list(x.terms), p, split)[0]
-    return sum((c * v for c, v in zip(x.terms.values(), row)), start=0.0 + 0.0j)
-
-
-@dataclass(frozen=True)
-class DualElement:
-    """Finite combination of dual basis monomials (Np*)^m q**(-k nu/2) beta^k."""
-
-    terms: tuple  # ordered tuple of ((k, m), coeff)
-
-    @classmethod
-    def basis(cls, k: int, m: int) -> "DualElement":
-        if k < 0 or m < 0:
-            raise ParameterError("dual basis indices must be non-negative")
-        return cls((((k, m), 1.0 + 0.0j),))
-
-
 def dual_basis_factors(k: int, m: int) -> tuple:
     """Atomic factor list of (nu - i alpha/gamma)^m q**(-k nu/2) beta^k."""
     return (NU_PRIME,) * m + (qnu(-k / 2.0),) + (BETA,) * k
-
-
-def eval_functional(f: DualElement, x: PlusElement, p: DeformParams) -> complex:
-    out = 0.0 + 0.0j
-    for (k, m), c in f.terms:
-        out += c * eval_word(dual_basis_factors(k, m), x, p)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,40 +436,8 @@ def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4) -> Identit
                        [lmax + 1, nmax + 1], lmax, dev, dev, p.tol)
 
 
-def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
-    """Duality of the opposite dual coproduct and inverse antipode.
-
-    (T Delta0(f), x (x) y) = (f, y x) for f in {nu, beta}, and
-    ((S0)^{-1}(f), x) = (f, S^{-1}(x)).
-    """
-    iag = p.ialpha_over_gamma
-    ph = complex(np.exp(-1j * p.alpha / 2.0))
-    keys = [(l, n, 2 * l) for l in range(deg + 1) for n in range(deg + 1)]
-    sxs = {x: antipode_sym_inv(PlusElement({x: 1.0}), p) for x in keys}
-    yxs = {(x, y): multiply(PlusElement({y: 1.0}), PlusElement({x: 1.0}), p)
-           for x in keys for y in keys}
-    # each generator's value on each key met, computed once
-    met = set(keys).union(*(z.terms for z in (*sxs.values(), *yxs.values())))
-    nu, eps, beta, up, dn = ({key: eval_atomic(f, key, p) for key in met}
-                             for f in (NU, EPS, BETA, qnu(0.5), qnu(-0.5)))
-    ev = lambda values, z: sum((c * values[key] for key, c in z.items()), start=0j)
-    devs = []
-    for x in keys:
-        sx = sxs[x]
-        devs += [-nu[x] + 2 * iag * eps[x] - ev(nu, sx),
-                 -q_power(-0.5, p) * beta[x] - ev(beta, sx)]
-        for y in keys:
-            yx = yxs[x, y]
-            lhs_nu = nu[x] * eps[y] + eps[x] * nu[y] - iag * eps[x] * eps[y]
-            lhs_beta = ph * (beta[x] * up[y] + 1j * dn[x] * beta[y])
-            devs += [lhs_nu - ev(nu, yx), lhs_beta - ev(beta, yx)]
-    dev = worst(map(abs, devs))
-    return make_report("dual_hopf", {"deg": deg, "q": str(p.q)},
-                       [deg + 1, deg + 1], deg, dev, dev, p.tol)
-
-
 # ---------------------------------------------------------------------------
-# quantum-double straightening
+# the dual's Hopf structure: one row per atomic functional in each table
 
 
 def _s0_inv_atomic(f: tuple, p: DeformParams) -> list[tuple[complex, tuple]]:
@@ -514,17 +455,49 @@ def _s0_inv_atomic(f: tuple, p: DeformParams) -> list[tuple[complex, tuple]]:
     raise ParameterError(f"no inverse-antipode rule for {f!r}")
 
 
-def _dual_triple(fname: str, p: DeformParams) -> list[tuple[complex, tuple, tuple, tuple]]:
-    """(T Delta0)_2 of a dual generator as explicit three-leg terms."""
-    iag = p.ialpha_over_gamma
-    if fname == "nu":
-        return [(1.0, NU, EPS, EPS), (1.0, EPS, NU, EPS), (1.0, EPS, EPS, NU),
-                (-2.0 * iag, EPS, EPS, EPS)]
-    if fname == "beta":
-        em = complex(np.exp(-1j * p.alpha))
-        up, dn = qnu(0.5), qnu(-0.5)
-        return [(em, BETA, up, up), (em * 1j, dn, BETA, up), (1j, dn, dn, BETA)]
-    raise ParameterError("straightening is defined for the generators nu, beta")
+def _dual_coproduct(f: tuple, p: DeformParams) -> list[tuple[complex, tuple, tuple]]:
+    """T Delta0 on atomic dual functionals, as (coefficient, leg 1, leg 2) terms."""
+    name = f[0]
+    if name == "eps":
+        return [(1.0, EPS, EPS)]
+    if name == "nu":
+        return [(1.0, NU, EPS), (1.0, EPS, NU), (-p.ialpha_over_gamma, EPS, EPS)]
+    if name == "beta":
+        ph = complex(np.exp(-1j * p.alpha / 2.0))
+        return [(ph, BETA, qnu(0.5)), (1j * ph, qnu(-0.5), BETA)]
+    if name == "qnu":
+        return [(complex(np.exp(-1j * f[1] * p.alpha)), f, f)]
+    raise ParameterError(f"no dual coproduct rule for {f!r}")
+
+
+def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
+    """Both dual tables against the primal structure, on every row that the
+    straightening reads (eps, nu, beta, q**(+-nu/2)) and the tie keys up to
+    deg: (T Delta0(f), x (x) y) = (f, y x) and ((S0)^{-1}(f), x) = (f, S^{-1}(x)).
+    """
+    functionals = (EPS, NU, BETA, qnu(0.5), qnu(-0.5))
+    keys = [(l, n, 2 * l) for l in range(deg + 1) for n in range(deg + 1)]
+    sxs = {x: antipode_sym_inv(PlusElement({x: 1.0}), p) for x in keys}
+    yxs = {(x, y): multiply(PlusElement({y: 1.0}), PlusElement({x: 1.0}), p)
+           for x in keys for y in keys}
+    # each functional's value on each key met, computed once
+    met = set(keys).union(*(z.terms for z in (*sxs.values(), *yxs.values())))
+    val = {f: {key: eval_atomic(f, key, p) for key in met} for f in functionals}
+    ev = lambda f, z: sum((c * val[f][key] for key, c in z.items()), start=0j)
+    devs = []
+    for f in functionals:
+        s0_inv, coproduct = _s0_inv_atomic(f, p), _dual_coproduct(f, p)
+        for x in keys:
+            devs.append(sum(c * val[g][x] for c, g in s0_inv) - ev(f, sxs[x]))
+            devs += [sum(c * val[g1][x] * val[g2][y] for c, g1, g2 in coproduct)
+                     - ev(f, yxs[x, y]) for y in keys]
+    dev = worst(map(abs, devs))
+    return make_report("dual_hopf", {"deg": deg, "q": str(p.q)},
+                       [deg + 1, deg + 1], deg, dev, dev, p.tol)
+
+
+# ---------------------------------------------------------------------------
+# quantum-double straightening
 
 
 def _coproduct3(x: PlusElement, p: DeformParams) -> dict:
@@ -546,9 +519,13 @@ def straighten_cross(fname: str, xname: str, p: DeformParams) -> dict:
     legs q**(+-nu/2) leave the polynomial dual basis and are returned as
     those functionals.
     """
+    if fname not in ("nu", "beta"):
+        raise ParameterError("straightening is defined for the generators nu, beta")
     x = {"nprime": PlusElement.n_prime(), "araise": PlusElement.a_dressed()}[xname]
     legs3 = _coproduct3(x, p)
-    duals3 = _dual_triple(fname, p)
+    # (T Delta0 (x) id) T Delta0: the table applied again to the first leg
+    duals3 = [(c * c1, f1a, f1b, f2) for c, f1, f2 in _dual_coproduct((fname,), p)
+              for c1, f1a, f1b in _dual_coproduct(f1, p)]
     out: dict = {}
     for (x1, x2, x3), cx in legs3.items():
         for cf, f1, f2, f3 in duals3:
@@ -586,13 +563,14 @@ def cross_straighten_check(p: DeformParams) -> IdentityReport:
     """Three cross relations of the double, straightened and compared with
     their closed forms on the tie basis up to degree 2:
     nu * A = A nu + A, nu * Np = Np nu, beta * Np = Np beta + beta."""
-    akey, nkey, unit = (1, 0, 2), (0, 1, 0), (0, 0, 0)
-    dev = worst(cross_terms_difference(straighten_cross(fname, xname, p), expected, p, grid=2)
+    akey, nkey, unit, grid = (1, 0, 2), (0, 1, 0), (0, 0, 0), 2
+    dev = worst(cross_terms_difference(straighten_cross(fname, xname, p), expected, p, grid)
                 for fname, xname, expected in (
                     ("nu", "araise", {(akey, NU): 1.0, (akey, EPS): 1.0}),
                     ("nu", "nprime", {(nkey, NU): 1.0}),
                     ("beta", "nprime", {(nkey, BETA): 1.0, (unit, BETA): 1.0})))
-    return make_report("cross_straighten", {"q": str(p.q)}, [2], 2, dev, dev, p.tol)
+    return make_report("cross_straighten", {"q": str(p.q)}, [grid + 1, grid + 1], grid,
+                       dev, dev, p.tol)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson import symalg
 from qboson.report import residual
 from qboson.symalg import (BETA, EPS, NU, NU_PRIME,
-                           DualElement, PlusElement, TensorPlusElement,
-                           _coproduct_key, _mul_keys,
+                           PlusElement, TensorPlusElement,
+                           _coproduct_key, _mul_keys, _word_table,
                            antipode_sym_inv, coproduct_sym, cross_straighten_check,
                            cross_terms_difference,
                            dual_basis_factors,
                            dual_bracket_check, dual_hopf_check, eval_atomic,
-                           eval_functional, eval_word, multiply, pairing_check,
+                           multiply, pairing_check,
                            pairing_closed_form,
                            pairing_gram, qnu, quotient_cross_check,
                            straighten_cross)
@@ -45,6 +45,15 @@ E = PlusElement.basis
 
 def assert_elements_close(x: PlusElement, y: PlusElement, tol=1e-12):
     assert (x - y).max_abs() <= tol, f"{x} != {y}"
+
+
+def eval_word(factors, x: PlusElement, p: DeformParams, split: str = "left") -> complex:
+    """The dual word f1 ... fr on the combination x, through the one word
+    evaluator; the empty combination has no keys to read and gives zero."""
+    if not x.terms:
+        return 0.0 + 0.0j
+    row = _word_table([factors], list(x.terms), p, split)[0]
+    return sum((c * v for c, v in zip(x.terms.values(), row)), start=0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +468,16 @@ def test_eval_word_split_independence(params):
 
 def test_pairing_spot_values(params):
     gamma = params.gamma
-    f10, e10 = DualElement.basis(1, 0), PlusElement.tie_basis(1, 0)
-    got = eval_functional(f10, e10, params)
+    f10, e10 = dual_basis_factors(1, 0), PlusElement.tie_basis(1, 0)
+    got = eval_word(f10, e10, params)
     want = -1j * q_power(0.5, params) * (1 / (q_power(0.5, params) + q_power(-0.5, params)))
     assert got == pytest.approx(want)
-    assert eval_functional(DualElement.basis(0, 1),
-                           PlusElement.tie_basis(0, 1), params) == pytest.approx(1 / gamma)
-    assert eval_functional(DualElement.basis(0, 0),
-                           PlusElement.tie_basis(0, 0), params) == pytest.approx(1.0)
-    assert eval_functional(f10, PlusElement.tie_basis(0, 1), params) == pytest.approx(0.0)
+    assert eval_word(dual_basis_factors(0, 1),
+                     PlusElement.tie_basis(0, 1), params) == pytest.approx(1 / gamma)
+    assert eval_word(dual_basis_factors(0, 0),
+                     PlusElement.tie_basis(0, 0), params) == pytest.approx(1.0)
+    assert eval_word(f10, PlusElement.tie_basis(0, 1), params) == pytest.approx(0.0)
+    assert eval_word(f10, PlusElement(), params) == 0
 
 
 def test_pairing_full_grid(params):
@@ -514,6 +524,50 @@ def test_dual_hopf(params):
     assert report.raw_residual <= 1e-12
 
 
+def test_dual_coproduct_table_is_coassociative(params):
+    # the straightening iterates the table on the first leg; iterating on the
+    # second gives the same three-leg terms
+    def iterate(f, first):
+        out: dict = {}
+        for c, g1, g2 in symalg._dual_coproduct(f, params):
+            for c1, h1, h2 in symalg._dual_coproduct(g1 if first else g2, params):
+                legs = (h1, h2, g2) if first else (g1, h1, h2)
+                out[legs] = out.get(legs, 0.0) + c * c1
+        return out
+
+    for f in (EPS, NU, BETA, qnu(0.5), qnu(-0.5)):
+        left, right = iterate(f, True), iterate(f, False)
+        assert max(abs(left.get(k, 0) - right.get(k, 0)) for k in {*left, *right}) <= 1e-15, f
+
+
+# (table, functional, term index) of a planted 1.1x defect, and whether the
+# straightening check must see it too: the three relations it compares never
+# read the q**(c nu) coproduct row or the beta inverse-antipode row, so
+# dual_hopf_check is their only certificate
+@pytest.mark.parametrize("table, f, term, cross_sees_it", [
+    ("_dual_coproduct", NU, 2, True),         # the constant term -i alpha/gamma
+    ("_dual_coproduct", BETA, 0, True),       # the leading term beta (x) q**(nu/2)
+    ("_dual_coproduct", qnu(-0.5), 0, False),
+    ("_dual_coproduct", qnu(0.5), 0, False),
+    ("_dual_coproduct", EPS, 0, True),
+    ("_s0_inv_atomic", NU, 1, True),
+    ("_s0_inv_atomic", BETA, 0, False),
+])
+def test_planted_dual_table_defect_fails(params, monkeypatch, table, f, term, cross_sees_it):
+    rows = getattr(symalg, table)
+
+    def planted(g, p):
+        terms = rows(g, p)
+        if g == f:
+            terms[term] = (1.1 * terms[term][0], *terms[term][1:])
+        return terms
+
+    monkeypatch.setattr(symalg, table, planted)
+    assert dual_hopf_check(params, deg=2).verdict == "fail"
+    if cross_sees_it:
+        assert cross_straighten_check(params).verdict == "fail"
+
+
 def test_antipode_sym_inv_on_raising(params):
     # S^{-1}(adag) = -q**(-1/2) adag
     got = antipode_sym_inv(E(1, 0, 0), params)
@@ -540,7 +594,7 @@ def test_straighten_cross_generators(params):
         assert cross_terms_difference(got, expected, params) <= 1e-12, (fname, xname)
     # the suite's case compares these three on the tie basis up to degree 2
     report = cross_straighten_check(params)
-    assert report.verdict == "pass" and (report.dims, report.window) == ([2], 2)
+    assert report.verdict == "pass" and (report.dims, report.window) == ([3, 3], 2)
 
 
 def test_straighten_beta_raising_is_dressed(params):
@@ -549,7 +603,8 @@ def test_straighten_beta_raising_is_dressed(params):
     assert any(f[0] == "qnu" for (_, f) in got)
     # straightening gives single atomic dual legs only
     assert {f for (_, f) in got} <= {NU, EPS, BETA, qnu(0.5), qnu(-0.5)}
-    # its content is verified in representations via the quotient check
+    # no check compares this pair with a closed form; its terms come from the
+    # dual tables, which dual_hopf_check certifies row by row
 
 
 def test_quotient_cross_check(params):
