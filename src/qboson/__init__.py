@@ -3,13 +3,13 @@ quantum-double R-matrix."""
 
 from .fockrep import FockRep, Window, build_rep, casimir, check_relation, classical_limit_residual
 from .hopfops import GenWord, HopfFamily, counit, antipode_op, qpow, word
-from .qscalars import DeformParams, ParameterError, half_index_product, q_factorial, q_number, q_power
+from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
 from .report import IdentityReport, dump_matrix, load_matrix
 from .rmatrix import RSpec, build_r
 from .symalg import PlusElement, multiply
 
 __all__ = [
-    "DeformParams", "ParameterError", "q_number", "q_factorial",
+    "DeformParams", "ParameterError", "q_number",
     "half_index_product", "q_power",
     "FockRep", "Window", "build_rep", "check_relation", "casimir",
     "classical_limit_residual",

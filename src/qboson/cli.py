@@ -220,11 +220,15 @@ def _validate_config(config: SuiteConfig) -> None:
         raise ConfigError("reps.dims and reps.shifts must be equal-length, non-empty")
     if not (len(config.family_m) == len(config.family_K) == len(config.family_signs)):
         raise ConfigError("family grid lists must have equal length")
-    for sign in config.family_signs:
-        if sign not in ("upper", "lower"):
-            raise ConfigError(f"unknown family sign {sign!r}")
-    for spec in config.rspecs:
-        parse_rspec(spec)
+    # every family point the suite builds, by HopfFamily's rules (none reads q)
+    p = config.params()
+    for m, K, sign in zip(config.family_m, config.family_K, config.family_signs):
+        try:
+            hopfops.HopfFamily(m=m, K=K, sign=sign, params=p)
+        except ParameterError as exc:
+            raise ConfigError(f"family point m={m}, K={K}, sign={sign!r}: {exc}") from None
+    for text in config.rspecs:
+        _checked_rspec(text, p)
     for d in (*config.rep_dims, config.dim_pair, config.dim_triple, config.axiom_dim):
         if d < 2:
             raise ConfigError("all representation dimensions must be >= 2")
@@ -262,6 +266,16 @@ def parse_rspec(text: str) -> rmatrix.RSpec:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"malformed general rspec {text!r}: {exc}") from None
     raise ConfigError(f"unknown rspec {text!r}")
+
+
+def _checked_rspec(text: str, p: DeformParams) -> rmatrix.RSpec:
+    """The parsed rspec, once its family point passes HopfFamily's rules."""
+    spec = parse_rspec(text)
+    try:
+        rmatrix.family_for(spec, p)
+    except ParameterError as exc:
+        raise ConfigError(f"rspec {text!r}: {exc}") from None
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +331,17 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
     triple_reps = (fockrep.build_rep(Dt, 0.5, p),) * 3
     pair_reps, win_pair = (rep_pair, rep_pair), fockrep.Window(config.window, guard=1)
     for spec in map(parse_rspec, config.rspecs):
-        fam, label = rmatrix.family_for(spec, p), spec.label()
+        label = spec.label()
         rows += [(f"{label}:intertwiner_{gen}",
-                  partial(rmatrix.check_intertwiner, spec, fam, *pair_reps, gen, win_pair))
+                  partial(rmatrix.check_intertwiner, spec, *pair_reps, gen, win_pair))
                  for gen in ("N", "a", "adag")]
         rows += [(f"{label}:yang_baxter", partial(rmatrix.check_yang_baxter, spec, *triple_reps)),
-                 (f"{label}:fusion", partial(rmatrix.check_fusion, spec, fam, *triple_reps)),
+                 (f"{label}:fusion", partial(rmatrix.check_fusion, spec, *triple_reps)),
                  (f"{label}:antipode_inverse",
-                  partial(rmatrix.check_antipode_inverse, spec, fam, *pair_reps, win_pair)),
-                 (f"{label}:counit", partial(rmatrix.check_counit, spec, fam, *pair_reps))]
+                  partial(rmatrix.check_antipode_inverse, spec, *pair_reps, win_pair)),
+                 (f"{label}:counit", partial(rmatrix.check_counit, spec, *pair_reps))]
         rows += [(f"{label}:yan_relation_{gen}",
-                  partial(rmatrix.check_yan_relation, spec, fam, *pair_reps, gen, win_pair))
+                  partial(rmatrix.check_yan_relation, spec, *pair_reps, gen, win_pair))
                  for gen in ("N", "a")]
 
     rows += [("sl2_relations", lambda: sl2bridge.check_sl2(sl2bridge.realize_sl2(rep_pair, 1.0))),
@@ -472,7 +486,7 @@ def _cmd_verify(args) -> int:
 def _cmd_rmatrix(args) -> int:
     config = _load_config(args)
     p = config.params()
-    spec = parse_rspec(args.rspec)
+    spec = _checked_rspec(args.rspec, p)
     rep = fockrep.build_rep(config.dim_pair, 0.5, p)
     R = rmatrix.build_r(spec, rep, rep)
     out_dir = Path(config.dump_dir or ".")

@@ -75,10 +75,6 @@ class FockRep:
     def n_diag(self) -> np.ndarray:
         return np.diag(self.matN)
 
-    def nprime_diag(self) -> np.ndarray:
-        """Eigenvalues of N - (i*alpha/gamma) I."""
-        return self.n_diag() - self.params.ialpha_over_gamma
-
 
 def build_rep(D: int, c: complex, p: DeformParams) -> FockRep:
     """Build the truncated representation at dimension D and shift c.

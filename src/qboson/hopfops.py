@@ -48,10 +48,9 @@ def qpow(s: float) -> tuple[str, float]:
 
 @dataclass(frozen=True)
 class GenWord:
-    """Ordered product of generator letters with a scalar prefactor."""
+    """Ordered product of generator letters."""
 
     letters: tuple = ()
-    prefactor: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         for ltr in self.letters:
@@ -61,7 +60,7 @@ class GenWord:
                 raise ParameterError(f"unknown word letter {ltr!r}")
 
     def __mul__(self, other: "GenWord") -> "GenWord":
-        return GenWord(self.letters + other.letters, self.prefactor * other.prefactor)
+        return GenWord(self.letters + other.letters)
 
     @property
     def name(self) -> str:
@@ -98,10 +97,6 @@ class HopfFamily:
     @classmethod
     def canonical(cls, p: DeformParams) -> "HopfFamily":
         return cls(m=0.5, K=-2 * p.kappa - 1, sign="lower", params=p)
-
-    def is_canonical(self) -> bool:
-        return (self.m == 0.5 and self.K == -2 * self.params.kappa - 1
-                and self.sign == "lower")
 
     # sign-resolved constants -------------------------------------------------
     @property
@@ -140,13 +135,13 @@ class HopfFamily:
 # representation of abstract words
 
 
-def _letter_product(prefactor: complex, letters, dim: int, image) -> np.ndarray:
-    """prefactor times the product of image(letter) over letters, in order:
-    the matrix of a word under a (anti)homomorphism given on its letters."""
+def _letter_product(letters, dim: int, image) -> np.ndarray:
+    """The product of image(letter) over letters, in order: the matrix of a
+    word under a (anti)homomorphism given on its letters."""
     images = [image(ltr) for ltr in letters]  # none is built beside a partial product
     if not images:
-        return np.eye(dim, dtype=complex) * prefactor
-    out = images[0] * complex(prefactor)
+        return np.eye(dim, dtype=complex)
+    out = images[0]
     for img in images[1:]:
         out = out @ img
     return out
@@ -157,7 +152,7 @@ def rep_word(w: GenWord, rep: FockRep, p: DeformParams | None = None) -> np.ndar
     p = p or rep.params
     mats = {"N": rep.matN, "a": rep.matA, "adag": rep.matAdag}
     qdiag = lambda s: np.diag(q_power(s * rep.n_diag(), p))
-    return _letter_product(w.prefactor, w.letters, rep.dim,
+    return _letter_product(w.letters, rep.dim,
                            lambda ltr: mats[ltr] if isinstance(ltr, str) else qdiag(ltr[1]))
 
 
@@ -215,8 +210,8 @@ def _word_blocks(w: GenWord, dims: tuple[int, int], letter_blocks) -> np.ndarray
     a stack B of degree dB being _shift(A, dB) @ B; the identity stack for
     the empty word."""
     if not w.letters:
-        return complex(w.prefactor) * _pair_op(dims, 0, _unit)
-    out = letter_blocks(w.letters[0]) * complex(w.prefactor)
+        return _pair_op(dims, 0, _unit).astype(complex)
+    out = letter_blocks(w.letters[0])
     for ltr in w.letters[1:]:
         out = _shift(out, _DEG.get(ltr, 0)) @ letter_blocks(ltr)
     return out
@@ -292,7 +287,7 @@ def check_homomorphism(words, rep: FockRep, fam: HopfFamily) -> IdentityReport:
 
 def counit(w: GenWord, fam: HopfFamily) -> complex:
     """Multiplicative extension of the generator counits."""
-    out = complex(w.prefactor)
+    out = 1.0 + 0.0j
     for ltr in w.letters:
         if ltr in ("a", "adag"):
             return 0.0 + 0.0j
@@ -328,7 +323,7 @@ def antipode_letter(letter, rep: FockRep, fam: HopfFamily) -> np.ndarray:
 
 def antipode_op(w: GenWord, rep: FockRep, fam: HopfFamily) -> np.ndarray:
     """Antihomomorphism: letters mapped by S, product order reversed."""
-    return _letter_product(w.prefactor, reversed(w.letters), rep.dim,
+    return _letter_product(reversed(w.letters), rep.dim,
                            lambda ltr: antipode_letter(ltr, rep, fam))
 
 
@@ -371,7 +366,7 @@ def default_axiom_words(max_len: int = 3) -> list[GenWord]:
 def _delta2_on_columns(w: GenWord, images, W: int, pad: int) -> tuple[np.ndarray, int]:
     """Both Delta_2(w) on the window columns, letters applied right to left: entry
     [side, e1, e2, e3, c1, c2, c3] is row c + e, column c, e counted from lo."""
-    X, lo, hi = np.full((2, 1, 1, 1) + (W + 1,) * 3, complex(w.prefactor)), 0, 0
+    X, lo, hi = np.ones((2, 1, 1, 1) + (W + 1,) * 3, dtype=complex), 0, 0
     for ltr in reversed(w.letters):
         deg, n = _DEG.get(ltr, 0), hi - lo + 1
         out = np.zeros((2,) + (n + abs(deg),) * 3 + (W + 1,) * 3, dtype=complex)
@@ -433,12 +428,12 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
         rows = lo + np.arange(both.shape[1])[:, None] + np.arange(W + 1)
         ok = (rows >= 0) & (rows <= W)  # [e, c]: the leg's row c + e is in the window
         both = both[:, np.einsum("ax,by,cz->abcxyz", ok, ok, ok)]
-        p, x, eps = w.prefactor, w.letters, counit(w, fam) * eye[cut]
+        x, eps = w.letters, counit(w, fam) * eye[cut]
         for tag, dims, lhs, rhs in (("coassoc", [D, D, D], both[0], both[1]),
-                                    ("counit_left", [D], p * eps_side(x, True)[cut], leg(w)[cut]),
-                                    ("counit_right", [D], p * eps_side(x, False)[cut], leg(w)[cut]),
-                                    ("antipode_left", [D], p * s_id(x)[cut], eps),
-                                    ("antipode_right", [D], p * id_s(x)[cut], eps)):
+                                    ("counit_left", [D], eps_side(x, True)[cut], leg(w)[cut]),
+                                    ("counit_right", [D], eps_side(x, False)[cut], leg(w)[cut]),
+                                    ("antipode_left", [D], s_id(x)[cut], eps),
+                                    ("antipode_right", [D], id_s(x)[cut], eps)):
             reports.append(make_report(f"hopf_{tag}_{w.name}", fam_tag, dims, W,
                                        *residual(lhs, rhs), fam.params.tol))
     return reports

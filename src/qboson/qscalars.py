@@ -1,6 +1,6 @@
-"""Complex q-arithmetic: symmetric q-numbers, q-factorials, half-index
-products and branch-consistent complex powers of q, and the three
-identities the suite checks them by.
+"""Complex q-arithmetic: symmetric q-numbers, half-index products and
+branch-consistent complex powers of q, and the three identities the suite
+checks them by.
 
 Every power of q in this package is exp(z * gamma) for one fixed
 gamma = Log(q) (principal branch), recorded in :class:`DeformParams`.
@@ -107,16 +107,6 @@ def q_number(x, p: DeformParams):
     if isinstance(x, np.ndarray):
         return np.sinh(x.astype(complex) * p.gamma) / np.sinh(p.gamma)
     return complex(np.sinh(complex(x) * p.gamma) / np.sinh(p.gamma))
-
-
-def q_factorial(n: int, p: DeformParams) -> complex:
-    """[1][2]...[n]; the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ParameterError("q_factorial requires n >= 0")
-    out = 1.0 + 0.0j
-    for j in range(1, n + 1):
-        out *= q_number(j, p)
-    return out
 
 
 def half_index_product(k: int, p: DeformParams) -> complex:

@@ -2,25 +2,28 @@
 
 Three candidates share one series shape
 
-    R = q**(quadratic prefactor in N (x) N) * sum_k c_k u_k (x) v_k,
+    R = q**(quadratic form in N (x) N) * sum_k c_k u_k (x) v_k,
 
-with u_k a dressed raising word and v_k a dressed lowering word:
+the q-power being R's diagonal factor, with u_k a dressed raising word and
+v_k a dressed lowering word:
 
 * quantum double:  c_k = i^k q^{-k(k+1)/4} / prod_j [j/2],
-  u_k = q^{kN/2} adag^k, v_k = q^{-kN/2} a^k, prefactor exponent
+  u_k = q^{kN/2} adag^k, v_k = q^{-kN/2} a^k, diagonal-factor exponent
   (N - i alpha/gamma)(x)(N - i alpha/gamma);
 * the previously published candidate: same but with the extra factor
   (1 + q^{-1})^k, an undressed raising word, and -N(x)N/2 added to the
-  prefactor exponent;
+  diagonal-factor exponent;
 * the general family, parameterized like the coproduct family.
 
-_series holds each candidate's series data; it is the only place the
-kind is read.  A term u_k (x) v_k has leg degrees (+k, -k), so an entry
-of a series sum takes its value from the one k read off its indices
-(k = i - i' = j' - j for R at row (i, j), column (i', j')): _series_sum
-gathers it from the legs' stacked ladder powers.  The lowering power
-annihilates the truncated second factor beyond k = D2 - 1, so the series
-termination is exact.
+_series holds each candidate's series data.  family_for maps a candidate
+to the coproduct family it is checked against; the checks take only the
+candidate, and the general family's series reads that family's constants.
+A term u_k (x) v_k has leg degrees (+k, -k), so an entry of a series sum
+takes its value from the one k read off its indices (k = i - i' = j' - j
+for R at row (i, j), column (i', j')): _series_sum gathers it from the
+legs' stacked ladder powers.  The lowering power annihilates the
+truncated second factor beyond k = D2 - 1, so the series termination is
+exact.
 
 R conserves n1 + n2; it is held as pair-sector blocks, once per (spec,
 rep pair) until clear_caches(), in the one two-leg layout of hopfops,
@@ -46,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockrep import FockRep, Window
-from .hopfops import (GenWord, HopfFamily, _coproduct_blocks, _mask, _pair_op, _pair_sectors,
-                      _shift, antipode_op, counit, qbar_family, qpow, word)
+from .hopfops import (_DEG, GenWord, HopfFamily, _coproduct_blocks, _mask, _pair_op,
+                      _pair_sectors, _shift, antipode_op, counit, qbar_family, qpow, word)
 from .qscalars import DeformParams, ParameterError, half_index_product, q_power
 from .report import IdentityReport, frobenius, make_report, residual, worst
 
@@ -89,9 +92,9 @@ def family_for(spec: RSpec, p: DeformParams) -> HopfFamily:
 @dataclass(frozen=True)
 class RSeries:
     """One candidate's series data: c_k = coefficient(k), the words
-    u_k = q^{k su N} adag^k and v_k = q^{k sv N} a^k, and the prefactor
-    exponent as an outer function of two N-eigenvalue arrays (polynomial in
-    N legwise, so it also takes N's image under any leg map)."""
+    u_k = q^{k su N} adag^k and v_k = q^{k sv N} a^k, and the diagonal
+    factor's exponent as an outer function of two N-eigenvalue arrays
+    (polynomial in N legwise, so it also takes N's image under any leg map)."""
 
     coefficient: Callable[[int], complex]
     su: float
@@ -116,12 +119,11 @@ def _series(spec: RSpec, p: DeformParams) -> RSeries:
         return RSeries(lambda k: ((1j ** k) * (1.0 + 1.0 / p.q) ** k
                                   * q_power(-k * (k + 1) / 4.0, p) / hip(k)),
                        0.0, -0.5, lambda X, Y: outer(X - iag, Y - iag) - 0.5 * outer(X, Y))
-    pm = 1.0 if spec.sign == "upper" else -1.0
-    beta = 1j * np.pi * (2 * spec.K + 1) / (2 * p.gamma)
-    return RSeries(lambda k: (((pm * 1j) ** k) * ((-1.0) ** (spec.K * k))
-                              * q_power(-spec.m * k * k - pm * k * (k - 1) / 4.0, p)
-                              / hip(k)),
-                   spec.m, -spec.m, lambda X, Y: -pm * outer(X + beta, Y + beta))
+    fam = family_for(spec, p)
+    m, K, pm, beta = fam.m, fam.K, fam.pm, fam.beta_const
+    return RSeries(lambda k: (((pm * 1j) ** k) * ((-1.0) ** (K * k))
+                              * q_power(-m * k * k - pm * k * (k - 1) / 4.0, p) / hip(k)),
+                   m, -m, lambda X, Y: -pm * outer(X + beta, Y + beta))
 
 
 def _series_sum(series: RSeries, pref, raising: np.ndarray, lowering: np.ndarray,
@@ -193,16 +195,15 @@ def _echo(spec: RSpec, p: DeformParams, extra: dict | None = None) -> dict:
     return {"rspec": spec.label(), "q": str(p.q), "kappa": p.kappa, **unit, **(extra or {})}
 
 
-def _pair_setup(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                window: Window | None, gen: str = ""):
-    """(held R, validated window, Delta(gen) blocks or without gen the identity's)."""
-    if not rep1.params.q == rep2.params.q == fam.params.q:
-        raise ParameterError("representations and family must share DeformParams")
+def _pair_setup(spec: RSpec, rep1: FockRep, rep2: FockRep, window: Window | None,
+                gen: str = ""):
+    """(the candidate's family, held R, validated window, Delta(gen) blocks or
+    without gen the identity's)."""
     if gen not in ("", "N", "a", "adag"):
         raise ParameterError(f"generator must be N, a or adag, not {gen!r}")
     (win := window or Window(min(rep1.dim, rep2.dim) - 2, guard=1)).validate(rep1.dim, rep2.dim)
-    return (_held_r(spec, rep1, rep2), win,
-            _coproduct_blocks(word(gen) if gen else word(), fam, rep1, rep2))
+    R, fam = _held_r(spec, rep1, rep2), family_for(spec, rep1.params)
+    return fam, R, win, _coproduct_blocks(word(gen) if gen else word(), fam, rep1, rep2)
 
 
 def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.ndarray,
@@ -210,7 +211,7 @@ def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.
                     W: int) -> IdentityReport:
     """The report of left R - R right, block stacks of gen's degree, on the
     window: raw and over ||R||_F ||right||_F (floored at 1e-300)."""
-    deg = {"N": 0, "a": -1, "adag": 1}[gen]
+    deg = _DEG.get(gen, 0)
     win = _mask(dims, deg, W)
     raw, _ = residual((left @ R)[win], (_shift(R, deg) @ right)[win])
     nrm = raw / max(frobenius(R[_mask(dims, 0, W)]) * frobenius(right[win]), 1e-300)
@@ -218,11 +219,11 @@ def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.
                        raw, nrm, fam.params.tol)
 
 
-def check_intertwiner(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                      gen: str, window: Window | None = None) -> IdentityReport:
+def check_intertwiner(spec: RSpec, rep1: FockRep, rep2: FockRep, gen: str,
+                      window: Window | None = None) -> IdentityReport:
     """Residual of (T Delta(gen)) R - R Delta(gen) on the window,
     normalized by ||R||_F ||Delta(gen)||_F so scalar rescalings of R drop out."""
-    R, win, dg = _pair_setup(spec, fam, rep1, rep2, window, gen)
+    fam, R, win, dg = _pair_setup(spec, rep1, rep2, window, gen)
     tdg = _coproduct_blocks(word(gen), fam, rep1, rep2, opposite=True)
     return _twisted_report("intertwiner", spec, fam, gen, tdg, R, dg, (rep1.dim, rep2.dim),
                            win.max_index)
@@ -303,22 +304,22 @@ def _ladder(gen: str, s: float, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
     """q^{k s Delta(N)} Delta(gen)^k for k <= W, gen a or adag, as block stacks
     on the window pair states (n1, n2 <= W) of sectors up to 2W: a ladder
     between window states passes only through states between them."""
-    dims, deg = (rep1.dim, rep2.dim), {"a": -1, "adag": 1}[gen]
+    dims, deg = (rep1.dim, rep2.dim), _DEG[gen]
     i, j, _, _ = _pair_sectors(*dims)
     dn = rep1.n_diag()[i] + rep2.n_diag()[j] + fam.beta_const  # Delta(N) in the slots
     step = np.where(_mask(dims, deg, W), _coproduct_blocks(word(gen), fam, rep1, rep2), 0)
     return _dressed_powers(step[:2 * W + 1], s, dn[:2 * W + 1], W + 1, fam.params, deg)
 
 
-def check_fusion(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+def check_fusion(spec: RSpec, rep1: FockRep, rep2: FockRep,
                  rep3: FockRep) -> list[IdentityReport]:
     """(Delta (x) I)R = R13 R23 and (I (x) Delta)R = R13 R12, per sector.
 
     Delta acts on the explicit series summands, its ladder powers _ladder
     stacks; the series side gathers each sector-block entry at
     k = n3(col) - n3(row) on the left, n1(row) - n1(col) on the right."""
-    p, reps, dims = fam.params, (rep1, rep2, rep3), (rep1.dim, rep2.dim, rep3.dim)
-    W = (min(dims) - 1) // 2  # the middle factor rises by up to W
+    p, reps, dims = rep1.params, (rep1, rep2, rep3), (rep1.dim, rep2.dim, rep3.dim)
+    fam, W = family_for(spec, p), (min(dims) - 1) // 2  # the middle factor rises by up to W
     (n1, n2, n3), (m1, m2, m3), (left, right) = _r_chains(spec, reps, W, (1, 2), (1, 0))
     series, (N1, N2, N3) = _series(spec, p), (x.n_diag() for x in reps)
     *_, (row12, col12, row23, col23) = _triple_layout(dims, W)
@@ -352,28 +353,28 @@ def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep)
         series, pref[ic, jr], SU, V, ir - ic, (ir, ic), (jr, jc)))
 
 
-def check_antipode_inverse(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+def check_antipode_inverse(spec: RSpec, rep1: FockRep, rep2: FockRep,
                            window: Window | None = None) -> IdentityReport:
     """R ((S (x) I)R) = ((S (x) I)R) R = I on the window, per pair sector;
     normalized by max(1, ||I||_F) on the window."""
+    fam, R, win, eye = _pair_setup(spec, rep1, rep2, window)
     p, dims = fam.params, (rep1.dim, rep2.dim)
-    R, win, eye = _pair_setup(spec, fam, rep1, rep2, window)
     Rinv, cut = _antipode_blocks(spec, fam, rep1, rep2), _mask(dims, 0, win.max_index)
     raws, nrms = zip(*(residual(prod[cut], eye[cut]) for prod in (R @ Rinv, Rinv @ R)))
     return make_report("antipode_inverse", _echo(spec, p), list(dims), win.max_index,
                        worst(raws), worst(nrms), p.tol)
 
 
-def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep,
-                 rep2: FockRep) -> list[IdentityReport]:
+def check_counit(spec: RSpec, rep1: FockRep, rep2: FockRep) -> list[IdentityReport]:
     """(eps (x) id)R = I and (id (x) eps)R = I.
 
-    Both hold only because the prefactor pairs counit-shifted number
+    Both hold only because the diagonal factor pairs counit-shifted number
     operators: the counit image of the exponent vanishes identically.
     Each term's counit leg is a 1 x 1 factor, so each side is a series
     gathered at k = col - row (left) or row - col (right).
     """
-    p, series = fam.params, _series(spec, fam.params)
+    p = rep1.params
+    fam, series = family_for(spec, p), _series(spec, p)
     D1, D2, N1, N2 = rep1.dim, rep2.dim, rep1.n_diag(), rep2.n_diag()
     eps_n = np.array([fam.counit_N()])
     eps = np.array([[counit(w, fam) for w in series.words(k)] for k in range(D2)])[..., None, None]
@@ -391,8 +392,8 @@ def check_counit(spec: RSpec, fam: HopfFamily, rep1: FockRep,
     return reports
 
 
-def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
-                       gen: str, window: Window | None = None,
+def check_yan_relation(spec: RSpec, rep1: FockRep, rep2: FockRep, gen: str,
+                       window: Window | None = None,
                        strip_constant: bool = False) -> IdentityReport:
     """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q.
 
@@ -401,7 +402,7 @@ def check_yan_relation(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRe
     the failure is carried by that constant alone (for the number
     operator, all of it: both series commute with N (x) I + I (x) N).
     """
-    R, win, dg = _pair_setup(spec, fam, rep1, rep2, window, gen)
+    fam, R, win, dg = _pair_setup(spec, rep1, rep2, window, gen)
     dbar = _coproduct_blocks(word(gen), qbar_family(fam), rep1, rep2)
     if strip_constant:
         if gen != "N":

@@ -104,11 +104,6 @@ class PlusElement(_Combination):
         return cls({(k, m, int(two_s)): 1.0})
 
     @classmethod
-    def tie_basis(cls, k: int, m: int) -> "PlusElement":
-        """The tie-family basis element with s = k."""
-        return cls.basis(k, m, k)
-
-    @classmethod
     def n_prime(cls) -> "PlusElement":
         return cls.basis(0, 1, 0)
 
@@ -299,14 +294,13 @@ def _degree(f: tuple) -> int:
     return 1 if f == BETA else 0
 
 
-def _grid_box(keys, split: str) -> tuple:
+def _grid_box(keys) -> tuple:
     """The smallest box holding every key a word splits the given keys into:
-    the rest of a word is read at (k - d, ., t + 2d) after a left split, at
-    (k - d, ., t - 2d) after a right one, and the degrees d add up to <= k."""
+    the rest of a word is read at (k - d, ., t + 2d) after its first
+    functional is split off, and the degrees d add up to <= k."""
     kmax, mmax = max(k for k, _, _ in keys), max(m for _, m, _ in keys)
     tmin, tmax = min(t for _, _, t in keys), max(t for _, _, t in keys)
-    t0 = tmin if split == "left" else tmin - 2 * kmax
-    return kmax, mmax, t0, tmax - tmin + 2 * kmax + 1
+    return kmax, mmax, tmin, tmax - tmin + 2 * kmax + 1
 
 
 def _atomic_vector(f: tuple, box: tuple, p: DeformParams) -> np.ndarray:
@@ -319,19 +313,16 @@ def _atomic_vector(f: tuple, box: tuple, p: DeformParams) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _transfer_weights(f: tuple, box: tuple, p: DeformParams, split: str) -> np.ndarray:
-    """W[k, t, m, m'] with (f . w)[k, m, t] = sum_m' W[k, t, m, m'] w[k-d, m', t+2d].
-
-    Left: f takes the leg E[d, m-m', t-2(k-d)] of Delta(E[k, m, t]) with
-    coefficient C(m, m') c_d(k, t).  Right, the mirror: (w . f) has f on
-    E[d, m-m', t+2(k-d)] with c_{k-d}(k, t), and w read at t - 2d.
-    """
+def _transfer_weights(f: tuple, box: tuple, p: DeformParams) -> np.ndarray:
+    """W[k, t, m, m'] with (f . w)[k, m, t] = sum_m' W[k, t, m, m'] w[k-d, m', t+2d]:
+    f takes the leg E[d, m-m', t-2(k-d)] of Delta(E[k, m, t]) with
+    coefficient C(m, m') c_d(k, t)."""
     K, M, t0, nt = box
-    d, left = _degree(f), split == "left"
+    d = _degree(f)
     W = np.zeros((K + 1, nt, M + 1, M + 1), dtype=complex)
     ks, t = np.arange(d, K + 1), np.arange(t0, t0 + nt)
-    c = np.array([_coproduct_coeff(k, d if left else k - d, t, p) for k in ks]).reshape(-1, nt)
-    leg_t = t - 2 * (ks[:, None] - d) if left else t + 2 * (ks[:, None] - d)
+    c = np.array([_coproduct_coeff(k, d, t, p) for k in ks]).reshape(-1, nt)
+    leg_t = t - 2 * (ks[:, None] - d)
     for j in range(M + 1):  # the Np power of f's leg; m' = m - j
         c_leg = c * eval_atomic(f, (d, j, leg_t), p)
         for m in range(j, M + 1):
@@ -340,32 +331,29 @@ def _transfer_weights(f: tuple, box: tuple, p: DeformParams, split: str) -> np.n
     return W
 
 
-def _word_vector(factors: tuple, box: tuple, p: DeformParams, split: str,
-                 memo: dict) -> np.ndarray:
+def _word_vector(factors: tuple, box: tuple, p: DeformParams, memo: dict) -> np.ndarray:
     """The word's values on every key of the box, memoized by suffix in memo.
 
-    The rest is read at (k - d, t +- 2d) by rolling its vector; what rolls
+    The rest is read at (k - d, t + 2d) by rolling its vector; what rolls
     in across the box's edges lands on keys no asked-for key splits into.
     """
     if factors not in memo:
         if len(factors) <= 1:
             memo[factors] = _atomic_vector(factors[0] if factors else EPS, box, p)
         else:
-            f, rest = (factors[0], factors[1:]) if split == "left" else (factors[-1], factors[:-1])
+            f, rest = factors[0], factors[1:]
             d = _degree(f)
-            w = np.roll(_word_vector(rest, box, p, split, memo),
-                        (d, -2 * d if split == "left" else 2 * d), axis=(0, 1))
-            memo[factors] = np.einsum("ktab,ktb->kta", _transfer_weights(f, box, p, split), w)
+            w = np.roll(_word_vector(rest, box, p, memo), (d, -2 * d), axis=(0, 1))
+            memo[factors] = np.einsum("ktab,ktb->kta", _transfer_weights(f, box, p), w)
     return memo[factors]
 
 
-def _word_table(words, keys, p: DeformParams, split: str = "left") -> np.ndarray:
+def _word_table(words, keys, p: DeformParams) -> np.ndarray:
     """Values of the dual words on the basis keys, shape (len(words), len(keys))."""
-    box = _grid_box(keys, split)
+    box = _grid_box(keys)
     k, m, t = (np.array(axis) for axis in zip(*keys))
     memo: dict = {}
-    return np.array([_word_vector(tuple(w), box, p, split, memo)[k, t - box[2], m]
-                     for w in words])
+    return np.array([_word_vector(tuple(w), box, p, memo)[k, t - box[2], m] for w in words])
 
 
 def clear_caches() -> None:

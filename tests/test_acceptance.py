@@ -78,16 +78,15 @@ def test_criterion_4_dual_bracket():
 
 def test_criterion_5_quantum_double_validity():
     p = DeformParams(q=1.3)
-    fam = HopfFamily.canonical(p)
     rep12 = build_rep(12, 0.5, p)
     rep8 = build_rep(8, 0.5, p)
     win = Window(4, guard=1)
-    inter = max(check_intertwiner(QD, fam, rep12, rep12, g, win).normalized_residual
+    inter = max(check_intertwiner(QD, rep12, rep12, g, win).normalized_residual
                 for g in ("N", "a", "adag"))
     yb = check_yang_baxter(QD, rep8, rep8, rep8).normalized_residual
-    fus = max(r.normalized_residual for r in check_fusion(QD, fam, rep8, rep8, rep8))
-    inv = check_antipode_inverse(QD, fam, rep12, rep12, win).normalized_residual
-    cu = max(r.normalized_residual for r in check_counit(QD, fam, rep12, rep12))
+    fus = max(r.normalized_residual for r in check_fusion(QD, rep8, rep8, rep8))
+    inv = check_antipode_inverse(QD, rep12, rep12, win).normalized_residual
+    cu = max(r.normalized_residual for r in check_counit(QD, rep12, rep12))
     ok = inter <= 1e-9 and yb <= 1e-8 and fus <= 1e-8 and inv <= 1e-9 and cu <= 1e-12
     criterion(5, "quantum-double R validity "
                  f"(da {inter:.1e}<=1e-9, dd {yb:.1e}<=1e-8, fusion {fus:.1e}<=1e-8, "
@@ -99,12 +98,11 @@ def test_criterion_6_yan_failure_reproduction():
     values = []
     for q in Q_BOTH:
         p = DeformParams(q=q)
-        fam = HopfFamily.canonical(p)
         win = Window(4, guard=1)
         for D in (8, 12):
             rep = build_rep(D, 0.5, p)
-            da = check_intertwiner(YAN, fam, rep, rep, "a", win).normalized_residual
-            yd = check_yan_relation(YAN, fam, rep, rep, "N", win).normalized_residual
+            da = check_intertwiner(YAN, rep, rep, "a", win).normalized_residual
+            yd = check_yan_relation(YAN, rep, rep, "N", win).normalized_residual
             values.append((q, D, da, yd))
             ok = ok and da > 100 * p.tol and yd > 100 * p.tol
     floor = min(min(v[2], v[3]) for v in values)

@@ -20,7 +20,7 @@ from test_fockrep import window_block, window_indices, windowed_residual
 def sweedler_expand(w, fam):
     """Delta(w) as a sum of tensor products of generator words: the whole
     word's Sweedler sum, expanded letter by letter."""
-    terms = [(complex(w.prefactor), word(), word())]
+    terms = [(1.0 + 0.0j, word(), word())]
     for ltr in w.letters:
         expansion = sweedler_letter(ltr, fam)
         terms = [(c0 * c1, u0 * u1, v0 * v1)
@@ -59,9 +59,9 @@ def opposite_coproduct_op(w, rep1, rep2, fam):
 
 def dense_word_image(w, reps, p, letter_terms):
     """w's matrix on the tensor product of reps (q-powers at p): its letters'
-    images multiplied from the scaled identity, each the Kronecker sum of the
+    images multiplied from the identity, each the Kronecker sum of the
     letter's terms letter_terms(ltr) = [(c, legs)]."""
-    out = np.eye(math.prod(r.dim for r in reps), dtype=complex) * w.prefactor
+    out = np.eye(math.prod(r.dim for r in reps), dtype=complex)
     for ltr in w.letters:
         out = out @ sum(c * reduce(np.kron, (rep_word(u, r, p) for u, r in zip(legs, reps)))
                         for c, legs in letter_terms(ltr))
@@ -152,7 +152,7 @@ def test_family_validation(params_real):
 
 def test_canonical_beta_const(params):
     fam = HopfFamily.canonical(params)
-    assert fam.is_canonical()
+    assert fam == HopfFamily(m=0.5, K=-2 * params.kappa - 1, sign="lower", params=params)
     assert fam.beta_const == pytest.approx(-params.ialpha_over_gamma)
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import (DeformParams, ParameterError, half_index_product,
-                    q_factorial, q_number, q_power)
+from qboson import DeformParams, ParameterError, half_index_product, q_number, q_power
 
 
 def test_params_derived_constants():
@@ -59,15 +58,6 @@ def test_q_number_half_simplification(params):
     # [1/2] = 1/(q^(1/2) + q^(-1/2))
     want = 1.0 / (q_power(0.5, params) + q_power(-0.5, params))
     assert q_number(0.5, params) == pytest.approx(want)
-
-
-def test_q_factorial():
-    p = DeformParams(q=2.0)
-    assert q_factorial(0, p) == 1
-    assert q_factorial(1, p) == pytest.approx(1.0)
-    assert q_factorial(3, p) == pytest.approx(13.125)  # 1 * 2.5 * 5.25
-    with pytest.raises(ParameterError):
-        q_factorial(-1, p)
 
 
 def test_half_index_product():

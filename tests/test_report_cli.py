@@ -558,19 +558,43 @@ def test_parse_config_degree_cap_violation(tmp_path, line):
         parse_config(path)
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started")  # would print 'runtime error:'
+
+
 @pytest.mark.parametrize("line", ["pairing.kmax = 9", "caps.degree = -1", "dims.triple = 1",
                                   "axioms.max_word_len = 0", "axioms.max_word_len = -1",
                                   "reps.dims = [300, 300]", "axioms.dim = 41"])
 def test_cli_size_errors_exit_2_before_any_case(tmp_path, monkeypatch, capsys, line):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started")  # would print 'runtime error:'
-
     monkeypatch.setattr(cli, "_cases", no_work)
     monkeypatch.setattr(symalg, "pairing_gram", no_work)
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(FAST_CONFIG + line + "\n", encoding="utf-8")
     for command in ("verify", "pairing"):
         assert_config_error(["--config", str(cfg), command], capsys)
+
+
+@pytest.mark.parametrize("lines",
+                         ["families.m = [0.3]\nfamilies.k = [0]\nfamilies.signs = [lower]",
+                          'rspecs = ["general:m=0.3,K=0,sign=upper"]',
+                          'rspecs = ["general:m=0.5,K=-1,sign=sideways"]'],
+                         ids=["grid_m", "rspec_m", "rspec_sign"])
+def test_cli_invalid_family_point_exits_2_before_any_case(tmp_path, monkeypatch, capsys, lines):
+    # the config check builds every family point of the grid and of the rspecs
+    # by HopfFamily's rules, so a point they reject never reaches a case
+    monkeypatch.setattr(cli, "_cases", no_work)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + lines + "\n", encoding="utf-8")
+    for command in (["verify"], ["scan", "--q-list", "1.3,1.2"]):
+        assert_config_error(["--config", str(cfg), *command], capsys)
+
+
+def test_cli_rmatrix_invalid_family_point_is_config_error(tmp_path, capsys):
+    # the --rspec flag passes the rules the rspecs key does, and nothing is dumped
+    for rspec in ("general:m=0.3,K=0,sign=upper", "general:m=0.5,K=-1,sign=sideways"):
+        assert_config_error(["--q", "1.3", "--dump-dir", str(tmp_path), "rmatrix",
+                             "--rspec", rspec], capsys)
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_oversize_pairing_flag_is_config_error(capsys):

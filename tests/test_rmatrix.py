@@ -43,9 +43,9 @@ def test_rspec_validation():
 
 
 def test_family_for(params):
-    assert family_for(QD, params).is_canonical()
+    assert family_for(QD, params) == HopfFamily.canonical(params)
     fam = family_for(RSpec(kind="general_family", m=1.0, K=0, sign="upper"), params)
-    assert fam.m == 1.0 and not fam.is_canonical()
+    assert fam.m == 1.0 and fam != HopfFamily.canonical(params)
 
 
 def test_build_r_diagonal_prefactor(params):
@@ -143,18 +143,16 @@ def test_specialization_matches_quantum_double():
 @pytest.mark.parametrize("gen", ["N", "a", "adag"])
 def test_quantum_double_intertwiner(params, gen):
     rep = build_rep(12, 0.5, params)
-    fam = HopfFamily.canonical(params)
-    rpt = check_intertwiner(QD, fam, rep, rep, gen, Window(4, guard=1))
+    rpt = check_intertwiner(QD, rep, rep, gen, Window(4, guard=1))
     assert rpt.normalized_residual <= 1e-9
     assert rpt.verdict == "pass"
 
 
 def test_intertwiner_monotone_in_dimension(params_real):
     # fixed window, every admissible D: exactness is not a lucky truncation
-    fam = HopfFamily.canonical(params_real)
     for D in (6, 8, 10, 12):
         rep = build_rep(D, 0.5, params_real)
-        rpt = check_intertwiner(QD, fam, rep, rep, "a", Window(4, guard=1))
+        rpt = check_intertwiner(QD, rep, rep, "a", Window(4, guard=1))
         assert rpt.normalized_residual <= 1e-9, D
 
 
@@ -162,10 +160,9 @@ def test_yan_intertwiner_fails_robustly():
     # the failure must survive truncation growth and both q branches
     for q in (1.3, 0.7 + 0.2j):
         p = DeformParams(q=q)
-        fam = HopfFamily.canonical(p)
         for D in (8, 12):
             rep = build_rep(D, 0.5, p)
-            rpt = check_intertwiner(YAN, fam, rep, rep, "a", Window(4, guard=1))
+            rpt = check_intertwiner(YAN, rep, rep, "a", Window(4, guard=1))
             assert rpt.normalized_residual > 100 * p.tol, (q, D)
             assert rpt.verdict == "fail"
 
@@ -174,8 +171,7 @@ def test_yan_intertwiner_n_holds_trivially(params):
     # both candidates commute with N (x) I + I (x) N, so the N-intertwiner
     # cannot distinguish them; the lowering generator does
     rep = build_rep(10, 0.5, params)
-    fam = HopfFamily.canonical(params)
-    rpt = check_intertwiner(YAN, fam, rep, rep, "N", Window(4, guard=1))
+    rpt = check_intertwiner(YAN, rep, rep, "N", Window(4, guard=1))
     assert rpt.normalized_residual <= 1e-12
 
 
@@ -204,7 +200,7 @@ def test_intertwiners_near_classical_do_not_overflow():
     spec = RSpec("general_family", m=1.0, K=0, sign="upper")
     rep = build_rep(8, 0.5, p)
     for gen in ("N", "a", "adag"):
-        rpt = check_intertwiner(spec, family_for(spec, p), rep, rep, gen)
+        rpt = check_intertwiner(spec, rep, rep, gen)
         assert math.isfinite(rpt.raw_residual), gen
         assert rpt.normalized_residual <= 1e-13, gen
         assert rpt.verdict == "pass", gen
@@ -212,33 +208,31 @@ def test_intertwiners_near_classical_do_not_overflow():
 
 def test_fusion(params):
     rep = build_rep(8, 0.5, params)
-    fam = HopfFamily.canonical(params)
-    for rpt in check_fusion(QD, fam, rep, rep, rep):
+    for rpt in check_fusion(QD, rep, rep, rep):
         assert rpt.normalized_residual <= 1e-8, rpt.identity
-    bad = check_fusion(YAN, fam, rep, rep, rep)
+    bad = check_fusion(YAN, rep, rep, rep)
     assert max(r.normalized_residual for r in bad) > 100 * params.tol
 
 
 def test_general_family_grid_point(params):
     # a non-canonical family member passes its whole identity suite
     spec = RSpec(kind="general_family", m=1.0, K=0, sign="upper")
-    fam = family_for(spec, params)
     rep = build_rep(10, 0.5, params)
     rep8 = build_rep(8, 0.5, params)
     for gen in ("N", "a", "adag"):
-        assert check_intertwiner(spec, fam, rep, rep, gen,
+        assert check_intertwiner(spec, rep, rep, gen,
                                  Window(4, guard=1)).normalized_residual <= 1e-9
     assert check_yang_baxter(spec, rep8, rep8, rep8).normalized_residual <= 1e-8
-    for rpt in check_fusion(spec, fam, rep8, rep8, rep8):
+    for rpt in check_fusion(spec, rep8, rep8, rep8):
         assert rpt.normalized_residual <= 1e-8
-    for rpt in check_counit(spec, fam, rep, rep):
+    for rpt in check_counit(spec, rep, rep):
         assert rpt.normalized_residual <= 1e-12
 
 
 def test_antipode_inverse(params):
     rep = build_rep(12, 0.5, params)
     fam = HopfFamily.canonical(params)
-    rpt = check_antipode_inverse(QD, fam, rep, rep, Window(4, guard=1))
+    rpt = check_antipode_inverse(QD, rep, rep, Window(4, guard=1))
     assert rpt.normalized_residual <= 1e-9
     # explicit two-sided check of the leg construction
     R = build_r(QD, rep, rep)
@@ -251,22 +245,20 @@ def test_antipode_inverse(params):
 
 def test_counit_normalization(params):
     rep = build_rep(10, 0.5, params)
-    fam = HopfFamily.canonical(params)
-    for rpt in check_counit(QD, fam, rep, rep):
+    for rpt in check_counit(QD, rep, rep):
         assert rpt.normalized_residual <= 1e-12
     # the published candidate does not pass counit normalization
-    worst = max(r.normalized_residual for r in check_counit(YAN, fam, rep, rep))
+    worst = max(r.normalized_residual for r in check_counit(YAN, rep, rep))
     assert worst > 1e-3
 
 
 def test_yan_relation(params):
     rep = build_rep(12, 0.5, params)
-    fam = HopfFamily.canonical(params)
     # the candidate named after the relation does not satisfy it
-    rpt = check_yan_relation(YAN, fam, rep, rep, "N", Window(4, guard=1))
+    rpt = check_yan_relation(YAN, rep, rep, "N", Window(4, guard=1))
     assert rpt.normalized_residual > 100 * params.tol
     # the double's R does not satisfy it either (the suite reports it as info)
-    rpt2 = check_yan_relation(QD, fam, rep, rep, "N", Window(4, guard=1))
+    rpt2 = check_yan_relation(QD, rep, rep, "N", Window(4, guard=1))
     assert rpt2.normalized_residual > 100 * params.tol
 
 
@@ -275,25 +267,23 @@ def test_yan_relation_constant_diagnostic(params_real):
     # the N-relation residual entirely: both series commute with the
     # total number operator, so the constant carries the whole failure
     rep = build_rep(10, 0.5, params_real)
-    fam = HopfFamily.canonical(params_real)
     for spec in (QD, YAN):
-        with_const = check_yan_relation(spec, fam, rep, rep, "N", Window(4, guard=1))
-        stripped = check_yan_relation(spec, fam, rep, rep, "N", Window(4, guard=1),
+        with_const = check_yan_relation(spec, rep, rep, "N", Window(4, guard=1))
+        stripped = check_yan_relation(spec, rep, rep, "N", Window(4, guard=1),
                                       strip_constant=True)
         assert with_const.normalized_residual > 1e-2
         assert stripped.normalized_residual <= 1e-12
     with pytest.raises(ParameterError):
-        check_yan_relation(QD, fam, rep, rep, "a", strip_constant=True)
+        check_yan_relation(QD, rep, rep, "a", strip_constant=True)
 
 
 def test_yan_relation_failure_stable_across_truncations():
     for q in (1.3, 0.7 + 0.2j):
         p = DeformParams(q=q)
-        fam = HopfFamily.canonical(p)
         values = []
         for D in (8, 12):
             rep = build_rep(D, 0.5, p)
-            rpt = check_yan_relation(YAN, fam, rep, rep, "N", Window(4, guard=1))
+            rpt = check_yan_relation(YAN, rep, rep, "N", Window(4, guard=1))
             values.append(rpt.normalized_residual)
         assert min(values) > 100 * p.tol
         assert values[0] == pytest.approx(values[1], rel=0.5)  # no truncation artifact
@@ -384,7 +374,7 @@ def test_sector_checks_match_dense_oracle(q, D, spec):
     window = Window(wmax, guard=wmax)
     with np.errstate(all="ignore"):
         yb = check_yang_baxter(spec, rep, rep, rep)
-        fusion = check_fusion(spec, fam, rep, rep, rep)
+        fusion = check_fusion(spec, rep, rep, rep)
         dense = [dense_yang_baxter(spec, rep, window), *dense_fusion(spec, fam, rep, window)]
     for rpt, want in zip([yb, *fusion], dense):
         assert rpt.window == wmax
@@ -406,8 +396,7 @@ def test_three_way_split_at_large_triple_dimension(params):
     # D = 14: a dense check would multiply 2744 x 2744 complex operators
     rep = build_rep(14, 0.5, params)
     for spec in (QD, GF, YAN):
-        fam = family_for(spec, params)
-        reports = [check_yang_baxter(spec, rep, rep, rep), *check_fusion(spec, fam, rep, rep, rep)]
+        reports = [check_yang_baxter(spec, rep, rep, rep), *check_fusion(spec, rep, rep, rep)]
         for rpt in reports:
             assert rpt.window == 6
             if spec is YAN:
@@ -507,11 +496,11 @@ def test_pair_sector_checks_match_dense_oracle(q, D, spec, W):
     rep = build_rep(D, 0.5, p)
     fam = family_for(spec, p)
     window = None if W is None else Window(min(W, D - 2), guard=1)
-    reports = [check_intertwiner(spec, fam, rep, rep, g, window) for g in ("N", "a", "adag")]
-    reports += [check_yan_relation(spec, fam, rep, rep, g, window) for g in ("N", "a")]
-    stripped = check_yan_relation(spec, fam, rep, rep, "N", window, strip_constant=True)
-    reports += [stripped, check_antipode_inverse(spec, fam, rep, rep, window),
-                *check_counit(spec, fam, rep, rep)]
+    reports = [check_intertwiner(spec, rep, rep, g, window) for g in ("N", "a", "adag")]
+    reports += [check_yan_relation(spec, rep, rep, g, window) for g in ("N", "a")]
+    stripped = check_yan_relation(spec, rep, rep, "N", window, strip_constant=True)
+    reports += [stripped, check_antipode_inverse(spec, rep, rep, window),
+                *check_counit(spec, rep, rep)]
     names = [r.identity for r in reports]
     names[5] = "yan_relation_N_stripped"
     dense = dense_pair_checks(spec, fam, rep, window)
@@ -643,7 +632,7 @@ def test_antipode_inverse_fails_on_a_nan_in_one_product(monkeypatch):
     # a NaN at row (0, 0) and a padding column of sector 0 of (S (x) I)R reaches
     # the window only through ((S (x) I)R) R, the second product
     p = DeformParams(q=1.3)
-    rep, fam = build_rep(8, 0.5, p), HopfFamily.canonical(p)
+    rep = build_rep(8, 0.5, p)
     blocks = rmatrix._antipode_blocks
 
     def planted(*args):
@@ -652,6 +641,6 @@ def test_antipode_inverse_fails_on_a_nan_in_one_product(monkeypatch):
         return out
 
     monkeypatch.setattr(rmatrix, "_antipode_blocks", planted)
-    rpt = check_antipode_inverse(QD, fam, rep, rep, Window(4, guard=1))
+    rpt = check_antipode_inverse(QD, rep, rep, Window(4, guard=1))
     rmatrix.clear_caches()
     assert np.isnan(rpt.normalized_residual) and rpt.verdict == "fail"

@@ -28,7 +28,7 @@ def to_matrix(x: PlusElement, rep) -> np.ndarray:
     """Represent a symbolic element on a truncated Fock space."""
     p = rep.params
     nd = rep.n_diag()
-    npr = np.diag(rep.nprime_diag())
+    npr = np.diag(nd - p.ialpha_over_gamma)
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for (k, m, t), c in x.terms.items():
         term = np.diag(q_power((t / 4.0) * nd, p))
@@ -47,12 +47,12 @@ def assert_elements_close(x: PlusElement, y: PlusElement, tol=1e-12):
     assert (x - y).max_abs() <= tol, f"{x} != {y}"
 
 
-def eval_word(factors, x: PlusElement, p: DeformParams, split: str = "left") -> complex:
+def eval_word(factors, x: PlusElement, p: DeformParams) -> complex:
     """The dual word f1 ... fr on the combination x, through the one word
     evaluator; the empty combination has no keys to read and gives zero."""
     if not x.terms:
         return 0.0 + 0.0j
-    row = _word_table([factors], list(x.terms), p, split)[0]
+    row = _word_table([factors], list(x.terms), p)[0]
     return sum((c * v for c, v in zip(x.terms.values(), row)), start=0.0 + 0.0j)
 
 
@@ -350,7 +350,7 @@ def test_coproduct_matches_representation(params):
     fam = HopfFamily.canonical(params)
     win = Window(4, guard=4)
     for k, m in ((1, 0), (0, 1), (1, 1), (2, 1)):
-        x = PlusElement.tie_basis(k, m)
+        x = PlusElement.basis(k, m, k)
         sym = coproduct_sym(x, params)
         got = np.zeros((100, 100), dtype=complex)
         for (key1, key2), c in sym.terms.items():
@@ -442,24 +442,25 @@ def _word_and_element(draw):
 def test_eval_word_matches_recursion_oracle(q, word_and_element):
     factors, x = word_and_element
     p = DeformParams(q=q)
-    word_value = word_oracle(p)
+    word_value, got = word_oracle(p), eval_word(factors, x, p)
     for split in ("left", "right"):
         terms = [(c, word_value(factors, key, split)) for key, c in x.terms.items()]
         want = sum(c * v for c, (v, _) in terms)
         scale = sum(abs(c) * s for c, (_, s) in terms)
-        got = eval_word(factors, x, p, split=split)
         assert abs(got - want) <= 1e-13 * scale, (split, got, want, scale)
 
 
 def test_eval_word_split_independence(params):
-    # dual multiplication is associative: left and right splits agree
+    # dual multiplication is associative: the engine's left split agrees with
+    # the oracle's right split
+    word_value = word_oracle(params)
     for factors in ((NU, BETA, NU), (BETA, NU_PRIME, BETA), (qnu(0.5), BETA, NU)):
         for l in range(3):
             for n in range(3):
-                x = PlusElement.tie_basis(l, n)
-                left = eval_word(factors, x, params, split="left")
-                right = eval_word(factors, x, params, split="right")
-                assert abs(left - right) <= 1e-12
+                x = PlusElement.basis(l, n, l)
+                (key,) = x.terms
+                right, _ = word_value(factors, key, "right")
+                assert abs(eval_word(factors, x, params) - right) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +469,15 @@ def test_eval_word_split_independence(params):
 
 def test_pairing_spot_values(params):
     gamma = params.gamma
-    f10, e10 = dual_basis_factors(1, 0), PlusElement.tie_basis(1, 0)
+    f10, e10 = dual_basis_factors(1, 0), PlusElement.basis(1, 0, 1)
     got = eval_word(f10, e10, params)
     want = -1j * q_power(0.5, params) * (1 / (q_power(0.5, params) + q_power(-0.5, params)))
     assert got == pytest.approx(want)
     assert eval_word(dual_basis_factors(0, 1),
-                     PlusElement.tie_basis(0, 1), params) == pytest.approx(1 / gamma)
+                     PlusElement.basis(0, 1, 0), params) == pytest.approx(1 / gamma)
     assert eval_word(dual_basis_factors(0, 0),
-                     PlusElement.tie_basis(0, 0), params) == pytest.approx(1.0)
-    assert eval_word(f10, PlusElement.tie_basis(0, 1), params) == pytest.approx(0.0)
+                     PlusElement.basis(0, 0, 0), params) == pytest.approx(1.0)
+    assert eval_word(f10, PlusElement.basis(0, 1, 0), params) == pytest.approx(0.0)
     assert eval_word(f10, PlusElement(), params) == 0
 
 
@@ -645,7 +646,7 @@ def test_to_matrix_basis_element(params):
     got = to_matrix(E(1, 1, 3), rep)
     nd = rep.n_diag()
     want = (np.diag(q_power(1.5 * nd, params))
-            @ np.diag(rep.nprime_diag()) @ rep.matAdag)
+            @ np.diag(nd - params.ialpha_over_gamma) @ rep.matAdag)
     assert np.abs(got - want).max() <= 1e-12
 
 
