@@ -6,7 +6,7 @@ from .hopfops import GenWord, HopfFamily, counit, antipode_op, qpow, word
 from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
 from .report import IdentityReport, dump_matrix, load_matrix
 from .rmatrix import RSpec, build_r
-from .symalg import PlusElement, multiply
+from .symalg import multiply
 
 __all__ = [
     "DeformParams", "ParameterError", "q_number",
@@ -14,7 +14,7 @@ __all__ = [
     "FockRep", "Window", "build_rep", "check_relation", "casimir",
     "classical_limit_residual",
     "HopfFamily", "GenWord", "word", "qpow", "counit", "antipode_op",
-    "PlusElement", "multiply",
+    "multiply",
     "RSpec", "build_r",
     "IdentityReport", "dump_matrix", "load_matrix",
 ]

@@ -498,10 +498,10 @@ def _cmd_rmatrix(args) -> int:
 def _cmd_pairing(args) -> int:
     config = _load_config(args)
     kmax, mmax, p = config.pairing_kmax, config.pairing_mmax, config.params()
-    G = symalg.pairing_gram(kmax, mmax, p)
-    report = symalg.pairing_check(kmax, mmax, p, gram=G)
+    report = symalg.pairing_check(kmax, mmax, p)
     if config.dump_dir:
-        path = dump_matrix(G, Path(config.dump_dir) / "pairing_gram.mtx")
+        path = dump_matrix(symalg.pairing_gram(kmax, mmax, p),
+                           Path(config.dump_dir) / "pairing_gram.mtx")
         print(f"wrote {path}")
     print(f"pairing max deviation: {report.raw_residual:.3e}, "
           f"normalized {report.normalized_residual:.3e} [{report.verdict}]")

@@ -373,6 +373,8 @@ def check_counit(spec: RSpec, rep1: FockRep, rep2: FockRep) -> list[IdentityRepo
     Each term's counit leg is a 1 x 1 factor, so each side is a series
     gathered at k = col - row (left) or row - col (right).
     """
+    if rep1.params.q != rep2.params.q:
+        raise ParameterError("representations must share DeformParams")
     p = rep1.params
     fam, series = family_for(spec, p), _series(spec, p)
     D1, D2, N1, N2 = rep1.dim, rep2.dim, rep1.n_diag(), rep2.n_diag()
@@ -393,22 +395,9 @@ def check_counit(spec: RSpec, rep1: FockRep, rep2: FockRep) -> list[IdentityRepo
 
 
 def check_yan_relation(spec: RSpec, rep1: FockRep, rep2: FockRep, gen: str,
-                       window: Window | None = None,
-                       strip_constant: bool = False) -> IdentityReport:
-    """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q.
-
-    strip_constant is a diagnostic for gen = N: it removes the scalar
-    structure constant from both coproduct images, isolating how much of
-    the failure is carried by that constant alone (for the number
-    operator, all of it: both series commute with N (x) I + I (x) N).
-    """
+                       window: Window | None = None) -> IdentityReport:
+    """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q."""
     fam, R, win, dg = _pair_setup(spec, rep1, rep2, window, gen)
     dbar = _coproduct_blocks(word(gen), qbar_family(fam), rep1, rep2)
-    if strip_constant:
-        if gen != "N":
-            raise ParameterError("strip_constant applies to the number operator only")
-        eye = _coproduct_blocks(word(), fam, rep1, rep2)
-        dg = dg - fam.beta_const * eye
-        dbar = dbar + fam.beta_const * eye  # the rebuilt constant is negated
     return _twisted_report("yan_relation", spec, fam, gen, dbar, R, dg, (rep1.dim, rep2.dim),
                            win.max_index)

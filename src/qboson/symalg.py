@@ -11,6 +11,8 @@ integer 2s).  The sub-family s = k is the natural basis of the algebra
 generated by Np and the dressed raising element A = q**(N/2) adag; the
 independent s is the minimal completion closed under both the product
 and the coproduct (whose legs carry q**N factors that break the tie).
+An element is a plain dict {(k, m, 2s): coefficient}, and an element of
+the tensor square a dict {(key1, key2): coefficient}.
 
 The dual is generated by the functionals nu and beta.  On tie elements
 their values are the defining ones; on off-tie elements the values come
@@ -59,69 +61,9 @@ from .report import IdentityReport, make_report, residual, worst
 Key = tuple  # (k, m, two_s)
 
 
-class _Combination:
-    """Finite linear combination of basis keys, dropping zero coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {key: complex(c) for key, c in (terms or {}).items() if c != 0}
-
-    def items(self):
-        return self.terms.items()
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) + c
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def scaled(self, z: complex):
-        return type(self)({key: z * c for key, c in self.terms.items()})
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-
-class PlusElement(_Combination):
-    """Finite linear combination of E[k, m, s] basis monomials."""
-
-    __slots__ = ()
-
-    @classmethod
-    def unit(cls) -> "PlusElement":
-        return cls({(0, 0, 0): 1.0})
-
-    @classmethod
-    def basis(cls, k: int, m: int, s: float) -> "PlusElement":
-        """E[k, m, s]; s may be any half-integer."""
-        two_s = round(2 * s)
-        if k < 0 or m < 0 or abs(2 * s - two_s) > 1e-12:
-            raise ParameterError("basis indices must be k, m >= 0 and s a half-integer")
-        return cls({(k, m, int(two_s)): 1.0})
-
-    @classmethod
-    def n_prime(cls) -> "PlusElement":
-        return cls.basis(0, 1, 0)
-
-    @classmethod
-    def a_dressed(cls) -> "PlusElement":
-        """A = q**(N/2) adag."""
-        return cls.basis(1, 0, 1)
-
-    def __repr__(self):
-        body = " + ".join(f"({c:.4g})*E[{k},{m},{t / 2:g}]"
-                          for (k, m, t), c in sorted(self.terms.items()))
-        return body or "0"
-
-
-class TensorPlusElement(_Combination):
-    """Element of the tensor square, keyed by pairs of basis keys."""
-
-    __slots__ = ()
+def _nonzero(terms: dict) -> dict:
+    """The terms with exact-zero coefficients dropped, as Python complex numbers."""
+    return {key: complex(c) for key, c in terms.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +87,13 @@ def _mul_keys(key1: Key, key2: Key, p: DeformParams) -> dict:
     return out
 
 
-def multiply(x: PlusElement, y: PlusElement, p: DeformParams) -> PlusElement:
+def multiply(x: dict, y: dict, p: DeformParams) -> dict:
     out: dict = {}
-    for key1, c1 in x.terms.items():
-        for key2, c2 in y.terms.items():
+    for key1, c1 in x.items():
+        for key2, c2 in y.items():
             for key, c in _mul_keys(key1, key2, p).items():
                 out[key] = out.get(key, 0.0) + c1 * c2 * c
-    return PlusElement(out)
+    return _nonzero(out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +132,9 @@ def _coproduct_coeff(k: int, r: int, t, p: DeformParams):
 
 
 @functools.lru_cache(maxsize=None)
-def _coproduct_key(key: Key, p: DeformParams) -> TensorPlusElement:
-    """Delta(E[k, m, s]) expanded in the tensor basis, in closed form.
+def _coproduct_key(key: Key, p: DeformParams) -> dict:
+    """Delta(E[k, m, s]) expanded in the tensor basis, in closed form; the
+    cached dict is shared, so callers only read it.
 
     Legs: Delta(q**(sN/2)) = e^{-is alpha/2} q**(sN/2) (x) q**(sN/2),
     Delta(Np) = Np (x) 1 + 1 (x) Np, and
@@ -209,28 +152,28 @@ def _coproduct_key(key: Key, p: DeformParams) -> TensorPlusElement:
         c_r = _coproduct_coeff(k, r, t, p)
         for j in range(m + 1):
             out[((r, j, t - 2 * (k - r)), (k - r, m - j, t + 2 * r))] = c_r * math.comb(m, j)
-    return TensorPlusElement(out)
+    return _nonzero(out)
 
 
-def coproduct_sym(x: PlusElement, p: DeformParams) -> TensorPlusElement:
-    out = TensorPlusElement()
-    for key, c in x.terms.items():
-        out = out + _coproduct_key(key, p).scaled(c)
-    return out
+def coproduct_sym(x: dict, p: DeformParams) -> dict:
+    out: dict = {}
+    for key, c in x.items():
+        for pair, c2 in _coproduct_key(key, p).items():
+            out[pair] = out.get(pair, 0.0) + c * c2
+    return _nonzero(out)
 
 
-def antipode_sym_inv(x: PlusElement, p: DeformParams) -> PlusElement:
+def antipode_sym_inv(x: dict, p: DeformParams) -> dict:
     """Inverse antipode: S^{-1}(adag) = -q**(-1/2) adag, S^{-1}(Np) = -Np,
     S^{-1}(q**(sN/2)) = e^{is alpha} q**(-sN/2); antihomomorphic order."""
-    out = PlusElement()
-    for (k, m, t), c in x.terms.items():
+    out: dict = {}
+    for (k, m, t), c in x.items():
         coeff = c * ((-1.0) ** (k + m)) * q_power(-k / 2.0, p) \
             * complex(np.exp(1j * (t / 2.0) * p.alpha))
-        elem = PlusElement({(k, 0, 0): coeff})
-        elem = multiply(elem, PlusElement({(0, m, 0): 1.0}), p)
-        elem = multiply(elem, PlusElement({(0, 0, -t): 1.0}), p)
-        out = out + elem
-    return out
+        elem = multiply({(k, 0, 0): coeff}, {(0, m, 0): 1.0}, p)
+        for key, c2 in multiply(elem, {(0, 0, -t): 1.0}, p).items():
+            out[key] = out.get(key, 0.0) + c2
+    return _nonzero(out)
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +334,16 @@ def pairing_gram(kmax: int, mmax: int, p: DeformParams) -> np.ndarray:
                        [(l, n, 2 * l) for l, n in pairs], p)
 
 
-def pairing_check(kmax: int, mmax: int, p: DeformParams,
-                  gram: np.ndarray | None = None) -> IdentityReport:
-    """Compare the dual-multiplication pairing with the closed form.
+def pairing_check(kmax: int, mmax: int, p: DeformParams) -> IdentityReport:
+    """Compare the dual-multiplication pairing table with the closed form.
 
-    The table compared is 'gram' when the caller already holds
-    pairing_gram(kmax, mmax, p), and is evaluated here otherwise.
     The raw residual is the largest absolute deviation; the normalized one
     divides it by max(1, largest |closed form|) over the table, because the
     entries grow like n!/gamma^n and an absolute test would fail on
     rounding alone for q near 1.
     """
     pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
-    G = pairing_gram(kmax, mmax, p) if gram is None else gram
-    if G.shape != (len(pairs), len(pairs)):
-        raise ParameterError(f"pairing table has shape {G.shape}, expected "
-                             f"{(len(pairs), len(pairs))} for kmax={kmax}, mmax={mmax}")
+    G = pairing_gram(kmax, mmax, p)
     # the closed form vanishes off the diagonal
     want = np.diag([pairing_closed_form(k, m, k, m, p) for k, m in pairs])
     dev = float(np.abs(G - want).max())
@@ -465,11 +402,10 @@ def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
     """
     functionals = (EPS, NU, BETA, qnu(0.5), qnu(-0.5))
     keys = [(l, n, 2 * l) for l in range(deg + 1) for n in range(deg + 1)]
-    sxs = {x: antipode_sym_inv(PlusElement({x: 1.0}), p) for x in keys}
-    yxs = {(x, y): multiply(PlusElement({y: 1.0}), PlusElement({x: 1.0}), p)
-           for x in keys for y in keys}
+    sxs = {x: antipode_sym_inv({x: 1.0}, p) for x in keys}
+    yxs = {(x, y): multiply({y: 1.0}, {x: 1.0}, p) for x in keys for y in keys}
     # each functional's value on each key met, computed once
-    met = set(keys).union(*(z.terms for z in (*sxs.values(), *yxs.values())))
+    met = set(keys).union(*sxs.values(), *yxs.values())
     val = {f: {key: eval_atomic(f, key, p) for key in met} for f in functionals}
     ev = lambda f, z: sum((c * val[f][key] for key, c in z.items()), start=0j)
     devs = []
@@ -488,11 +424,11 @@ def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
 # quantum-double straightening
 
 
-def _coproduct3(x: PlusElement, p: DeformParams) -> dict:
+def _coproduct3(x: dict, p: DeformParams) -> dict:
     """(Delta (x) id) Delta(x) as a dict of key triples."""
     out: dict = {}
-    for (key1, key2), c in coproduct_sym(x, p).terms.items():
-        for (key1a, key1b), c1 in _coproduct_key(key1, p).terms.items():
+    for (key1, key2), c in coproduct_sym(x, p).items():
+        for (key1a, key1b), c1 in _coproduct_key(key1, p).items():
             key = (key1a, key1b, key2)
             out[key] = out.get(key, 0.0) + c * c1
     return out
@@ -509,7 +445,8 @@ def straighten_cross(fname: str, xname: str, p: DeformParams) -> dict:
     """
     if fname not in ("nu", "beta"):
         raise ParameterError("straightening is defined for the generators nu, beta")
-    x = {"nprime": PlusElement.n_prime(), "araise": PlusElement.a_dressed()}[xname]
+    # Np = E[0, 1, 0] and A = q**(N/2) adag = E[1, 0, 1]
+    x = {"nprime": {(0, 1, 0): 1.0}, "araise": {(1, 0, 2): 1.0}}[xname]
     legs3 = _coproduct3(x, p)
     # (T Delta0 (x) id) T Delta0: the table applied again to the first leg
     duals3 = [(c * c1, f1a, f1b, f2) for c, f1, f2 in _dual_coproduct((fname,), p)
