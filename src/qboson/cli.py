@@ -58,7 +58,6 @@ class ConfigError(ValueError):
 class SuiteConfig:
     q: complex = 1.3 + 0.0j
     kappa: int = 0
-    tol: float = 1e-9
     seed: int = 20160
     window: int = 4
     dim_pair: int = 12
@@ -81,7 +80,7 @@ class SuiteConfig:
     scan_q_values: tuple = ()
 
     def params(self, q: complex | None = None) -> DeformParams:
-        return DeformParams(q=self.q if q is None else q, kappa=self.kappa, tol=self.tol)
+        return DeformParams(q=self.q if q is None else q, kappa=self.kappa)
 
     def echo(self) -> dict:
         out = {}
@@ -105,7 +104,6 @@ class SuiteConfig:
 _KNOWN_KEYS = {
     "q": ("q", "complex"),
     "kappa": ("kappa", "int"),
-    "tol": ("tol", "float"),
     "seed": ("seed", "int"),
     "window": ("window", "int"),
     "dims.pair": ("dim_pair", "int"),

@@ -6,9 +6,8 @@ row/column indices whose entries agree with the untruncated operator.
 A :class:`Window` records the window size W together with the guard g
 (the largest intermediate raising degree of the operator word under
 test); feasibility means W + g <= D - 1 in every tensor factor.
-Window.cut takes a D x D matrix's window block, which report.residual
-compares; the two-leg checks cut theirs from pair-sector stacks
-(hopfops._mask).  Each check here reports the window it cut.
+Window.cut takes a D x D matrix's window block for report.compare; the
+two-leg checks cut theirs from pair-sector stacks (hopfops._mask).  Each check here reports the window it cut.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qscalars import DeformParams, ParameterError, q_number, q_power
-from .report import IdentityReport, make_report, residual, worst
+from .report import IdentityReport, compare
 
 
 class DimensionError(ValueError):
@@ -74,6 +73,13 @@ class FockRep:
 
     def n_diag(self) -> np.ndarray:
         return np.diag(self.matN)
+
+
+def shared_params(rep1: FockRep, rep2: FockRep) -> DeformParams:
+    """The DeformParams (q and kappa) of two representations on one tensor product."""
+    if rep1.params != rep2.params:
+        raise ParameterError("representations must share DeformParams")
+    return rep1.params
 
 
 def build_rep(D: int, c: complex, p: DeformParams) -> FockRep:
@@ -141,8 +147,8 @@ def check_relation(rep: FockRep, rel: str, window: Window | None = None) -> Iden
     else:  # Ry
         lhs = a @ ad - ad @ a
         rhs = np.diag(q_number(nd + 0.5, p) - q_number(nd - 0.5, p))
-    return make_report(f"relation_{rel}", {"q": str(p.q), "c": str(rep.c)}, [rep.dim],
-                       window.max_index, *residual(*window.cut(lhs, rhs)), p.tol)
+    return compare(f"relation_{rel}", {"q": str(p.q), "c": str(rep.c)}, [rep.dim],
+                   window.max_index, [window.cut(lhs, rhs)])
 
 
 def casimir(rep: FockRep) -> np.ndarray:
@@ -152,17 +158,15 @@ def casimir(rep: FockRep) -> np.ndarray:
 
 def check_casimir_scalar(D: int, p: DeformParams) -> IdentityReport:
     """casimir = -[c - 1/2] I on the window n <= min(8, D - 2), at five shifts c."""
-    win, pairs = Window(min(8, D - 2), guard=1), []
-    for c in (0.5, 1.0, 0.3, 2.0 + 0.5j, -0.7):
-        want = -q_number(complex(c) - 0.5, p) * np.eye(D, dtype=complex)
-        pairs.append(residual(*win.cut(casimir(build_rep(D, c, p)), want)))
-    raws, nrms = zip(*pairs)
-    return make_report("casimir_scalar", {"q": str(p.q)}, [D], win.max_index,
-                       worst(raws), worst(nrms), p.tol)
+    win = Window(min(8, D - 2), guard=1)
+    return compare("casimir_scalar", {"q": str(p.q)}, [D], win.max_index, (
+        win.cut(casimir(build_rep(D, c, p)),
+                -q_number(complex(c) - 0.5, p) * np.eye(D, dtype=complex))
+        for c in (0.5, 1.0, 0.3, 2.0 + 0.5j, -0.7)))
 
 
 def classical_limit_residual(D: int = 8, eps: float = 1e-6, kappa: int = 0) -> IdentityReport:
-    """Windowed residual of [a, a+] = I at q = 1 + eps, c = 0, with tol 1e-5.
+    """Windowed residual of [a, a+] = I at q = 1 + eps, c = 0.
 
     The symmetric bracket has even-order corrections in gamma, so this
     shrinks quadratically in eps (halving eps quarters the residual).
@@ -172,5 +176,5 @@ def classical_limit_residual(D: int = 8, eps: float = 1e-6, kappa: int = 0) -> I
     rep = build_rep(D, 0.0, DeformParams(q=1.0 + eps, kappa=kappa))
     window = Window(D - 2, guard=1)
     lhs = rep.matA @ rep.matAdag - rep.matAdag @ rep.matA
-    return make_report("classical_limit", {"eps": eps}, [D], window.max_index,
-                       *residual(*window.cut(lhs, np.eye(D, dtype=complex))), 1e-5)
+    return compare("classical_limit", {"eps": eps}, [D], window.max_index,
+                   [window.cut(lhs, np.eye(D, dtype=complex))])

@@ -12,9 +12,9 @@ letter's three-leg image held as one weight per leg displacement, the
 counit and antipode sides being recursions over D x D letter images.
 closed_coproduct_letter writes the generators' two-leg stacks in closed
 form, apart from that rule, as the reference the homomorphism check
-(check_homomorphism) compares the gathered stacks against.  Each
-comparison goes through report.residual: a stack's window is its entries
-under _mask, an axiom side's is its window block.
+(check_homomorphism) compares the gathered stacks against.  Each check
+reports through report.compare: a stack's window is its entries under
+_mask, an axiom side's is its window block.
 
 The general structure family is parameterized by a half-integer m, an
 integer K and a sign choice; the canonical structure is the point
@@ -34,9 +34,9 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fockrep import FockRep, Window
+from .fockrep import FockRep, Window, shared_params
 from .qscalars import DeformParams, ParameterError, q_power
-from .report import IdentityReport, make_report, residual, worst
+from .report import IdentityReport, compare
 
 # a word letter is "N" | "a" | "adag" | ("qpow", s) with s the exponent in q^{sN}
 
@@ -224,8 +224,7 @@ def _coproduct_blocks(w: GenWord, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
     terms c u (x) v, entries sum c u[i, i'] v[j, j'].  The family may carry
     other DeformParams than the representations (the 1/q coproduct of the
     Yan relation acts on the q representations)."""
-    if rep1.params.q != rep2.params.q:
-        raise ParameterError("representations must share DeformParams")
+    shared_params(rep1, rep2)
     if opposite and rep1.dim != rep2.dim:
         raise ParameterError("opposite coproduct needs equal factor dimensions")
     dims, p = (rep1.dim, rep2.dim), fam.params
@@ -272,13 +271,10 @@ def check_homomorphism(words, rep: FockRep, fam: HopfFamily) -> IdentityReport:
     W = Window(rep.dim - 1 - guard, guard=guard).max_index
     sides = (cache(lambda ltr: _coproduct_blocks(word(ltr), fam, rep, rep)),
              cache(lambda ltr: closed_coproduct_letter(ltr, rep, rep, fam)))
-    pairs = []
-    for w in words:
-        win = _mask(dims, w.letters.count("adag") - w.letters.count("a"), W)
-        pairs.append(residual(*(_word_blocks(w, dims, side)[win] for side in sides)))
-    raws, nrms = zip(*pairs)
-    return make_report("hopf_homomorphism_random", {"q": str(fam.params.q)}, list(dims), W,
-                       worst(raws), worst(nrms), fam.params.tol)
+    masks = (_mask(dims, w.letters.count("adag") - w.letters.count("a"), W) for w in words)
+    return compare("hopf_homomorphism_random", {"q": str(fam.params.q)}, list(dims), W,
+                   ([_word_blocks(w, dims, side)[win] for side in sides]
+                    for w, win in zip(words, masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +430,5 @@ def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
                                     ("counit_right", [D], eps_side(x, False)[cut], leg(w)[cut]),
                                     ("antipode_left", [D], s_id(x)[cut], eps),
                                     ("antipode_right", [D], id_s(x)[cut], eps)):
-            reports.append(make_report(f"hopf_{tag}_{w.name}", fam_tag, dims, W,
-                                       *residual(lhs, rhs), fam.params.tol))
+            reports.append(compare(f"hopf_{tag}_{w.name}", fam_tag, dims, W, [(lhs, rhs)]))
     return reports

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .report import IdentityReport, make_report, worst
+from .report import IdentityReport, compare, make_report, worst
 
 #: largest n probed by the root-of-unity exclusion check
 _ROOT_OF_UNITY_PROBE = 64
@@ -40,7 +40,6 @@ class DeformParams:
 
     q: complex
     kappa: int = 0
-    tol: float = 1e-9
     gamma: complex = field(init=False)
     alpha: float = field(init=False)
 
@@ -53,8 +52,6 @@ class DeformParams:
         if q.imag == 0 and q.real < 0:
             raise ParameterError("q on the negative real axis is rejected "
                                  "(principal-log branch ambiguity)")
-        if self.tol <= 0:
-            raise ParameterError("tol must be positive")
         w = 1.0 + 0.0j
         for n in range(1, _ROOT_OF_UNITY_PROBE + 1):
             w *= q
@@ -67,7 +64,7 @@ class DeformParams:
         # the generated hash rebuilds a tuple of every field on each call, and
         # every cache keyed by these parameters pays it; equality stays fieldwise
         object.__setattr__(self, "_hash",
-                           hash((self.q, self.kappa, self.tol, self.gamma, self.alpha)))
+                           hash((self.q, self.kappa, self.gamma, self.alpha)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,7 +85,7 @@ class DeformParams:
         gamma negates exactly (principal log of the reciprocal), so the
         constant i*alpha/gamma flips sign.
         """
-        return DeformParams(q=1.0 / self.q, kappa=self.kappa, tol=self.tol)
+        return DeformParams(q=1.0 / self.q, kappa=self.kappa)
 
 
 def q_power(z, p: DeformParams):
@@ -128,7 +125,7 @@ def half_index_product(k: int, p: DeformParams) -> complex:
 
 def _report(name: str, p: DeformParams, deviations: list) -> IdentityReport:
     dev = worst(deviations)
-    return make_report(name, {"q": str(p.q)}, [len(deviations)], 0, dev, dev, p.tol)
+    return make_report(name, {"q": str(p.q)}, [len(deviations)], 0, dev, dev)
 
 
 def check_qpower_additivity(pairs, p: DeformParams) -> IdentityReport:
@@ -145,7 +142,9 @@ def check_qnum_inversion(points, p: DeformParams) -> IdentityReport:
 
 
 def check_half_index_recursion(p: DeformParams) -> IdentityReport:
-    """prod_{j<=k} [j/2] = prod_{j<k} [j/2] [k/2] for k = 1..12."""
-    return _report("qscalars_half_index_recursion", p, [
-        abs(half_index_product(k, p) - half_index_product(k - 1, p) * q_number(k / 2.0, p))
-        for k in range(1, 13)])
+    """prod_{j<=k} [j/2] = prod_{j<k} [j/2] (q^{k/2} - q^{-k/2}) / (q - 1/q) at each
+    k = 1..12, over the right side; the factor is q_power's, not q_number's sinh form."""
+    k, prod = np.arange(1, 13), np.array([half_index_product(j, p) for j in range(13)])
+    step = (q_power(k / 2.0, p) - q_power(-k / 2.0, p)) / (p.q - 1.0 / p.q)
+    return compare("qscalars_half_index_recursion", {"q": str(p.q)}, [12], 0,
+                   zip(prod[1:, None], (prod[:-1] * step)[:, None]), floor=1e-300)

@@ -1,5 +1,5 @@
-"""Identity reports, verdict classification, the one windowed residual every
-check measures through, and the shared matrix dump format."""
+"""Identity reports, the one verdict policy and windowed residual every check
+reports through (compare), and the shared matrix dump format."""
 
 from __future__ import annotations
 
@@ -9,20 +9,16 @@ from pathlib import Path
 
 import numpy as np
 
-#: residuals in (tol, 100*tol] are a gray zone and are reported, never classified
-FAIL_FACTOR = 100.0
+#: a residual at most TOL passes; (TOL, FAIL_FACTOR*TOL] is a gray zone, reported, never classified
+TOL, FAIL_FACTOR = 1e-9, 100.0
 
 
-def verdict_of(normalized: float, tol: float) -> str:
+def verdict_of(normalized: float) -> str:
     """pass, fail or the gray-zone info; a non-finite residual proves nothing
     and fails."""
-    if not math.isfinite(normalized):
+    if not math.isfinite(normalized) or normalized > FAIL_FACTOR * TOL:
         return "fail"
-    if normalized <= tol:
-        return "pass"
-    if normalized > FAIL_FACTOR * tol:
-        return "fail"
-    return "info"
+    return "pass" if normalized <= TOL else "info"
 
 
 def worst(values) -> float:
@@ -88,7 +84,7 @@ class IdentityReport:
 
 
 def make_report(identity: str, params: dict, dims, window: int, raw: float,
-                normalized: float, tol: float) -> IdentityReport:
+                normalized: float) -> IdentityReport:
     """A report with no wall time yet; the suite runner times each case."""
     return IdentityReport(
         identity=identity,
@@ -97,8 +93,16 @@ def make_report(identity: str, params: dict, dims, window: int, raw: float,
         window=window,
         raw_residual=float(raw),
         normalized_residual=float(normalized),
-        verdict=verdict_of(normalized, tol),
+        verdict=verdict_of(normalized),
     )
+
+
+def compare(identity: str, params: dict, dims, window: int, pairs,
+            floor: float = 1.0) -> IdentityReport:
+    """The report of (lhs, rhs) pairs already cut to the window: the largest
+    raw and the largest normalized residual, each taken separately."""
+    raws, nrms = np.reshape([residual(lhs, rhs, floor) for lhs, rhs in pairs], (-1, 2)).T
+    return make_report(identity, params, dims, window, worst(raws), worst(nrms))
 
 
 # ---------------------------------------------------------------------------

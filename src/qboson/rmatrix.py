@@ -37,7 +37,9 @@ Verdicts hold on a leak-free window; the triple products raise the
 middle factor by up to the window size, so there 2W <= D - 1 rather
 than the pairwise W + 1 <= D - 1.  Residuals go through report.residual
 (finite where R's entries reach 1e250 or 1e-200 near q = 1), pairwise on
-the entries under hopfops._mask, triple on every window-block entry.
+the entries under hopfops._mask, triple on every window-block entry;
+report.compare builds every report but the intertwiners' and the Yan
+relation's (_twisted_report).
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import FockRep, Window
+from .fockrep import FockRep, Window, shared_params
 from .hopfops import (_DEG, GenWord, HopfFamily, _coproduct_blocks, _mask, _pair_op,
                       _pair_sectors, _shift, antipode_op, counit, qbar_family, qpow, word)
 from .qscalars import DeformParams, ParameterError, half_index_product, q_power
-from .report import IdentityReport, frobenius, make_report, residual, worst
+from .report import IdentityReport, compare, frobenius, make_report, residual
 
 KINDS = ("quantum_double", "yan_claimed", "general_family")
 
@@ -166,9 +168,7 @@ def _held_r(spec: RSpec, rep1: FockRep, rep2: FockRep) -> np.ndarray:
     key = (spec, *((r.params, r.matN.tobytes(), r.matA.tobytes(), r.matAdag.tobytes())
                    for r in (rep1, rep2)))
     if (held := _HELD_R.get(key)) is None:
-        if rep1.params.q != rep2.params.q:
-            raise ParameterError("representations must share DeformParams")
-        p, N1, N2, D2 = rep1.params, rep1.n_diag(), rep2.n_diag(), rep2.dim
+        p, N1, N2, D2 = shared_params(rep1, rep2), rep1.n_diag(), rep2.n_diag(), rep2.dim
         series = _series(spec, p)
         pref = q_power(series.exponent(N1, N2), p)
         U = _dressed_powers(rep1.matAdag, series.su, N1, D2, p)
@@ -216,7 +216,7 @@ def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.
     raw, _ = residual((left @ R)[win], (_shift(R, deg) @ right)[win])
     nrm = raw / max(frobenius(R[_mask(dims, 0, W)]) * frobenius(right[win]), 1e-300)
     return make_report(f"{name}_{gen}", _echo(spec, fam.params, {"gen": gen}), list(dims), W,
-                       raw, nrm, fam.params.tol)
+                       raw, nrm)
 
 
 def check_intertwiner(spec: RSpec, rep1: FockRep, rep2: FockRep, gen: str,
@@ -295,8 +295,7 @@ def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep) 
     p, dims = rep1.params, (rep1.dim, rep2.dim, rep3.dim)
     W = (min(dims) - 1) // 2  # the middle factor rises by up to W
     _, _, sides = _r_chains(spec, (rep1, rep2, rep3), W, (0, 1, 2), (2, 1, 0))
-    return make_report("yang_baxter", _echo(spec, p), list(dims), W,
-                       *residual(*sides, floor=1e-300), p.tol)
+    return compare("yang_baxter", _echo(spec, p), list(dims), W, [sides], floor=1e-300)
 
 
 def _ladder(gen: str, s: float, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
@@ -333,9 +332,9 @@ def check_fusion(spec: RSpec, rep1: FockRep, rep2: FockRep,
          _dressed_powers(rep1.matAdag, series.su, N1, W + 1, p),
          _ladder("a", series.sv, fam, rep2, rep3, W),
          (n1, m1), (m2 + m3, row23, col23)))
-    return [make_report(name, _echo(spec, p), list(dims), W, *residual(_series_sum(
-        series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs,
-        floor=1e-300), p.tol) for name, pref, k, rhs, raising, lowering, up, low in sides]
+    return [compare(name, _echo(spec, p), list(dims), W, [(_series_sum(
+        series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs)],
+        floor=1e-300) for name, pref, k, rhs, raising, lowering, up, low in sides]
 
 
 def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep) -> np.ndarray:
@@ -360,9 +359,8 @@ def check_antipode_inverse(spec: RSpec, rep1: FockRep, rep2: FockRep,
     fam, R, win, eye = _pair_setup(spec, rep1, rep2, window)
     p, dims = fam.params, (rep1.dim, rep2.dim)
     Rinv, cut = _antipode_blocks(spec, fam, rep1, rep2), _mask(dims, 0, win.max_index)
-    raws, nrms = zip(*(residual(prod[cut], eye[cut]) for prod in (R @ Rinv, Rinv @ R)))
-    return make_report("antipode_inverse", _echo(spec, p), list(dims), win.max_index,
-                       worst(raws), worst(nrms), p.tol)
+    return compare("antipode_inverse", _echo(spec, p), list(dims), win.max_index,
+                   ((prod[cut], eye[cut]) for prod in (R @ Rinv, Rinv @ R)))
 
 
 def check_counit(spec: RSpec, rep1: FockRep, rep2: FockRep) -> list[IdentityReport]:
@@ -373,9 +371,7 @@ def check_counit(spec: RSpec, rep1: FockRep, rep2: FockRep) -> list[IdentityRepo
     Each term's counit leg is a 1 x 1 factor, so each side is a series
     gathered at k = col - row (left) or row - col (right).
     """
-    if rep1.params.q != rep2.params.q:
-        raise ParameterError("representations must share DeformParams")
-    p = rep1.params
+    p = shared_params(rep1, rep2)
     fam, series = family_for(spec, p), _series(spec, p)
     D1, D2, N1, N2 = rep1.dim, rep2.dim, rep1.n_diag(), rep2.n_diag()
     eps_n = np.array([fam.counit_N()])
@@ -389,8 +385,8 @@ def check_counit(spec: RSpec, rep1: FockRep, rep2: FockRep) -> list[IdentityRepo
         row, col = np.indices((D, D))
         up, low = ((row, col) if len(leg[0]) > 1 else (0, 0) for leg in (raising, lowering))
         got = _series_sum(series, pref[row], raising, lowering, sign * (row - col), up, low)
-        reports.append(make_report(name, _echo(spec, p), [D1, D2], D - 1,
-                                   *residual(got, np.eye(D, dtype=complex)), p.tol))
+        reports.append(compare(name, _echo(spec, p), [D1, D2], D - 1,
+                               [(got, np.eye(D, dtype=complex))]))
     return reports
 
 

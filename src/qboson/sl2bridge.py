@@ -17,7 +17,7 @@ from .fockrep import FockRep, Window, build_rep, casimir
 from .hopfops import (HopfFamily, _coproduct_blocks, _mask, _pair_op, _shift, _unit, counit_leg,
                       qpow, rep_word, word)
 from .qscalars import DeformParams, ParameterError, q_number, q_power
-from .report import IdentityReport, make_report, residual, worst
+from .report import IdentityReport, compare
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def realize_sl2(rep: FockRep, lam: complex) -> Sl2Triple:
     e = lam * rep.matAdag
     qh, qmh = q_power(0.5, p), q_power(-0.5, p)
     f = 1j * (qh + qmh) / (lam * (qh - qmh)) * rep.matA
-    base = DeformParams(q=complex(np.exp(p.gamma / 2.0)), kappa=p.kappa, tol=p.tol)
+    base = DeformParams(q=complex(np.exp(p.gamma / 2.0)), kappa=p.kappa)
     return Sl2Triple(h=h, e=e, f=f, base_params=base)
 
 
@@ -57,12 +57,10 @@ def check_sl2(triple: Sl2Triple) -> IdentityReport:
     win = Window(D - 2, guard=1)
     h, e, f = triple.h, triple.e, triple.f
     bracket_h = np.diag(q_number(np.diag(h), pb))  # h is diagonal in the Fock basis
-    raws, nrms = zip(*(residual(*win.cut(lhs, rhs))
-                       for lhs, rhs in (((h @ e - e @ h), 2.0 * e),
-                                        ((h @ f - f @ h), -2.0 * f),
-                                        ((e @ f - f @ e), bracket_h))))
-    return make_report("sl2_relations", {"base_q": str(pb.q)}, [D],
-                       win.max_index, worst(raws), worst(nrms), pb.tol)
+    return compare("sl2_relations", {"base_q": str(pb.q)}, [D], win.max_index,
+                   (win.cut(lhs, rhs) for lhs, rhs in (((h @ e - e @ h), 2.0 * e),
+                                                       ((h @ f - f @ h), -2.0 * f),
+                                                       ((e @ f - f @ e), bracket_h))))
 
 
 def inverse_realization(triple: Sl2Triple, mu: complex,
@@ -86,7 +84,7 @@ def inverse_realization(triple: Sl2Triple, mu: complex,
     matA = mu * triple.f
     qb, qbi = q_power(1.0, pb), q_power(-1.0, pb)
     matAdag = -1j * (qb - qbi) / (mu * (qb + qbi)) * triple.e
-    target = DeformParams(q=complex(np.exp(2.0 * pb.gamma)), kappa=pb.kappa, tol=pb.tol)
+    target = DeformParams(q=complex(np.exp(2.0 * pb.gamma)), kappa=pb.kappa)
     return matN, matA, matAdag, target
 
 
@@ -98,8 +96,8 @@ def inverse_round_trip(rep: FockRep) -> IdentityReport:
     nd, win = np.diag(matN), Window(rep.dim - 2, guard=1)
     lhs = matA @ matAdag - matAdag @ matA
     rhs = np.diag(q_number(nd + 0.5, target) - q_number(nd - 0.5, target))
-    return make_report("inverse_realization_y", {"q": str(rep.params.q), "shift": "published"},
-                       [rep.dim], win.max_index, *residual(*win.cut(lhs, rhs)), rep.params.tol)
+    return compare("inverse_realization_y", {"q": str(rep.params.q), "shift": "published"},
+                   [rep.dim], win.max_index, [win.cut(lhs, rhs)])
 
 
 def casimir_centrality(D: int, p: DeformParams) -> IdentityReport:
@@ -110,10 +108,8 @@ def casimir_centrality(D: int, p: DeformParams) -> IdentityReport:
     for c in (0.5, 1.0):
         rep = build_rep(D, c, p)
         C = casimir(rep)
-        pairs += [residual(*win.cut(C @ x, x @ C)) for x in (rep.matN, rep.matA, rep.matAdag)]
-    raws, nrms = zip(*pairs)
-    return make_report("sl2_casimir_central", {"q": str(p.q)}, [D], win.max_index,
-                       worst(raws), worst(nrms), p.tol)
+        pairs += [win.cut(C @ x, x @ C) for x in (rep.matN, rep.matA, rep.matAdag)]
+    return compare("sl2_casimir_central", {"q": str(p.q)}, [D], win.max_index, pairs)
 
 
 def hopf_ideal_witness(D: int, fam: HopfFamily) -> IdentityReport:
@@ -136,9 +132,8 @@ def hopf_ideal_witness(D: int, fam: HopfFamily) -> IdentityReport:
     rhs = _pair_op((D, D), 0, lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc)
                    * q_number(n[ir] + n[jr] + fam.beta_const - 0.5, p))
     cut = _mask((D, D), 0, win.max_index)
-    raw, nrm = residual((_shift(dad, -1) @ da)[cut], rhs[cut])
-    return make_report("hopf_ideal_witness", {"q": str(p.q), "c": "0.5"}, [D, D],
-                       win.max_index, raw, nrm, p.tol)
+    return compare("hopf_ideal_witness", {"q": str(p.q), "c": "0.5"}, [D, D], win.max_index,
+                   [((_shift(dad, -1) @ da)[cut], rhs[cut])])
 
 
 def witness_consistency(D: int, fam: HopfFamily) -> IdentityReport:
@@ -156,7 +151,5 @@ def witness_consistency(D: int, fam: HopfFamily) -> IdentityReport:
     bracket = (eps_contract(qpow(1.0)) * q_power(-0.5, p)
                - eps_contract(qpow(-1.0)) * q_power(0.5, p)) / (p.q - 1.0 / p.q)
     C = casimir(rep)
-    raws, nrms = zip(residual(C, np.zeros_like(C)),
-                     residual(eps_contract("adag") @ eps_contract("a") - bracket, C))
-    return make_report("witness_consistency", {"q": str(p.q)}, [D], D - 1,
-                       worst(raws), worst(nrms), p.tol)
+    return compare("witness_consistency", {"q": str(p.q)}, [D], D - 1,
+                   [(C, np.zeros_like(C)), (eps_contract("adag") @ eps_contract("a") - bracket, C)])

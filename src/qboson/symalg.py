@@ -56,7 +56,7 @@ import numpy as np
 
 from .fockrep import FockRep, Window
 from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
-from .report import IdentityReport, make_report, residual, worst
+from .report import IdentityReport, compare, make_report, worst
 
 Key = tuple  # (k, m, two_s)
 
@@ -349,7 +349,7 @@ def pairing_check(kmax: int, mmax: int, p: DeformParams) -> IdentityReport:
     dev = float(np.abs(G - want).max())
     scale = float(np.abs(want).max())
     return make_report("pairing_eqn", {"kmax": kmax, "mmax": mmax, "q": str(p.q)},
-                       [kmax + 1, mmax + 1], kmax, dev, dev / max(1.0, scale), p.tol)
+                       [kmax + 1, mmax + 1], kmax, dev, dev / max(1.0, scale))
 
 
 def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4) -> IdentityReport:
@@ -358,7 +358,7 @@ def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4) -> Identit
     nu_beta, beta_nu, beta = _word_table([(NU, BETA), (BETA, NU), (BETA,)], keys, p)
     dev = float(np.abs(nu_beta - beta_nu + beta).max())
     return make_report("dual_bracket", {"lmax": lmax, "nmax": nmax, "q": str(p.q)},
-                       [lmax + 1, nmax + 1], lmax, dev, dev, p.tol)
+                       [lmax + 1, nmax + 1], lmax, dev, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
                      - ev(f, yxs[x, y]) for y in keys]
     dev = worst(map(abs, devs))
     return make_report("dual_hopf", {"deg": deg, "q": str(p.q)},
-                       [deg + 1, deg + 1], deg, dev, dev, p.tol)
+                       [deg + 1, deg + 1], deg, dev, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +494,7 @@ def cross_straighten_check(p: DeformParams) -> IdentityReport:
                     ("nu", "araise", {(akey, NU): 1.0, (akey, EPS): 1.0}),
                     ("nu", "nprime", {(nkey, NU): 1.0}),
                     ("beta", "nprime", {(nkey, BETA): 1.0, (unit, BETA): 1.0})))
-    return make_report("cross_straighten", {"q": str(p.q)}, [grid + 1, grid + 1], grid,
-                       dev, dev, p.tol)
+    return make_report("cross_straighten", {"q": str(p.q)}, [grid + 1, grid + 1], grid, dev, dev)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +522,5 @@ def quotient_cross_check(rep: FockRep) -> IdentityReport:
                           np.diag(q_number((2 * nd + 1) / 2.0, p)
                                   - q_number((2 * nd - 1) / 2.0, p))),
     }
-    raws, nrms = zip(*(residual(*win.cut(lhs, rhs)) for lhs, rhs in checks.values()))
-    return make_report("quotient_cross", {"q": str(p.q), "c": str(rep.c)},
-                       [D], win.max_index, worst(raws), worst(nrms), p.tol)
+    return compare("quotient_cross", {"q": str(p.q), "c": str(rep.c)}, [D], win.max_index,
+                   (win.cut(lhs, rhs) for lhs, rhs in checks.values()))

@@ -14,6 +14,7 @@ from qboson.rmatrix import (RSpec, build_r, check_antipode_inverse, check_counit
                             check_yang_baxter, family_for)
 from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
                               realize_sl2, witness_consistency)
+from qboson.report import TOL
 from qboson.symalg import dual_bracket_check, pairing_check
 from test_hopfops import coproduct_op, opposite_coproduct_op
 from test_fockrep import window_block, window_indices
@@ -104,7 +105,7 @@ def test_criterion_6_yan_failure_reproduction():
             da = check_intertwiner(YAN, rep, rep, "a", win).normalized_residual
             yd = check_yan_relation(YAN, rep, rep, "N", win).normalized_residual
             values.append((q, D, da, yd))
-            ok = ok and da > 100 * p.tol and yd > 100 * p.tol
+            ok = ok and da > 100 * TOL and yd > 100 * TOL
     floor = min(min(v[2], v[3]) for v in values)
     criterion(6, "published R-matrix failure reproduction, stable across "
                  f"D in {{8, 12}} and both q (min residual {floor:.2e} > 1e-7)", ok)
@@ -143,7 +144,7 @@ def test_criterion_8_sl2_bridge():
     wit = hopf_ideal_witness(8, fam).normalized_residual
     proj = witness_consistency(8, fam).normalized_residual
     central = casimir_centrality(12, p).normalized_residual
-    ok = (sl_res <= 1e-12 and cas <= 1e-12 and wit > 100 * p.tol
+    ok = (sl_res <= 1e-12 and cas <= 1e-12 and wit > 100 * TOL
           and proj <= 1e-12 and central <= 1e-12)
     criterion(8, f"sl(2) bridge (relations {sl_res:.1e}, Casimir {cas:.1e} <= 1e-12; "
                  f"witness {wit:.2e} > 1e-7 with its premises at {proj:.1e})", ok)

@@ -209,10 +209,12 @@ def test_coproduct_matches_two_leg_formulas(params, point):
 
 
 def test_coproduct_rejects_mismatched_params():
-    p1, p2 = DeformParams(q=1.3), DeformParams(q=1.4)
+    # DeformParams is q and kappa: sharing q alone is not enough
+    p1 = DeformParams(q=1.3)
     fam = HopfFamily.canonical(p1)
-    with pytest.raises(ParameterError, match="share DeformParams"):
-        _coproduct_blocks(word("N"), fam, build_rep(4, 0.5, p1), build_rep(4, 0.5, p2))
+    for p2 in (DeformParams(q=1.4), DeformParams(q=1.3, kappa=1)):
+        with pytest.raises(ParameterError, match="share DeformParams"):
+            _coproduct_blocks(word("N"), fam, build_rep(4, 0.5, p1), build_rep(4, 0.5, p2))
 
 
 def test_coproduct_homomorphism(params):
@@ -421,7 +423,7 @@ def test_coassociativity_gather_matches_dense_oracle(point, q, D, letters):
     assert rpt.identity == f"hopf_coassoc_{w.name}"
     assert rpt.window == window.max_index
     assert abs(rpt.normalized_residual - want) <= 1e-15, (rpt.normalized_residual, want)
-    assert rpt.verdict == verdict_of(want, p.tol)
+    assert rpt.verdict == verdict_of(want)
     # the window entries off the word's degree are exact zeros of both sides
     idx = window_indices((D, D, D), window.max_index)
     total = np.add.reduce(np.unravel_index(idx, (D, D, D)))
@@ -451,7 +453,7 @@ def test_counit_antipode_match_expanded_sweedler_oracle(point, q, D, letters):
     for tag, (nrm, scale) in want.items():
         rpt = got[f"hopf_{tag}_{w.name}"]
         assert rpt.window == window.max_index
-        assert rpt.verdict == verdict_of(nrm, p.tol), tag
+        assert rpt.verdict == verdict_of(nrm), tag
         bound = 1e-13 if scale <= 1e3 else 1e-13 * scale
         assert abs(rpt.normalized_residual - nrm) <= bound, \
             (tag, rpt.normalized_residual, nrm, scale)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qboson import DeformParams, ParameterError, half_index_product, q_number, q_power
+from qboson import DeformParams, ParameterError, half_index_product, q_number, q_power, qscalars
+from qboson.qscalars import check_half_index_recursion
 
 
 def test_params_derived_constants():
@@ -19,9 +20,9 @@ def test_params_derived_constants():
 
 def test_params_hash_is_fieldwise_and_hits_one_cache_entry():
     # the hash is computed once; equal parameters hash equal, equality is fieldwise
-    a, b = DeformParams(q=1.3), DeformParams(q=1.3 + 0j, kappa=0, tol=1e-9)
+    a, b = DeformParams(q=1.3), DeformParams(q=1.3 + 0j, kappa=0)
     assert a == b and hash(a) == hash(b)
-    assert a != DeformParams(q=1.3, kappa=1) and a != DeformParams(q=1.3, tol=1e-8)
+    assert a != DeformParams(q=1.3, kappa=1)
     cached = functools.lru_cache(maxsize=None)(lambda p: object())
     assert cached(a) is cached(b)
     assert cached.cache_info().hits == 1 and cached.cache_info().currsize == 1
@@ -72,6 +73,24 @@ def test_half_index_recursion(params):
         lhs = half_index_product(k, params)
         rhs = half_index_product(k - 1, params) * q_number(k / 2.0, params)
         assert lhs == pytest.approx(rhs, abs=1e-15, rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [1.3, 0.7 + 0.2j, 2.1, 0.9 - 0.3j, 1.05, 0.6 + 0.6j, 1.01, 1.001,
+                               0.6 + 0.8j])
+def test_half_index_recursion_check_passes(q):
+    rpt = check_half_index_recursion(DeformParams(q=q))
+    assert rpt.verdict == "pass" and rpt.normalized_residual <= 1e-12
+    assert (rpt.dims, rpt.window) == ([12], 0)
+
+
+def test_half_index_recursion_check_fails_on_a_wrong_q_number(params, monkeypatch):
+    # the recursion's factor is written from q_power, so a q_number off by
+    # 1e-6 relative shows at that size in every k
+    q_number_right = qscalars.q_number
+    monkeypatch.setattr(qscalars, "q_number", lambda x, p: q_number_right(x, p) * (1 + 1e-6))
+    rpt = check_half_index_recursion(params)
+    assert rpt.verdict == "fail"
+    assert rpt.normalized_residual == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_q_power_basics(params):

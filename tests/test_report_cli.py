@@ -18,14 +18,13 @@ from qboson import DeformParams, build_rep, cli, hopfops, rmatrix, symalg
 from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.qscalars import check_qnum_inversion
-from qboson.report import (IdentityReport, dump_matrix, frobenius, load_matrix, make_report,
-                           residual, verdict_of, worst)
+from qboson.report import (TOL, IdentityReport, compare, dump_matrix, frobenius, load_matrix,
+                           make_report, residual, verdict_of, worst)
 
 FAST_CONFIG = """
 # desk-scale smoke configuration
 q = 0.7+0.2i
 kappa = 0
-tol = 1e-9
 seed = 7
 window = 3
 dims.pair = 6
@@ -55,18 +54,17 @@ def fast_config(tmp_path):
 
 
 def test_verdict_zones():
-    tol = 1e-9
-    assert verdict_of(5e-10, tol) == "pass"
-    assert verdict_of(1e-9, tol) == "pass"
-    assert verdict_of(5e-8, tol) == "info"   # gray zone, never classified
-    assert verdict_of(1e-7, tol) == "info"
-    assert verdict_of(2e-7, tol) == "fail"
+    assert verdict_of(5e-10) == "pass"
+    assert verdict_of(1e-9) == "pass"
+    assert verdict_of(5e-8) == "info"   # gray zone, never classified
+    assert verdict_of(1e-7) == "info"
+    assert verdict_of(2e-7) == "fail"
 
 
 def test_verdict_non_finite_fails():
     # a NaN residual proves nothing; it must not land in the gray zone
     for bad in (float("nan"), float("inf")):
-        assert verdict_of(bad, 1e-9) == "fail"
+        assert verdict_of(bad) == "fail"
 
 
 def _residual_pair():
@@ -93,7 +91,7 @@ def test_residual_nan_entry_fails(side):
     pair[side][2, 3] = np.nan
     raw, nrm = residual(*pair)
     assert math.isnan(raw) and math.isnan(nrm)
-    assert verdict_of(nrm, 1e-9) == "fail"
+    assert verdict_of(nrm) == "fail"
 
 
 def test_residual_floor_bounds_the_denominator():
@@ -259,8 +257,7 @@ def test_run_suite_fast(fast_config):
     assert [yan[name].verdict for name in ("antipode_inverse", "counit_left",
                                            "counit_right")] == ["info"] * 3
     for name in ("yan_relation_N", "yan_relation_a"):
-        assert yan[name].verdict == verdict_of(yan[name].normalized_residual,
-                                               fast_config.tol) == "fail"
+        assert yan[name].verdict == verdict_of(yan[name].normalized_residual) == "fail"
         assert yan[name].expected == "fail"
     assert {"quantum_double", "general_family(m=0.5,K=-1,lower)"} <= set(by_spec)
     for spec, named in by_spec.items():
@@ -270,7 +267,7 @@ def test_run_suite_fast(fast_config):
             assert named[name].verdict == "info" and named[name].expected is None
         # the double does not satisfy the relation either; only the policy
         # keeps that from counting as a failure
-        assert named["yan_relation_N"].normalized_residual > 100 * fast_config.tol
+        assert named["yan_relation_N"].normalized_residual > 100 * TOL
 
 
 def test_runner_times_every_report(fast_config):
@@ -320,11 +317,11 @@ def test_emit_report_roundtrip(tmp_path, fast_config):
 
 
 def test_exit_code_semantics():
-    ok = make_report("x", {}, [2], 1, 0.0, 0.0, 1e-9)
+    ok = make_report("x", {}, [2], 1, 0.0, 0.0)
     ok.expected = "pass"
-    bad = make_report("y", {}, [2], 1, 1.0, 1.0, 1e-9)
+    bad = make_report("y", {}, [2], 1, 1.0, 1.0)
     bad.expected = "pass"
-    info = make_report("z", {}, [2], 1, 5e-8, 5e-8, 1e-9)
+    info = make_report("z", {}, [2], 1, 5e-8, 5e-8)
     assert exit_code_for([ok]) == 0
     assert exit_code_for([ok, info]) == 0  # info entries never block
     assert exit_code_for([ok, bad]) == 1
@@ -333,7 +330,7 @@ def test_exit_code_semantics():
 
 
 def test_exit_code_errored_case():
-    ok = make_report("x", {}, [2], 1, 0.0, 0.0, 1e-9)
+    ok = make_report("x", {}, [2], 1, 0.0, 0.0)
     ok.expected = "pass"
     crashed = IdentityReport(identity="y", params={}, dims=[], window=0,
                              raw_residual=float("nan"), normalized_residual=float("nan"),
@@ -352,6 +349,21 @@ def test_worst_fails_on_nan():
     rep = check_qnum_inversion([1.0, math.nan, 2.0], p)
     assert rep.verdict == "fail" and math.isnan(rep.raw_residual)
     assert check_qnum_inversion([1.0, 2.0], p).verdict == "pass"
+
+
+def test_compare_takes_each_largest_separately():
+    # the largest raw residual comes from the large pair and the largest
+    # normalized one from the small pair; a NaN pair is the worst of both
+    big, small = (np.full(4, 100.0), np.full(4, 99.0)), (np.full(4, 0.5), np.zeros(4))
+    rpt = compare("c", {}, [4], 3, [big, small])
+    assert rpt.raw_residual == residual(*big)[0] and rpt.normalized_residual == residual(*small)[1]
+    assert (rpt.identity, rpt.dims, rpt.window, rpt.verdict) == ("c", [4], 3, "fail")
+    assert compare("c", {}, [4], 3, iter([small]), floor=1e-300).normalized_residual == \
+        residual(*small, floor=1e-300)[1]
+    nan = compare("c", {}, [4], 3, [small, (np.full(4, math.nan), np.zeros(4))])
+    assert nan.verdict == "fail" and math.isnan(nan.raw_residual)
+    empty = compare("c", {}, [4], 3, [])
+    assert (empty.raw_residual, empty.normalized_residual, empty.verdict) == (0.0, 0.0, "pass")
 
 
 def _case_report(config, case_id):
@@ -572,6 +584,27 @@ def test_cli_size_errors_exit_2_before_any_case(tmp_path, monkeypatch, capsys, l
     cfg.write_text(FAST_CONFIG + line + "\n", encoding="utf-8")
     for command in ("verify", "pairing"):
         assert_config_error(["--config", str(cfg), command], capsys)
+
+
+def test_cli_tol_key_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # the verdict tolerance is report.TOL alone: no config can widen it until
+    # the published candidate's claimed failures read as gray-zone info
+    monkeypatch.setattr(cli, "_cases", no_work)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("q = 1.3\ntol = 1e-2\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "verify"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: unknown key 'tol'")
+
+
+def test_readme_config_example_parses(tmp_path):
+    # the fenced example of README's "Configuration file" section names only
+    # keys the grammar knows, each with a value of its kind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Configuration file", 1)[1].split("```", 2)[1]
+    cfg = tmp_path / "example.cfg"
+    cfg.write_text(example, encoding="utf-8")
+    config = parse_config(cfg)
+    assert config.q == 0.7 + 0.2j and config.out_report == "report.json"
 
 
 @pytest.mark.parametrize("lines",

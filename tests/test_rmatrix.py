@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rmatrix
 from qboson.hopfops import (HopfFamily, _coproduct_blocks, _pair_sectors, antipode_op, counit,
                             qpow, rep_word, word)
-from qboson.report import verdict_of
+from qboson.report import TOL, verdict_of
 from qboson.rmatrix import (RSpec, _antipode_blocks, _dressed_powers, _ladder, _r_chains, _series,
                             build_r, check_antipode_inverse, check_counit, check_fusion,
                             check_intertwiner, check_yan_relation, check_yang_baxter,
@@ -121,6 +121,20 @@ def test_counit_rejects_mismatched_params():
         check_counit(QD, rep1, rep2)
 
 
+def test_pairwise_checks_reject_mismatched_kappa():
+    # DeformParams is q and kappa: R carries rep1's kappa, so reps that share
+    # only q are rejected by the R-matrix and by Delta in every order
+    rep0 = build_rep(6, 0.5, DeformParams(q=1.3, kappa=0))
+    rep1 = build_rep(6, 0.5, DeformParams(q=1.3, kappa=1))
+    for a, b in ((rep0, rep1), (rep1, rep0)):
+        for call in (lambda: build_r(QD, a, b), lambda: check_counit(QD, a, b),
+                     lambda: check_intertwiner(QD, a, b, "N"),
+                     lambda: check_antipode_inverse(QD, a, b),
+                     lambda: check_yan_relation(YAN, a, b, "a")):
+            with pytest.raises(ParameterError, match="share DeformParams"):
+                call()
+
+
 def test_series_termination_exact(params):
     # the k-sum is exactly finite: doubling the second factor changes
     # nothing on the common window
@@ -171,7 +185,7 @@ def test_yan_intertwiner_fails_robustly():
         for D in (8, 12):
             rep = build_rep(D, 0.5, p)
             rpt = check_intertwiner(YAN, rep, rep, "a", Window(4, guard=1))
-            assert rpt.normalized_residual > 100 * p.tol, (q, D)
+            assert rpt.normalized_residual > 100 * TOL, (q, D)
             assert rpt.verdict == "fail"
 
 
@@ -189,7 +203,7 @@ def test_yang_baxter(params):
     assert rpt.normalized_residual <= 1e-8
     assert rpt.window == 3  # auto window obeys 2W <= D - 1
     bad = check_yang_baxter(YAN, rep, rep, rep)
-    assert bad.normalized_residual > 100 * params.tol
+    assert bad.normalized_residual > 100 * TOL
     assert bad.verdict == "fail"
 
 
@@ -219,7 +233,7 @@ def test_fusion(params):
     for rpt in check_fusion(QD, rep, rep, rep):
         assert rpt.normalized_residual <= 1e-8, rpt.identity
     bad = check_fusion(YAN, rep, rep, rep)
-    assert max(r.normalized_residual for r in bad) > 100 * params.tol
+    assert max(r.normalized_residual for r in bad) > 100 * TOL
 
 
 def test_general_family_grid_point(params):
@@ -264,10 +278,10 @@ def test_yan_relation(params):
     rep = build_rep(12, 0.5, params)
     # the candidate named after the relation does not satisfy it
     rpt = check_yan_relation(YAN, rep, rep, "N", Window(4, guard=1))
-    assert rpt.normalized_residual > 100 * params.tol
+    assert rpt.normalized_residual > 100 * TOL
     # the double's R does not satisfy it either (the suite reports it as info)
     rpt2 = check_yan_relation(QD, rep, rep, "N", Window(4, guard=1))
-    assert rpt2.normalized_residual > 100 * params.tol
+    assert rpt2.normalized_residual > 100 * TOL
 
 
 def test_yan_relation_constant_diagnostic(params_real):
@@ -292,7 +306,7 @@ def test_yan_relation_failure_stable_across_truncations():
             rep = build_rep(D, 0.5, p)
             rpt = check_yan_relation(YAN, rep, rep, "N", Window(4, guard=1))
             values.append(rpt.normalized_residual)
-        assert min(values) > 100 * p.tol
+        assert min(values) > 100 * TOL
         assert values[0] == pytest.approx(values[1], rel=0.5)  # no truncation artifact
 
 
@@ -386,7 +400,7 @@ def test_sector_checks_match_dense_oracle(q, D, spec):
     for rpt, want in zip([yb, *fusion], dense):
         assert rpt.window == wmax
         assert _agrees(rpt.normalized_residual, want), (rpt.identity, rpt.normalized_residual, want)
-        assert rpt.verdict == verdict_of(want, p.tol), rpt.identity
+        assert rpt.verdict == verdict_of(want), rpt.identity
 
 
 @pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
@@ -516,7 +530,7 @@ def test_pair_sector_checks_match_dense_oracle(q, D, spec, W):
         assert abs(rpt.raw_residual - raw) <= allowed, (name, rpt.raw_residual, raw)
         # (an empty window has the 1e-300 floor: these bounds may be inf)
         assert abs(rpt.normalized_residual - raw / den) <= allowed / den, name
-        lo, hi = (ZONES.index(verdict_of(max(raw + d, 0.0) / den, p.tol))
+        lo, hi = (ZONES.index(verdict_of(max(raw + d, 0.0) / den))
                   for d in (-allowed, allowed))
         assert lo <= ZONES.index(rpt.verdict) <= hi, name
 

@@ -8,7 +8,7 @@ from qboson.hopfops import HopfFamily, word
 from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
                               inverse_realization, inverse_round_trip, realize_sl2,
                               witness_consistency)
-from qboson.report import residual
+from qboson.report import TOL, residual
 from test_hopfops import coproduct_op
 from test_fockrep import windowed_residual
 
@@ -99,7 +99,7 @@ def test_casimir_centrality(params):
 def test_hopf_ideal_witness(params):
     fam = HopfFamily.canonical(params)
     rpt = hopf_ideal_witness(8, fam)
-    assert rpt.normalized_residual > 100 * params.tol
+    assert rpt.normalized_residual > 100 * TOL
     assert rpt.verdict == "fail"  # expected failure = successful witness
 
 

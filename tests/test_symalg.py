@@ -616,7 +616,7 @@ def test_quotient_cross_check_fails_on_nan(params, monkeypatch, position):
         calls.append(args)
         return (math.nan, math.nan) if len(calls) - 1 == position else residual(*args)
 
-    monkeypatch.setattr(symalg, "residual", nan_at_position)
+    monkeypatch.setattr("qboson.report.residual", nan_at_position)
     report = quotient_cross_check(build_rep(12, 0.5, params))
     assert len(calls) == 3
     assert report.verdict == "fail"
