@@ -10,9 +10,7 @@ from its own root with PYTHONPATH=src, on the same configurations:
 * ``--q 1.3`` and ``--q 0.7+0.2i`` (the default suite);
 * ``--config perfbench/configs/tensor.cfg``;
 * ``--config perfbench/configs/scan.cfg --q Q`` for each of its
-  ``scan.q_values`` (a scan point's report is the verify report at that q);
-* one errored configuration (axioms.dim = 2), whose nine ``axioms_*``
-  sweeps and ``hopf_homomorphism_random`` raise: 10 error reports.
+  ``scan.q_values`` (a scan point's report is the verify report at that q).
 
 Every report drops ``wall_time`` and the config's ``out_report`` path.  The
 two sides' reports are aligned by (identity, params), so a report that only
@@ -34,18 +32,10 @@ from pathlib import Path
 
 from record import ROOT, archived, commit_of
 
-ERRORED_CONFIG = """\
-q = 0.7+0.2i
-axioms.dim = 2
-dims.pair = 6
-dims.triple = 4
-reps.dims = [6, 6]
-window = 3
-"""
 MISSING = "<missing>"
 
 
-def runs(errored_cfg: Path) -> dict:
+def runs() -> dict:
     """Run name -> the CLI's global arguments."""
     scan_cfg = "perfbench/configs/scan.cfg"
     line = next(ln for ln in (ROOT / scan_cfg).read_text().splitlines()
@@ -54,7 +44,6 @@ def runs(errored_cfg: Path) -> dict:
     out = {"verify q=1.3": ["--q", "1.3"], "verify q=0.7+0.2i": ["--q", "0.7+0.2i"],
            "tensor": ["--config", "perfbench/configs/tensor.cfg"]}
     out.update({f"scan q={q}": ["--config", scan_cfg, "--q", q] for q in points})
-    out["errored"] = ["--config", str(errored_cfg)]
     return out
 
 
@@ -116,9 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"parent {parent_rev}, change: the working tree of {ROOT}")
     total = reports = 0
     with archived(parent_rev) as parent, tempfile.TemporaryDirectory() as tmp:
-        errored_cfg = Path(tmp) / "errored.cfg"
-        errored_cfg.write_text(ERRORED_CONFIG, encoding="utf-8")
-        for i, (name, cli_args) in enumerate(runs(errored_cfg).items()):
+        for i, (name, cli_args) in enumerate(runs().items()):
             (code_p, doc_p), (code_c, doc_c) = (
                 verify(side, cli_args, Path(tmp) / f"{i}_{label}.json")
                 for label, side in (("parent", parent), ("change", ROOT)))

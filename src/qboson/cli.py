@@ -37,8 +37,11 @@ CLAIMS = (
     ("yan_claimed:yang_baxter", "fail"),
     ("yan_claimed:fusion_*", "fail"),
     ("yan_claimed:yan_relation_*", "fail"),
-    # a witness norm away from zero puts Delta(C) outside the Hopf ideal
-    ("*:hopf_ideal_witness", "fail"),
+    # Delta, with Delta(N) = N (x) 1 + 1 (x) N + beta, is no algebra map of these
+    # presentations on the c = 0 Fock square (it is of R1 and Ry, which must pass)
+    ("coproduct_relation_R[2-5]", "fail"),
+    # Delta(C) leaves the Hopf ideal: a norm away from zero where pi(C) = 0
+    ("coproduct_relation_C", "fail"),
     # diagnostics of the published candidate, expected neither to pass nor to fail
     ("yan_claimed:antipode_inverse", "info"),
     ("yan_claimed:counit_*", "info"),
@@ -230,8 +233,9 @@ def _validate_config(config: SuiteConfig) -> None:
     for d in (*config.rep_dims, config.dim_pair, config.dim_triple, config.axiom_dim):
         if d < 2:
             raise ConfigError("all representation dimensions must be >= 2")
-    if config.axiom_max_word_len < 1:
-        raise ConfigError("axioms.max_word_len must be >= 1")
+    if not 1 <= config.axiom_max_word_len <= config.axiom_dim - 1:
+        raise ConfigError("axioms.max_word_len must be >= 1 and <= axioms.dim - 1, so the "
+                          "longest axiom word has a leak-free window")
     if config.window < 0 or config.window + 1 > config.dim_pair - 1:
         raise ConfigError("window must be >= 0 and fit into the pairwise dimension")
     if config.pairing_kmax < 0 or config.pairing_mmax < 0:
@@ -287,18 +291,15 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
     The samples are drawn here, in a fixed order, so no case depends on which
     cases ran before it.  Rows bind their loop values with partial.
     """
-    rng, word_rng = random.Random(config.seed), random.Random(config.seed + 1)
+    rng = random.Random(config.seed)
     # only Random.random() keeps its sequence for a seed across Python versions
     box = lambda lo, hi: complex(lo + (hi - lo) * rng.random(), lo + (hi - lo) * rng.random())
     pairs = [(box(-2, 2), box(-2, 2)) for _ in range(20)]
     points = [box(-3, 3) for _ in range(20)]
-    gens = ["N", "a", "adag"]
-    # six products uv of two-letter words, drawn letter by letter
-    uv_words = [hopfops.word(*(gens[int(3 * word_rng.random())] for _ in range(4)))
-                for _ in range(6)]
     Dp, Dt, Da = config.dim_pair, config.dim_triple, config.axiom_dim
     canonical = hopfops.HopfFamily.canonical(p)
     rep_pair, rep_axiom = fockrep.build_rep(Dp, 0.5, p), fockrep.build_rep(Da, 0.5, p)
+    win_pair = fockrep.Window(config.window, guard=1)
 
     rows = [("qscalars_qpower_additivity", partial(qscalars.check_qpower_additivity, pairs, p)),
             ("qscalars_qnum_inversion", partial(qscalars.check_qnum_inversion, points, p)),
@@ -317,9 +318,12 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
         for m, K, s in zip(config.family_m, config.family_K, config.family_signs)])
     rows += [(f"axioms_m{fam.m}_K{fam.K}_{fam.sign}",
               partial(hopfops.check_hopf_axioms, fam, rep_axiom, words)) for fam in fams]
-    rows += [("hopf_homomorphism_random",
-              partial(hopfops.check_homomorphism, uv_words, rep_axiom, canonical)),
-             ("pairing_eqn", partial(symalg.pairing_check, config.pairing_kmax,
+    # the relation table on two legs: which presentation Delta respects
+    rows += [(f"coproduct_relations_c{c}", partial(hopfops.check_coproduct_relations, canonical,
+                                                   rep, names, win_pair))
+             for c, rep, names in ((0, fockrep.build_rep(Dp, 0.0, p), ("R2", "R3", "R4", "R5")),
+                                   (0.5, rep_pair, ("R1", "Ry", "C")))]
+    rows += [("pairing_eqn", partial(symalg.pairing_check, config.pairing_kmax,
                                      config.pairing_mmax, p)),
              ("dual_bracket", partial(symalg.dual_bracket_check, p)),
              ("dual_hopf", partial(symalg.dual_hopf_check, p, deg=2)),
@@ -327,7 +331,7 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
              ("quotient_cross", partial(symalg.quotient_cross_check, rep_pair))]
 
     triple_reps = (fockrep.build_rep(Dt, 0.5, p),) * 3
-    pair_reps, win_pair = (rep_pair, rep_pair), fockrep.Window(config.window, guard=1)
+    pair_reps = (rep_pair, rep_pair)
     for spec in map(parse_rspec, config.rspecs):
         label = spec.label()
         rows += [(f"{label}:intertwiner_{gen}",
@@ -344,7 +348,6 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
 
     rows += [("sl2_relations", lambda: sl2bridge.check_sl2(sl2bridge.realize_sl2(rep_pair, 1.0))),
              ("sl2_casimir_central", partial(sl2bridge.casimir_centrality, Dp, p)),
-             ("hopf_ideal_witness", partial(sl2bridge.hopf_ideal_witness, Dt, canonical)),
              ("witness_consistency", partial(sl2bridge.witness_consistency, Dt, canonical)),
              ("inverse_realization_y", partial(sl2bridge.inverse_round_trip, rep_pair))]
     return rows

@@ -7,12 +7,17 @@ A :class:`Window` records the window size W together with the guard g
 (the largest intermediate raising degree of the operator word under
 test); feasibility means W + g <= D - 1 in every tensor factor.
 Window.cut takes a D x D matrix's window block for report.compare; the
-two-leg checks cut theirs from pair-sector stacks (hopfops._mask).  Each check here reports the window it cut.
+two-leg checks cut theirs from pair-sector stacks (hopfops._mask).  Each
+check here reports the window it cut.  RELATIONS, the paper's list of
+defining-relation variants as data, is read on one leg by check_relation
+and on two by hopfops.check_coproduct_relations.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -74,6 +79,10 @@ class FockRep:
     def n_diag(self) -> np.ndarray:
         return np.diag(self.matN)
 
+    def letters(self) -> dict:
+        """The matrices of the letters N, a and adag."""
+        return {"N": self.matN, "a": self.matA, "adag": self.matAdag}
+
 
 def shared_params(rep1: FockRep, rep2: FockRep) -> DeformParams:
     """The DeformParams (q and kappa) of two representations on one tensor product."""
@@ -114,46 +123,54 @@ def build_rep(D: int, c: complex, p: DeformParams) -> FockRep:
 # ---------------------------------------------------------------------------
 # defining relations
 
-RELATIONS = ("R1", "R2", "R3", "R4", "R5", "Ry")
+
+@dataclass(frozen=True)
+class Relation:
+    """lhs = rhs: lhs the sum of sign q^e (the word of letters) over its
+    (sign, e, letters) terms, rhs a function rhs(n, p) of N's eigenvalues n
+    (a diagonal) or one letter."""
+
+    lhs: tuple
+    rhs: Callable | str
+
+    def terms(self, p: DeformParams) -> list[tuple[complex, tuple]]:
+        return [(sign * p.q ** e, letters) for sign, e, letters in self.lhs]
+
+
+_BRACKET = ((1, 0, ("a", "adag")), (-1, 0, ("adag", "a")))  # [a, a+]
+#: the paper's presentations and the Casimir C = a+ a - [N - 1/2] set to zero
+RELATIONS = {
+    "R1": Relation(((1, 0, ("N", "adag")), (-1, 0, ("adag", "N"))), "adag"),
+    "R2": Relation(_BRACKET, lambda n, p: q_number(n + 1, p) - q_number(n, p)),
+    "R3": Relation(((1, 0, ("a", "adag")), (-1, -1, ("adag", "a"))), lambda n, p: q_power(n, p)),
+    "R4": Relation(((1, 0, ("a", "adag")), (-1, 1, ("adag", "a"))), lambda n, p: q_power(-n, p)),
+    "R5": Relation(((1, 0, ("adag", "a")),), lambda n, p: q_number(n, p)),
+    "Ry": Relation(_BRACKET, lambda n, p: q_number(n + 0.5, p) - q_number(n - 0.5, p)),
+    "C": Relation(((1, 0, ("adag", "a")),), lambda n, p: q_number(n - 0.5, p)),
+}
+
+
+def relation_sides(rel: str, letters: dict, p: DeformParams) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of RELATIONS[rel] on one leg, letters[name] the matrix of
+    each letter (N diagonal), q at p; a coefficient scales a word's first letter."""
+    if rel not in RELATIONS:
+        raise ParameterError(f"unknown relation {rel!r}")
+    lhs = sum(reduce(np.matmul, (letters[ltr] for ltr in word[1:]), c * letters[word[0]])
+              for c, word in RELATIONS[rel].terms(p))
+    rhs = RELATIONS[rel].rhs
+    return lhs, letters[rhs] if isinstance(rhs, str) else np.diag(rhs(np.diag(letters["N"]), p))
 
 
 def check_relation(rep: FockRep, rel: str, window: Window | None = None) -> IdentityReport:
-    """Windowed residual of one defining-relation variant.
-
-    R1: [N, a+] = a+          R2: [a, a+] = [N+1] - [N]
-    R3: a a+ - q^-1 a+ a = q^N   R4: a a+ - q a+ a = q^-N
-    R5: a+ a = [N]            Ry: [a, a+] = [N+1/2] - [N-1/2]
-    """
-    if rel not in RELATIONS:
-        raise ParameterError(f"unknown relation {rel!r}")
-    if window is None:
-        window = Window(rep.dim - 2, guard=1)
-    p = rep.params
-    N, a, ad = rep.matN, rep.matA, rep.matAdag
-    nd = rep.n_diag()
-    if rel == "R1":
-        lhs, rhs = N @ ad - ad @ N, ad
-    elif rel == "R2":
-        lhs = a @ ad - ad @ a
-        rhs = np.diag(q_number(nd + 1, p) - q_number(nd, p))
-    elif rel == "R3":
-        lhs = a @ ad - (1.0 / p.q) * ad @ a
-        rhs = np.diag(q_power(nd, p))
-    elif rel == "R4":
-        lhs = a @ ad - p.q * ad @ a
-        rhs = np.diag(q_power(-nd, p))
-    elif rel == "R5":
-        lhs, rhs = ad @ a, np.diag(q_number(nd, p))
-    else:  # Ry
-        lhs = a @ ad - ad @ a
-        rhs = np.diag(q_number(nd + 0.5, p) - q_number(nd - 0.5, p))
-    return compare(f"relation_{rel}", {"q": str(p.q), "c": str(rep.c)}, [rep.dim],
-                   window.max_index, [window.cut(lhs, rhs)])
+    """Windowed residual of the relation RELATIONS[rel] in the representation."""
+    window = window or Window(rep.dim - 2, guard=1)
+    return compare(f"relation_{rel}", {"q": str(rep.params.q), "c": str(rep.c)}, [rep.dim],
+                   window.max_index, [window.cut(*relation_sides(rel, rep.letters(), rep.params))])
 
 
 def casimir(rep: FockRep) -> np.ndarray:
     """a+ a - [N - 1/2], a scalar matrix -[c-1/2] I in the generalized family."""
-    return rep.matAdag @ rep.matA - np.diag(q_number(rep.n_diag() - 0.5, rep.params))
+    return np.subtract(*relation_sides("C", rep.letters(), rep.params))
 
 
 def check_casimir_scalar(D: int, p: DeformParams) -> IdentityReport:

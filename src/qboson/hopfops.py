@@ -5,14 +5,13 @@ tensor products of generator words (sweedler_letter).  That rule is read in
 two layouts.  A two-leg operator of pair-number degree deg maps the pair
 sector n1 + n2 = s to s + deg, so it is held as a stack of pair-sector
 blocks (_pair_sectors): _coproduct_blocks gathers each letter's stack from
-its Sweedler terms and multiplies a word's letter stacks, and rmatrix and
-sl2bridge read the two-leg Delta only through it.  check_hopf_axioms acts
+its Sweedler terms and multiplies a word's letter stacks, and every
+two-leg check reads Delta only through it.  check_hopf_axioms acts
 with both Delta_2 iterations letter by letter on the window columns, a
 letter's three-leg image held as one weight per leg displacement, the
 counit and antipode sides being recursions over D x D letter images.
-closed_coproduct_letter writes the generators' two-leg stacks in closed
-form, apart from that rule, as the reference the homomorphism check
-(check_homomorphism) compares the gathered stacks against.  Each check
+check_coproduct_relations reads fockrep's relation table on two legs:
+whether Delta is an algebra map of each presentation.  Each check
 reports through report.compare: a stack's window is its entries under
 _mask, an axiom side's is its window block.
 
@@ -34,7 +33,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fockrep import FockRep, Window, shared_params
+from .fockrep import RELATIONS, FockRep, Window, shared_params
 from .qscalars import DeformParams, ParameterError, q_power
 from .report import IdentityReport, compare
 
@@ -149,8 +148,7 @@ def _letter_product(letters, dim: int, image) -> np.ndarray:
 
 def rep_word(w: GenWord, rep: FockRep, p: DeformParams | None = None) -> np.ndarray:
     """Matrix of a word; q-powers use p (defaults to the rep's parameters)."""
-    p = p or rep.params
-    mats = {"N": rep.matN, "a": rep.matA, "adag": rep.matAdag}
+    p, mats = p or rep.params, rep.letters()
     qdiag = lambda s: np.diag(q_power(s * rep.n_diag(), p))
     return _letter_product(w.letters, rep.dim,
                            lambda ltr: mats[ltr] if isinstance(ltr, str) else qdiag(ltr[1]))
@@ -239,42 +237,27 @@ def _coproduct_blocks(w: GenWord, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
     return _word_blocks(w, dims, letter_blocks)
 
 
-def closed_coproduct_letter(letter, rep1: FockRep, rep2: FockRep, fam: HopfFamily) -> np.ndarray:
-    """Delta(letter) on rep1 (x) rep2 as a block stack, from the closed two-leg
-    formulas of the generators written out entry by entry here, independent
-    of the Sweedler table (sweedler_letter): a wrong coproduct term shows as
-    a difference from _coproduct_blocks."""
-    p, n1, n2 = fam.params, rep1.n_diag(), rep2.n_diag()
-    if letter == "N":
-        entries = lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc) * (n1[ir] + n2[jr] + fam.beta_const)
-    elif isinstance(letter, tuple):  # q^{sN}: exact exponential of Delta(N)
-        entries = lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc) * q_power(
-            letter[1] * (n1[ir] + n2[jr] + fam.beta_const), p)
-    elif letter == "a":
-        entries = lambda ir, jr, ic, jc: fam.phase_lower_gen * (
-            rep1.matA[ir, ic] * (jr == jc) * q_power(fam.m * n2[jr], p)
-            + fam.sg * 1j * (ir == ic) * q_power(fam.r * n1[ir], p) * rep2.matA[jr, jc])
-    else:
-        entries = lambda ir, jr, ic, jc: fam.phase_raise_gen * (
-            rep1.matAdag[ir, ic] * (jr == jc) * q_power(-fam.r * n2[jr], p)
-            + fam.sg * 1j * (ir == ic) * q_power(-fam.m * n1[ir], p) * rep2.matAdag[jr, jc])
-    return _pair_op((rep1.dim, rep2.dim), _DEG.get(letter, 0), entries)
-
-
-def check_homomorphism(words, rep: FockRep, fam: HopfFamily) -> IdentityReport:
-    """The largest over words w of the residual of Delta(w), the product of
-    the letter stacks from the Sweedler table, against the product of the
-    closed letter stacks, which do not read that table: a wrong Sweedler term
-    fails it.  The window's guard is the longest word's length, and each
-    letter's two stacks are built once."""
-    dims, guard = (rep.dim, rep.dim), max(len(w.letters) for w in words)
-    W = Window(rep.dim - 1 - guard, guard=guard).max_index
-    sides = (cache(lambda ltr: _coproduct_blocks(word(ltr), fam, rep, rep)),
-             cache(lambda ltr: closed_coproduct_letter(ltr, rep, rep, fam)))
-    masks = (_mask(dims, w.letters.count("adag") - w.letters.count("a"), W) for w in words)
-    return compare("hopf_homomorphism_random", {"q": str(fam.params.q)}, list(dims), W,
-                   ([_word_blocks(w, dims, side)[win] for side in sides]
-                    for w, win in zip(words, masks)))
+def check_coproduct_relations(fam: HopfFamily, rep: FockRep, names,
+                              window: Window) -> list[IdentityReport]:
+    """The relations RELATIONS[name] on rep (x) rep through Delta, on the window
+    pair states: a left-side word is the product of its letters' Delta stacks,
+    each built once per call, and the right side is the relation's function at
+    Delta(N)'s eigenvalues n1 + n2 + beta_const (for R1, Delta(adag)'s stack)."""
+    dims, p, n, W = (rep.dim, rep.dim), fam.params, rep.n_diag(), window.max_index
+    window.validate(*dims)
+    blocks = cache(lambda ltr: _coproduct_blocks(word(ltr), fam, rep, rep))
+    diagonal = lambda f: _pair_op(dims, 0, lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc)
+                                  * f(n[ir] + n[jr] + fam.beta_const, p))
+    tag = {"q": str(p.q), "c": str(rep.c), "m": fam.m, "K": fam.K, "sign": fam.sign}
+    reports = []
+    for name in names:
+        rel, terms = RELATIONS[name], RELATIONS[name].terms(p)
+        lhs = sum(c * _word_blocks(word(*letters), dims, blocks) for c, letters in terms)
+        rhs = blocks(rel.rhs) if isinstance(rel.rhs, str) else diagonal(rel.rhs)
+        cut = _mask(dims, sum(_DEG.get(ltr, 0) for ltr in terms[0][1]), W)
+        reports.append(compare(f"coproduct_relation_{name}", tag, list(dims), W,
+                               [(lhs[cut], rhs[cut])]))
+    return reports
 
 
 # ---------------------------------------------------------------------------

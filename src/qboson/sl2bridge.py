@@ -1,10 +1,11 @@
-"""Quantized sl(2) realized from boson matrices, and the Casimir witness.
+"""Quantized sl(2) realized from boson matrices, and the Casimir witness's premises.
 
 The deformation base switches twice on this bridge (q, its square root,
 its square), so every triple records the base its bracket is checked at.
-The witness reads Delta as hopfops's pair-sector block stacks: Delta(C)
-is a product of two stacks compared with a diagonal stack, and no
-D^2 x D^2 operator is formed.
+The witness itself is the relation table's C row on two legs
+(hopfops.check_coproduct_relations at c = 1/2): pi(C) = 0 there, so the
+would-be Hopf ideal of C maps to zero under pi (x) pi, and a norm of
+Delta(C) away from zero puts Delta(C) outside it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockrep import FockRep, Window, build_rep, casimir
-from .hopfops import (HopfFamily, _coproduct_blocks, _mask, _pair_op, _shift, _unit, counit_leg,
-                      qpow, rep_word, word)
+from .fockrep import FockRep, Window, build_rep, casimir, relation_sides
+from .hopfops import HopfFamily, counit_leg, qpow, rep_word
 from .qscalars import DeformParams, ParameterError, q_number, q_power
 from .report import IdentityReport, compare
 
@@ -93,11 +93,10 @@ def inverse_round_trip(rep: FockRep) -> IdentityReport:
     matrices that inverse_realization recovers with the published shift from
     realize_sl2(rep, 1), at the base they target (it leaves a residual)."""
     matN, matA, matAdag, target = inverse_realization(realize_sl2(rep, 1.0), 1.0)
-    nd, win = np.diag(matN), Window(rep.dim - 2, guard=1)
-    lhs = matA @ matAdag - matAdag @ matA
-    rhs = np.diag(q_number(nd + 0.5, target) - q_number(nd - 0.5, target))
+    win = Window(rep.dim - 2, guard=1)
+    sides = relation_sides("Ry", {"N": matN, "a": matA, "adag": matAdag}, target)
     return compare("inverse_realization_y", {"q": str(rep.params.q), "shift": "published"},
-                   [rep.dim], win.max_index, [win.cut(lhs, rhs)])
+                   [rep.dim], win.max_index, [win.cut(*sides)])
 
 
 def casimir_centrality(D: int, p: DeformParams) -> IdentityReport:
@@ -110,30 +109,6 @@ def casimir_centrality(D: int, p: DeformParams) -> IdentityReport:
         C = casimir(rep)
         pairs += [win.cut(C @ x, x @ C) for x in (rep.matN, rep.matA, rep.matAdag)]
     return compare("sl2_casimir_central", {"q": str(p.q)}, [D], win.max_index, pairs)
-
-
-def hopf_ideal_witness(D: int, fam: HopfFamily) -> IdentityReport:
-    """Norm of (pi (x) pi) Delta(C) in the representation that kills C.
-
-    With c = 1/2 the Casimir represents to zero, so everything inside
-    the would-be Hopf ideal maps to zero under pi (x) pi; a windowed
-    norm bounded away from zero therefore witnesses that Delta(C) lies
-    outside it.  The verdict field follows the usual residual semantics,
-    so a successful witness is reported as "fail" and suites mark it as
-    an expected failure.  Delta(adag) Delta(a) is the product of their
-    block stacks, compared with the diagonal stack [Delta(N) - 1/2].
-    """
-    p = fam.params
-    rep = build_rep(D, 0.5, p)
-    n = rep.n_diag()
-    (win := Window(min(3, D - 2), guard=1)).validate(D, D)
-    dad = _coproduct_blocks(word("adag"), fam, rep, rep)
-    da = _coproduct_blocks(word("a"), fam, rep, rep)
-    rhs = _pair_op((D, D), 0, lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc)
-                   * q_number(n[ir] + n[jr] + fam.beta_const - 0.5, p))
-    cut = _mask((D, D), 0, win.max_index)
-    return compare("hopf_ideal_witness", {"q": str(p.q), "c": "0.5"}, [D, D], win.max_index,
-                   [((_shift(dad, -1) @ da)[cut], rhs[cut])])
 
 
 def witness_consistency(D: int, fam: HopfFamily) -> IdentityReport:

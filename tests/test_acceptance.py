@@ -12,11 +12,11 @@ from qboson.hopfops import HopfFamily, check_hopf_axioms, default_axiom_words, w
 from qboson.rmatrix import (RSpec, build_r, check_antipode_inverse, check_counit,
                             check_fusion, check_intertwiner, check_yan_relation,
                             check_yang_baxter, family_for)
-from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
-                              realize_sl2, witness_consistency)
+from qboson.sl2bridge import casimir_centrality, check_sl2, realize_sl2, witness_consistency
 from qboson.report import TOL
 from qboson.symalg import dual_bracket_check, pairing_check
 from test_hopfops import coproduct_op, opposite_coproduct_op
+from test_sl2bridge import hopf_ideal_witness
 from test_fockrep import window_block, window_indices
 
 Q_BOTH = (1.3, 0.7 + 0.2j)

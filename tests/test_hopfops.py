@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
-from qboson.hopfops import (HopfFamily, _coproduct_blocks, _mask, _pair_sectors, _word_blocks,
-                            antipode_op, check_hopf_axioms, closed_coproduct_letter, counit,
-                            default_axiom_words, qbar_family, qpow, rep_word, sweedler_letter,
-                            word)
+from qboson.fockrep import RELATIONS
+from qboson.hopfops import (_DEG, HopfFamily, _coproduct_blocks, _mask, _pair_op, _pair_sectors,
+                            _unit, _word_blocks, antipode_op, check_coproduct_relations,
+                            check_hopf_axioms, counit, default_axiom_words, qbar_family, qpow,
+                            rep_word, sweedler_letter, word)
 from qboson.report import verdict_of
 from test_fockrep import window_block, window_indices, windowed_residual
 
@@ -66,6 +67,27 @@ def dense_word_image(w, reps, p, letter_terms):
         out = out @ sum(c * reduce(np.kron, (rep_word(u, r, p) for u, r in zip(legs, reps)))
                         for c, legs in letter_terms(ltr))
     return out
+
+
+def closed_coproduct_letter(letter, rep1, rep2, fam):
+    """Delta(letter) on rep1 (x) rep2 as a block stack, from the closed two-leg
+    formulas of the generators written out entry by entry here, independent
+    of the Sweedler table (sweedler_letter)."""
+    p, n1, n2 = fam.params, rep1.n_diag(), rep2.n_diag()
+    if letter == "N":
+        entries = lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc) * (n1[ir] + n2[jr] + fam.beta_const)
+    elif isinstance(letter, tuple):  # q^{sN}: exact exponential of Delta(N)
+        entries = lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc) * q_power(
+            letter[1] * (n1[ir] + n2[jr] + fam.beta_const), p)
+    elif letter == "a":
+        entries = lambda ir, jr, ic, jc: fam.phase_lower_gen * (
+            rep1.matA[ir, ic] * (jr == jc) * q_power(fam.m * n2[jr], p)
+            + fam.sg * 1j * (ir == ic) * q_power(fam.r * n1[ir], p) * rep2.matA[jr, jc])
+    else:
+        entries = lambda ir, jr, ic, jc: fam.phase_raise_gen * (
+            rep1.matAdag[ir, ic] * (jr == jc) * q_power(-fam.r * n2[jr], p)
+            + fam.sg * 1j * (ir == ic) * q_power(-fam.m * n1[ir], p) * rep2.matAdag[jr, jc])
+    return _pair_op((rep1.dim, rep2.dim), _DEG.get(letter, 0), entries)
 
 
 def qbar_coproduct_op(w, rep1, rep2, fam):
@@ -206,6 +228,45 @@ def test_coproduct_matches_two_leg_formulas(params, point):
     got = coproduct_op(word(*letters), rep1, rep2, fam)
     want = scatter(_word_blocks(word(*letters), (5, 4), closed), (5, 4), 0)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("q", (1.3, 0.7 + 0.2j))
+@pytest.mark.parametrize("c", (0.0, 0.5))
+def test_coproduct_relations_match_dense_oracle(q, c):
+    # every row of the relation table on two legs, against the same table read
+    # through the dense D^2 x D^2 coproduct images
+    p, D, win = DeformParams(q=q), 6, Window(3, guard=1)
+    fam, rep = HopfFamily.canonical(p), build_rep(D, c, p)
+    dn = np.diag(coproduct_op(word("N"), rep, rep, fam))
+    for rpt, name in zip(check_coproduct_relations(fam, rep, RELATIONS, win), RELATIONS):
+        relation = RELATIONS[name]
+        lhs = sum(k * coproduct_op(word(*letters), rep, rep, fam)
+                  for k, letters in relation.terms(p))
+        rhs = (coproduct_op(word(relation.rhs), rep, rep, fam) if isinstance(relation.rhs, str)
+               else np.diag(relation.rhs(dn, p)))
+        raw, nrm = windowed_residual(lhs, rhs, (D, D), win)
+        assert rpt.identity == f"coproduct_relation_{name}"
+        assert (rpt.dims, rpt.window) == ([D, D], 3)
+        assert rpt.params == {"q": str(p.q), "c": str(complex(c)), "m": 0.5, "K": -1,
+                              "sign": "lower"}
+        assert abs(rpt.raw_residual - raw) <= 1e-12 * max(raw, 1.0), name
+        assert abs(rpt.normalized_residual - nrm) <= 1e-12 * max(nrm, 1.0), name
+
+
+@pytest.mark.parametrize("q", (1.3, 0.7 + 0.2j, 2.1, 1.05, 0.6 + 0.8j, 1.001))
+@pytest.mark.parametrize("kappa", (0, 1))
+def test_coproduct_respects_only_r1_and_ry(q, kappa):
+    # Delta, with Delta(N) = N (x) 1 + 1 (x) N + beta, is an algebra map of R1
+    # and Ry on the c = 1/2 square, and of none of R2-R5 on the c = 0 Fock
+    # square; Delta(C) leaves the Hopf ideal
+    p = DeformParams(q=q, kappa=kappa)
+    fam, win = HopfFamily.canonical(p), Window(4, guard=1)
+    reports = [*check_coproduct_relations(fam, build_rep(12, 0.0, p), ("R2", "R3", "R4", "R5"),
+                                          win),
+               *check_coproduct_relations(fam, build_rep(12, 0.5, p), ("R1", "Ry", "C"), win)]
+    res = {r.identity.removeprefix("coproduct_relation_"): r.normalized_residual for r in reports}
+    assert max(res["R1"], res["Ry"]) <= 1e-12, res
+    assert min(res[name] for name in ("R2", "R3", "R4", "R5", "C")) >= 1e-3, res
 
 
 def test_coproduct_rejects_mismatched_params():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qboson import DeformParams, build_rep, cli, hopfops, rmatrix, symalg
+from qboson import DeformParams, build_rep, cli, fockrep, hopfops, q_number, rmatrix, symalg
 from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.qscalars import check_qnum_inversion
@@ -270,13 +270,19 @@ def test_run_suite_fast(fast_config):
         assert named["yan_relation_N"].normalized_residual > 100 * TOL
 
 
+def window_too_small(*args, **kwargs):
+    raise fockrep.WindowError("window 4 + guard 1 exceeds top index 3 of a factor")
+
+
 def test_runner_times_every_report(fast_config):
     # the runner times each case and splits the time over its reports, so
     # every report carries a time, errored cases included
     from dataclasses import replace
     reports = run_suite(fast_config)
     assert all(r.wall_time > 0 for r in reports)
-    crashed = run_suite(replace(fast_config, axiom_dim=2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fockrep, "check_casimir_scalar", window_too_small)
+        crashed = run_suite(fast_config)
     assert [r for r in crashed if r.error]
     assert all(r.wall_time > 0 for r in crashed)
 
@@ -394,8 +400,8 @@ def test_expected_for_patterns():
     claim_of = _claim_matcher(("yan_claimed:intertwiner_a",))
     assert claim_of("yan_claimed:intertwiner_a", "intertwiner_a") == "fail"
     assert claim_of("quantum_double:intertwiner_a", "intertwiner_a") == "pass"
-    claim_of = _claim_matcher(("*:hopf_ideal_witness", "intertwiner_N"))
-    assert claim_of("-:hopf_ideal_witness", "hopf_ideal_witness") == "fail"
+    claim_of = _claim_matcher(("*:coproduct_relation_C", "intertwiner_N"))
+    assert claim_of("-:coproduct_relation_C", "coproduct_relation_C") == "fail"
     assert claim_of("quantum_double:intertwiner_N", "intertwiner_N") == "fail"
     # an info row of CLAIMS wins over an expect_fail pattern on either key
     claim_of = _claim_matcher(("*:yan_relation_*", "inverse_realization_y"))
@@ -409,7 +415,8 @@ EXPECT_KEYS = (
     "quantum_double:intertwiner_a", "quantum_double:intertwiner_ab", "yan_claimed:yang_baxter",
     "yan_claimed:yang_baxter\n", "yan_claimed:fusion_left", "quantum_double:fusion_right",
     "general_family(m=0.5,K=-1,lower):yan_relation_a", "yan_claimed:yan_relation_N",
-    "-:hopf_ideal_witness", "hopf_ideal_witness", "hopf_ideal_witness_x", "-:casimir_scalar",
+    "-:coproduct_relation_C", "coproduct_relation_R3", "coproduct_relation_Ry",
+    "coproduct_relation_C_x", "-:casimir_scalar",
     "abc", "cab", "a.b", "", "*", "[x]")
 
 
@@ -449,7 +456,9 @@ def test_empty_expect_fail_leaves_the_info_rows(tmp_path):
     assert unexpected == {"yan_claimed:intertwiner_a", "yan_claimed:intertwiner_adag",
                           "yan_claimed:yang_baxter", "yan_claimed:fusion_left",
                           "yan_claimed:fusion_right", "yan_claimed:yan_relation_N",
-                          "yan_claimed:yan_relation_a", "-:hopf_ideal_witness"}
+                          "yan_claimed:yan_relation_a", "-:coproduct_relation_R2",
+                          "-:coproduct_relation_R3", "-:coproduct_relation_R4",
+                          "-:coproduct_relation_R5", "-:coproduct_relation_C"}
     claim_of = _claim_matcher(())
     info = [r for r in results if claim_of(
         f"{r['params'].get('rspec', '-')}:{r['identity']}", r["identity"]) == "info"]
@@ -485,11 +494,12 @@ def test_cli_non_finite_q_exits_2(tmp_path):
     assert main(["--config", str(cfg), "scan"]) == 2
 
 
-def test_cli_errored_cases_exit_1(tmp_path, capsys):
-    # axioms.dim = 2 leaves no leak-free window for the Hopf-axiom words:
-    # those cases raise, and a run that proved nothing must not exit 0
+def test_cli_errored_cases_exit_1(tmp_path, monkeypatch, capsys):
+    # a case that raises (here a check whose window does not fit) proved
+    # nothing, and the run must not exit 0
+    monkeypatch.setattr(fockrep, "check_casimir_scalar", window_too_small)
     cfg = tmp_path / "suite.cfg"
-    cfg.write_text(FAST_CONFIG + "axioms.dim = 2\n", encoding="utf-8")
+    cfg.write_text(FAST_CONFIG, encoding="utf-8")
     out = tmp_path / "report.json"
     assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
     errors = [r for r in json.loads(out.read_text())["results"] if "error" in r]
@@ -743,8 +753,7 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
         assert again == reports, case_id
 
 
-SAMPLED_CASES = ("qscalars_qpower_additivity", "qscalars_qnum_inversion",
-                 "hopf_homomorphism_random")
+SAMPLED_CASES = ("qscalars_qpower_additivity", "qscalars_qnum_inversion")
 
 
 def _sampled_reports(config):
@@ -763,21 +772,80 @@ def test_sampled_inputs_follow_the_seed(fast_config):
     assert {rep["verdict"] for rep in (*seven.values(), *eight.values())} == {"pass"}
 
 
-def test_homomorphism_case_catches_a_wrong_coproduct(fast_config, monkeypatch):
-    # a Sweedler table that drops the sg * 1j factor of Delta(a)'s second term;
-    # the closed letter images do not read the table, so the case must fail
+def _relation_reports(config, case_id):
+    rows = dict(_cases(config, config.params()))
+    return {r.identity: r for r in _run_case(case_id, rows[case_id])}
+
+
+def _planted_second_term(factor):
+    """A Sweedler table whose Delta(a) second term, the sg * 1j one, is scaled
+    by factor(fam)."""
     sweedler_letter = hopfops.sweedler_letter
 
     def planted(letter, fam):
         terms = sweedler_letter(letter, fam)
         if letter == "a":
             (c0, u0, v0), (c1, u1, v1) = terms
-            terms = [(c0, u0, v0), (c1 / (fam.sg * 1j), u1, v1)]
+            terms = [(c0, u0, v0), (c1 * factor(fam), u1, v1)]
         return terms
+    return planted
 
-    assert _sampled_reports(fast_config)["hopf_homomorphism_random"]["verdict"] == "pass"
-    monkeypatch.setattr(hopfops, "sweedler_letter", planted)
-    assert _sampled_reports(fast_config)["hopf_homomorphism_random"]["verdict"] == "fail"
+
+def _assert_ry_row_catches(config, monkeypatch, factor):
+    # Delta is an algebra map of the Ry relation on two legs, so a wrong term
+    # of the Sweedler table fails coproduct_relation_Ry; the one-leg row reads
+    # no coproduct and still passes
+    case = "coproduct_relations_c0.5"
+    assert _relation_reports(config, case)["coproduct_relation_Ry"].verdict == "pass"
+    monkeypatch.setattr(hopfops, "sweedler_letter", _planted_second_term(factor))
+    assert _relation_reports(config, case)["coproduct_relation_Ry"].verdict == "fail"
+    assert _relation_reports(config, "relation_Ry_c(0.5+0j)")["relation_Ry"].verdict == "pass"
+
+
+def test_homomorphism_case_catches_a_wrong_coproduct(fast_config, monkeypatch):
+    # the planted table drops the sg * 1j factor of Delta(a)'s second term
+    _assert_ry_row_catches(fast_config, monkeypatch, lambda fam: 1 / (fam.sg * 1j))
+
+
+@pytest.mark.parametrize("q", (None, 1.3, 0.7 + 0.2j), ids=("fast", "q1.3", "q0.7+0.2i"))
+def test_coproduct_relation_catches_a_one_percent_term(fast_config, monkeypatch, q):
+    # the same term 1% too large, at the reduced config and at full dims.pair
+    config = fast_config if q is None else replace(SuiteConfig(), q=q)
+    _assert_ry_row_catches(config, monkeypatch, lambda fam: 1.01)
+
+
+def test_planted_relation_table_defect_fails_on_both_legs(fast_config, monkeypatch):
+    # one table feeds the one-leg and the two-leg rows: a right side of Ry
+    # 1% off fails both
+    wrong = replace(fockrep.RELATIONS["Ry"],
+                    rhs=lambda n, p: 1.01 * (q_number(n + 0.5, p) - q_number(n - 0.5, p)))
+    case = "coproduct_relations_c0.5"
+    before = (_relation_reports(fast_config, "relation_Ry_c(0.5+0j)")["relation_Ry"],
+              _relation_reports(fast_config, case)["coproduct_relation_Ry"])
+    assert [r.verdict for r in before] == ["pass", "pass"]
+    monkeypatch.setitem(fockrep.RELATIONS, "Ry", wrong)
+    after = (_relation_reports(fast_config, "relation_Ry_c(0.5+0j)")["relation_Ry"],
+             _relation_reports(fast_config, case)["coproduct_relation_Ry"])
+    assert [r.verdict for r in after] == ["fail", "fail"]
+
+
+def test_axiom_dim_below_the_word_length_is_config_error(tmp_path, monkeypatch, capsys):
+    # the longest axiom word needs a leak-free window, so axioms.dim must be at
+    # least axioms.max_word_len + 1 (2 is too small at the default length 2);
+    # the config check says so before any case runs
+    monkeypatch.setattr(cli, "_cases", no_work)
+    cfg = tmp_path / "suite.cfg"
+    for text in ("q = 1.3\naxioms.dim = 2\n", FAST_CONFIG + "axioms.max_word_len = 5\n"):
+        cfg.write_text(text, encoding="utf-8")
+        assert_config_error(["--config", str(cfg), "verify"], capsys)
+
+
+@pytest.mark.parametrize("dim, word_len", [(2, 1), (3, 2)])
+def test_smallest_axiom_dim_runs_without_error(fast_config, dim, word_len):
+    # axioms.dim = axioms.max_word_len + 1 is the smallest feasible sweep
+    reports = run_suite(replace(fast_config, axiom_dim=dim, axiom_max_word_len=word_len))
+    assert reports and not [r for r in reports if r.error]
+    assert exit_code_for(reports) == 0
 
 
 @pytest.mark.parametrize("command", [["verify"], ["scan", "--q-list", "0.7+0.2i,1.3"]],

@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_number, sl2bridge
-from qboson.hopfops import HopfFamily, word
-from qboson.sl2bridge import (casimir_centrality, check_sl2, hopf_ideal_witness,
-                              inverse_realization, inverse_round_trip, realize_sl2,
-                              witness_consistency)
+from qboson.hopfops import HopfFamily, check_coproduct_relations, word
+from qboson.sl2bridge import (casimir_centrality, check_sl2, inverse_realization,
+                              inverse_round_trip, realize_sl2, witness_consistency)
 from qboson.report import TOL, residual
 from test_hopfops import coproduct_op
 from test_fockrep import windowed_residual
+
+
+def hopf_ideal_witness(D, fam):
+    """The relation table's Casimir row on two legs, Delta(adag) Delta(a)
+    against [Delta(N) - 1/2] in the c = 1/2 representation that kills C, on
+    the window n1, n2 <= min(3, D - 2)."""
+    rep = build_rep(D, 0.5, fam.params)
+    [report] = check_coproduct_relations(fam, rep, ("C",), Window(min(3, D - 2), guard=1))
+    return report
 
 
 def test_realize_validation(params_real):
