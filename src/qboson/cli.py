@@ -38,7 +38,7 @@ CLAIMS = (
     ("yan_claimed:fusion_*", "fail"),
     ("yan_claimed:yan_relation_*", "fail"),
     # Delta, with Delta(N) = N (x) 1 + 1 (x) N + beta, is no algebra map of these
-    # presentations on the c = 0 Fock square (it is of R1 and Ry, which must pass)
+    # presentations on the c = 0 Fock square (it is of R0, R1 and Ry, which must pass)
     ("coproduct_relation_R[2-5]", "fail"),
     # Delta(C) leaves the Hopf ideal: a norm away from zero where pi(C) = 0
     ("coproduct_relation_C", "fail"),
@@ -253,15 +253,18 @@ def _validate_config(config: SuiteConfig) -> None:
 
 
 def parse_rspec(text: str) -> rmatrix.RSpec:
-    """'quantum_double' | 'yan_claimed' | 'general:m=..,K=..,sign=..'."""
+    """'quantum_double' | 'yan_claimed' | 'general:m=..,K=..,sign=..', each field once."""
     text = text.strip()
     if text in ("quantum_double", "yan_claimed"):
         return rmatrix.RSpec(kind=text)
     if text.startswith("general:"):
         fields = {}
         for part in text[len("general:"):].split(","):
-            key, _, val = part.partition("=")
-            fields[key.strip()] = val.strip()
+            key, _, val = (s.strip() for s in part.partition("="))
+            if key not in ("m", "K", "sign") or key in fields or not val:
+                raise ConfigError(f"malformed general rspec {text!r}: "
+                                  f"unknown, repeated or empty field {part.strip()!r}")
+            fields[key] = val
         try:
             return rmatrix.RSpec(kind="general_family", m=float(fields["m"]),
                                  K=int(fields["K"]), sign=fields["sign"])
@@ -307,7 +310,7 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
     for D, c in zip(config.rep_dims, config.rep_shifts):
         rep, win = fockrep.build_rep(D, c, p), fockrep.Window(min(8, D - 2), guard=1)
         rows += [(f"relation_{rel}_c{c}", partial(fockrep.check_relation, rep, rel, win))
-                 for rel in (("R2", "R3", "R4", "R5") if c == 0 else ("R1", "Ry"))]
+                 for rel in ("R0", "R1", *(("R2", "R3", "R4", "R5") if c == 0 else ("Ry",)))]
     rows += [("casimir_scalar", partial(fockrep.check_casimir_scalar, Dp, p)),
              ("classical_limit", partial(fockrep.classical_limit_residual, kappa=config.kappa))]
 
@@ -322,7 +325,7 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
     rows += [(f"coproduct_relations_c{c}", partial(hopfops.check_coproduct_relations, canonical,
                                                    rep, names, win_pair))
              for c, rep, names in ((0, fockrep.build_rep(Dp, 0.0, p), ("R2", "R3", "R4", "R5")),
-                                   (0.5, rep_pair, ("R1", "Ry", "C")))]
+                                   (0.5, rep_pair, ("R0", "R1", "Ry", "C")))]
     rows += [("pairing_eqn", partial(symalg.pairing_check, config.pairing_kmax,
                                      config.pairing_mmax, p)),
              ("dual_bracket", partial(symalg.dual_bracket_check, p)),

@@ -138,8 +138,11 @@ class Relation:
 
 
 _BRACKET = ((1, 0, ("a", "adag")), (-1, 0, ("adag", "a")))  # [a, a+]
-#: the paper's presentations and the Casimir C = a+ a - [N - 1/2] set to zero
+#: the paper's presentations (R0 and R1 hold in every one; R0, [N, a] = -a, is
+#: written a N - N a = a, as a letter right side takes no coefficient) and
+#: the Casimir C = a+ a - [N - 1/2] set to zero
 RELATIONS = {
+    "R0": Relation(((1, 0, ("a", "N")), (-1, 0, ("N", "a"))), "a"),
     "R1": Relation(((1, 0, ("N", "adag")), (-1, 0, ("adag", "N"))), "adag"),
     "R2": Relation(_BRACKET, lambda n, p: q_number(n + 1, p) - q_number(n, p)),
     "R3": Relation(((1, 0, ("a", "adag")), (-1, -1, ("adag", "a"))), lambda n, p: q_power(n, p)),
@@ -183,7 +186,8 @@ def check_casimir_scalar(D: int, p: DeformParams) -> IdentityReport:
 
 
 def classical_limit_residual(D: int = 8, eps: float = 1e-6, kappa: int = 0) -> IdentityReport:
-    """Windowed residual of [a, a+] = I at q = 1 + eps, c = 0.
+    """Windowed residual of [a, a+] = I at q = 1 + eps, c = 0, the bracket
+    R2's left side.
 
     The symmetric bracket has even-order corrections in gamma, so this
     shrinks quadratically in eps (halving eps quarters the residual).
@@ -192,6 +196,6 @@ def classical_limit_residual(D: int = 8, eps: float = 1e-6, kappa: int = 0) -> I
         raise ParameterError("eps must be nonzero (q = 1 is excluded)")
     rep = build_rep(D, 0.0, DeformParams(q=1.0 + eps, kappa=kappa))
     window = Window(D - 2, guard=1)
-    lhs = rep.matA @ rep.matAdag - rep.matAdag @ rep.matA
+    lhs = relation_sides("R2", rep.letters(), rep.params)[0]
     return compare("classical_limit", {"eps": eps}, [D], window.max_index,
                    [window.cut(lhs, np.eye(D, dtype=complex))])

@@ -4,9 +4,9 @@ The coproduct is defined once, on the generators, as an explicit sum of
 tensor products of generator words (sweedler_letter).  That rule is read in
 two layouts.  A two-leg operator of pair-number degree deg maps the pair
 sector n1 + n2 = s to s + deg, so it is held as a stack of pair-sector
-blocks (_pair_sectors): _coproduct_blocks gathers each letter's stack from
-its Sweedler terms and multiplies a word's letter stacks, and every
-two-leg check reads Delta only through it.  check_hopf_axioms acts
+blocks (_pair_sectors): _coproduct_blocks gathers one letter's stack from
+its Sweedler terms, _word_blocks multiplies a word's letter stacks, and
+every two-leg check reads Delta only through them.  check_hopf_axioms acts
 with both Delta_2 iterations letter by letter on the window columns, a
 letter's three-leg image held as one weight per leg displacement, the
 counit and antipode sides being recursions over D x D letter images.
@@ -215,26 +215,22 @@ def _word_blocks(w: GenWord, dims: tuple[int, int], letter_blocks) -> np.ndarray
     return out
 
 
-def _coproduct_blocks(w: GenWord, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
+def _coproduct_blocks(letter, fam: HopfFamily, rep1: FockRep, rep2: FockRep,
                       opposite: bool = False) -> np.ndarray:
-    """Delta(w), or T.Delta(w) with the tensor swap, as a block stack: the
-    product of its letters' stacks, each gathered from the letter's Sweedler
-    terms c u (x) v, entries sum c u[i, i'] v[j, j'].  The family may carry
-    other DeformParams than the representations (the 1/q coproduct of the
-    Yan relation acts on the q representations)."""
+    """Delta(letter), or T.Delta(letter) with the tensor swap, as a block stack
+    gathered from the letter's Sweedler terms c u (x) v, entries sum
+    c u[i, i'] v[j, j'] (a word's stack is _word_blocks over these).  The
+    family may carry other DeformParams than the representations (the 1/q
+    coproduct of the Yan relation acts on the q representations)."""
     shared_params(rep1, rep2)
     if opposite and rep1.dim != rep2.dim:
         raise ParameterError("opposite coproduct needs equal factor dimensions")
-    dims, p = (rep1.dim, rep2.dim), fam.params
-
-    def letter_blocks(ltr) -> np.ndarray:
-        legs = [(c, rep_word(u, rep1, p), rep_word(v, rep2, p))
-                for c, u, v in sweedler_letter(ltr, fam)]
-        legs = [(c, v, u) for c, u, v in legs] if opposite else legs
-        return _pair_op(dims, _DEG.get(ltr, 0), lambda ir, jr, ic, jc:
-                        sum(c * (u[ir, ic] * v[jr, jc]) for c, u, v in legs))
-
-    return _word_blocks(w, dims, letter_blocks)
+    p = fam.params
+    legs = [(c, rep_word(u, rep1, p), rep_word(v, rep2, p))
+            for c, u, v in sweedler_letter(letter, fam)]
+    legs = [(c, v, u) for c, u, v in legs] if opposite else legs
+    return _pair_op((rep1.dim, rep2.dim), _DEG.get(letter, 0), lambda ir, jr, ic, jc:
+                    sum(c * (u[ir, ic] * v[jr, jc]) for c, u, v in legs))
 
 
 def check_coproduct_relations(fam: HopfFamily, rep: FockRep, names,
@@ -242,10 +238,10 @@ def check_coproduct_relations(fam: HopfFamily, rep: FockRep, names,
     """The relations RELATIONS[name] on rep (x) rep through Delta, on the window
     pair states: a left-side word is the product of its letters' Delta stacks,
     each built once per call, and the right side is the relation's function at
-    Delta(N)'s eigenvalues n1 + n2 + beta_const (for R1, Delta(adag)'s stack)."""
+    Delta(N)'s eigenvalues n1 + n2 + beta_const (for R0 and R1, its letter's stack)."""
     dims, p, n, W = (rep.dim, rep.dim), fam.params, rep.n_diag(), window.max_index
     window.validate(*dims)
-    blocks = cache(lambda ltr: _coproduct_blocks(word(ltr), fam, rep, rep))
+    blocks = cache(lambda ltr: _coproduct_blocks(ltr, fam, rep, rep))
     diagonal = lambda f: _pair_op(dims, 0, lambda ir, jr, ic, jc: _unit(ir, jr, ic, jc)
                                   * f(n[ir] + n[jr] + fam.beta_const, p))
     tag = {"q": str(p.q), "c": str(rep.c), "m": fam.m, "K": fam.K, "sign": fam.sign}

@@ -54,8 +54,8 @@ import math
 
 import numpy as np
 
-from .fockrep import FockRep, Window
-from .qscalars import DeformParams, ParameterError, half_index_product, q_number, q_power
+from .fockrep import FockRep, Window, relation_sides
+from .qscalars import DeformParams, ParameterError, half_index_product, q_power
 from .report import IdentityReport, compare, make_report, worst
 
 Key = tuple  # (k, m, two_s)
@@ -502,25 +502,13 @@ def cross_straighten_check(p: DeformParams) -> IdentityReport:
 
 
 def quotient_cross_check(rep: FockRep) -> IdentityReport:
-    """Cross relations of the double under nu -> N, beta -> a.
-
-    With nu = N the mixed bracket reduces to the symmetrized defining
-    relation, so this requires the Hopf-compatible shift c = 1/2.
-    """
+    """Cross relations of the double under nu -> N, beta -> a: the relation
+    table's R0 ([nu, beta] = -beta), R1 ([nu, adag] = adag) and Ry (the mixed
+    bracket, the symmetrized defining relation), so this requires the
+    Hopf-compatible shift c = 1/2.  [N, nu] = 0 holds by definition."""
     if rep.c != 0.5:
         raise ParameterError("quotient identification requires c = 1/2")
-    p = rep.params
-    D = rep.dim
+    p, D = rep.params, rep.dim
     win = Window(D - 2, guard=1)
-    N, a, ad = rep.matN, rep.matA, rep.matAdag
-    nd = rep.n_diag()
-    # [N, nu] = 0 holds by definition under nu -> N, so it is not checked
-    checks = {
-        "comm_N_beta": (N @ a - a @ N, -a),
-        "comm_nu_adag": (N @ ad - ad @ N, ad),
-        "mixed_bracket": (a @ ad - ad @ a,
-                          np.diag(q_number((2 * nd + 1) / 2.0, p)
-                                  - q_number((2 * nd - 1) / 2.0, p))),
-    }
     return compare("quotient_cross", {"q": str(p.q), "c": str(rep.c)}, [D], win.max_index,
-                   (win.cut(lhs, rhs) for lhs, rhs in checks.values()))
+                   (win.cut(*relation_sides(rel, rep.letters(), p)) for rel in ("R0", "R1", "Ry")))

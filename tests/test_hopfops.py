@@ -256,16 +256,17 @@ def test_coproduct_relations_match_dense_oracle(q, c):
 @pytest.mark.parametrize("q", (1.3, 0.7 + 0.2j, 2.1, 1.05, 0.6 + 0.8j, 1.001))
 @pytest.mark.parametrize("kappa", (0, 1))
 def test_coproduct_respects_only_r1_and_ry(q, kappa):
-    # Delta, with Delta(N) = N (x) 1 + 1 (x) N + beta, is an algebra map of R1
-    # and Ry on the c = 1/2 square, and of none of R2-R5 on the c = 0 Fock
+    # Delta, with Delta(N) = N (x) 1 + 1 (x) N + beta, is an algebra map of R0,
+    # R1 and Ry on the c = 1/2 square, and of none of R2-R5 on the c = 0 Fock
     # square; Delta(C) leaves the Hopf ideal
     p = DeformParams(q=q, kappa=kappa)
     fam, win = HopfFamily.canonical(p), Window(4, guard=1)
     reports = [*check_coproduct_relations(fam, build_rep(12, 0.0, p), ("R2", "R3", "R4", "R5"),
                                           win),
-               *check_coproduct_relations(fam, build_rep(12, 0.5, p), ("R1", "Ry", "C"), win)]
+               *check_coproduct_relations(fam, build_rep(12, 0.5, p), ("R0", "R1", "Ry", "C"),
+                                          win)]
     res = {r.identity.removeprefix("coproduct_relation_"): r.normalized_residual for r in reports}
-    assert max(res["R1"], res["Ry"]) <= 1e-12, res
+    assert max(res["R0"], res["R1"], res["Ry"]) <= 1e-12, res
     assert min(res[name] for name in ("R2", "R3", "R4", "R5", "C")) >= 1e-3, res
 
 
@@ -275,7 +276,7 @@ def test_coproduct_rejects_mismatched_params():
     fam = HopfFamily.canonical(p1)
     for p2 in (DeformParams(q=1.4), DeformParams(q=1.3, kappa=1)):
         with pytest.raises(ParameterError, match="share DeformParams"):
-            _coproduct_blocks(word("N"), fam, build_rep(4, 0.5, p1), build_rep(4, 0.5, p2))
+            _coproduct_blocks("N", fam, build_rep(4, 0.5, p1), build_rep(4, 0.5, p2))
 
 
 def test_coproduct_homomorphism(params):

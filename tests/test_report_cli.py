@@ -225,6 +225,8 @@ def test_parse_rspec():
     assert parse_rspec("quantum_double").kind == "quantum_double"
     spec = parse_rspec("general:m=0.5,K=-1,sign=lower")
     assert (spec.m, spec.K, spec.sign) == (0.5, -1, "lower")
+    spec = parse_rspec(" general: m = 0.5 , K=-1 ,sign = lower ")  # whitespace around fields
+    assert (spec.m, spec.K, spec.sign) == (0.5, -1, "lower")
     with pytest.raises(ConfigError):
         parse_rspec("general:m=0.5")
     with pytest.raises(ConfigError):
@@ -632,6 +634,28 @@ def test_cli_invalid_family_point_exits_2_before_any_case(tmp_path, monkeypatch,
         assert_config_error(["--config", str(cfg), *command], capsys)
 
 
+@pytest.mark.parametrize("rspec", ["general:m=0.5,K=-1,sign=lower,m=1",
+                                   "general:m=0.5,K=-1,sign=lower,extra=1",
+                                   "general:m=0.5,K=-1,sign=lower,",
+                                   "general:m=0.5,,K=-1,sign=lower",
+                                   "general:m=,K=-1,sign=lower"],
+                         ids=["repeated", "unknown", "trailing_empty", "inner_empty",
+                              "empty_value"])
+def test_malformed_general_rspec_is_config_error(tmp_path, monkeypatch, capsys, rspec):
+    # a repeated, unknown or empty field is rejected, never overwritten or
+    # dropped: by parse_rspec, in the rspecs key and by the --rspec flag
+    with pytest.raises(ConfigError, match="malformed general rspec"):
+        parse_rspec(rspec)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + f'rspecs = ["{rspec}"]\n', encoding="utf-8")
+    dump = tmp_path / "dump"
+    assert_config_error(["--q", "1.3", "--dump-dir", str(dump), "rmatrix", "--rspec", rspec],
+                        capsys)
+    assert not dump.exists()
+    monkeypatch.setattr(cli, "_cases", no_work)
+    assert_config_error(["--config", str(cfg), "verify"], capsys)
+
+
 def test_cli_rmatrix_invalid_family_point_is_config_error(tmp_path, capsys):
     # the --rspec flag passes the rules the rspecs key does, and nothing is dumped
     for rspec in ("general:m=0.3,K=0,sign=upper", "general:m=0.5,K=-1,sign=sideways"):
@@ -746,8 +770,8 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
     forward = run(_cases(fast_config, p))
     backward = run(reversed(_cases(fast_config, p)))[::-1]
     rmatrix.clear_caches()
-    assert len(forward) == len(backward) == 50
-    assert len({case_id for case_id, _ in forward}) == 50  # each case runs once
+    assert len(forward) == len(backward) == 53
+    assert len({case_id for case_id, _ in forward}) == 53  # each case runs once
     assert not [case for case, reps in forward if any("error" in r for r in reps)]
     for (case_id, reports), (_, again) in zip(forward, backward):
         assert again == reports, case_id
@@ -827,6 +851,22 @@ def test_planted_relation_table_defect_fails_on_both_legs(fast_config, monkeypat
     after = (_relation_reports(fast_config, "relation_Ry_c(0.5+0j)")["relation_Ry"],
              _relation_reports(fast_config, case)["coproduct_relation_Ry"])
     assert [r.verdict for r in after] == ["fail", "fail"]
+
+
+def test_planted_r0_defect_fails_every_row_that_reads_it(fast_config, monkeypatch):
+    # R0 read as a N - N a = 1.01 a (its left side over 1.01: a letter right
+    # side takes no coefficient) fails the one-leg row at both shifts, the
+    # two-leg row and the quotient cross, which all read the table's R0
+    rows = {"relation_R0_c0j": "relation_R0", "relation_R0_c(0.5+0j)": "relation_R0",
+            "coproduct_relations_c0.5": "coproduct_relation_R0",
+            "quotient_cross": "quotient_cross"}
+    verdicts = lambda: [_relation_reports(fast_config, case)[name].verdict
+                        for case, name in rows.items()]
+    assert verdicts() == ["pass"] * 4
+    r0 = fockrep.RELATIONS["R0"]
+    monkeypatch.setitem(fockrep.RELATIONS, "R0", replace(r0, lhs=tuple(
+        (sign / 1.01, e, letters) for sign, e, letters in r0.lhs)))
+    assert verdicts() == ["fail"] * 4
 
 
 def test_axiom_dim_below_the_word_length_is_config_error(tmp_path, monkeypatch, capsys):

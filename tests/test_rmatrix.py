@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power, rmatrix
-from qboson.hopfops import (HopfFamily, _coproduct_blocks, _pair_sectors, antipode_op, counit,
-                            qpow, rep_word, word)
+from qboson.hopfops import (HopfFamily, _coproduct_blocks, _pair_sectors, _word_blocks,
+                            antipode_op, counit, qpow, rep_word, word)
 from qboson.report import TOL, verdict_of
 from qboson.rmatrix import (RSpec, _antipode_blocks, _dressed_powers, _ladder, _r_chains, _series,
                             build_r, check_antipode_inverse, check_counit, check_fusion,
@@ -61,6 +61,13 @@ def test_build_r_diagonal_prefactor(params):
 GF = RSpec(kind="general_family", m=1.0, K=0, sign="upper")
 
 
+def series_words(series, k):
+    """(u_k, v_k) of the k-th series term: the raising word q^{k su N} adag^k
+    and the lowering word q^{k sv N} a^k."""
+    return (word(qpow(series.su * k), *(("adag",) * k)),
+            word(qpow(series.sv * k), *(("a",) * k)))
+
+
 def word_by_word_r(spec, rep1, rep2):
     """pref * sum_k c_k kron(u_k, v_k), each word's matrix formed letter by letter."""
     p = rep1.params
@@ -68,7 +75,7 @@ def word_by_word_r(spec, rep1, rep2):
     pref = q_power(series.exponent(rep1.n_diag(), rep2.n_diag()), p).reshape(-1)
     total = np.zeros((rep1.dim * rep2.dim,) * 2, dtype=complex)
     for k in range(rep2.dim):
-        u, v = series.words(k)
+        u, v = series_words(series, k)
         total += series.coefficient(k) * np.kron(rep_word(u, rep1), rep_word(v, rep2))
     return pref[:, None] * total
 
@@ -99,8 +106,8 @@ def test_antipode_leg_matches_products(params, spec):
     pref = q_power(series.exponent(sn, rep2.n_diag()), params).reshape(-1)
     I1, I2 = np.eye(7, dtype=complex), np.eye(6, dtype=complex)
     want = sum(series.coefficient(k) * (
-        np.kron(antipode_op(series.words(k)[0], rep1, fam), I2)
-        @ (pref[:, None] * np.kron(I1, rep_word(series.words(k)[1], rep2))))
+        np.kron(antipode_op(series_words(series, k)[0], rep1, fam), I2)
+        @ (pref[:, None] * np.kron(I1, rep_word(series_words(series, k)[1], rep2))))
         for k in range(6))
     got = antipode_leg(spec, fam, rep1, rep2)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -119,6 +126,18 @@ def test_counit_rejects_mismatched_params():
     rep2 = build_rep(6, 0.5, DeformParams(q=0.7))
     with pytest.raises(ParameterError, match="share DeformParams"):
         check_counit(QD, rep1, rep2)
+
+
+def test_counit_reads_the_counit_of_n(params, monkeypatch):
+    # each counit side is R's diagonal factor with eps(N) on one leg: an eps(N)
+    # 1e-3 off fails both sides, for the double and for a family point off it
+    rep = build_rep(8, 0.5, params)
+    assert {r.verdict for spec in (QD, GF) for r in check_counit(spec, rep, rep)} == {"pass"}
+    counit_n = HopfFamily.counit_N
+    monkeypatch.setattr(HopfFamily, "counit_N", lambda fam: counit_n(fam) + 1e-3)
+    for spec in (QD, GF):
+        assert [(r.identity, r.verdict) for r in check_counit(spec, rep, rep)] == [
+            ("counit_left", "fail"), ("counit_right", "fail")], spec.kind
 
 
 def test_pairwise_checks_reject_mismatched_kappa():
@@ -360,7 +379,7 @@ def dense_fusion(spec, fam, rep, window):
     series = _series(spec, p)
     left = right = 0.0
     for k in range(D):
-        u, v = series.words(k)
+        u, v = series_words(series, k)
         c = series.coefficient(k)
         left = left + c * np.kron(coproduct_op(u, rep, rep, fam), rep_word(v, rep))
         right = right + c * np.kron(rep_word(u, rep), coproduct_op(v, rep, rep, fam))
@@ -451,7 +470,7 @@ def dense_antipode_leg(spec, fam, rep1, rep2):
     between = np.broadcast_to(pref.T[None, :, :, None], (D1, D2, D1, D2)).reshape(D1 * D2, -1)
     V = _dressed_powers(rep2.matA, series.sv, rep2.n_diag(), D2, p)
     return between * sum(series.coefficient(k)
-                         * np.kron(antipode_op(series.words(k)[0], rep1, fam), V[k])
+                         * np.kron(antipode_op(series_words(series, k)[0], rep1, fam), V[k])
                          for k in range(D2))
 
 
@@ -487,13 +506,14 @@ def dense_pair_checks(spec, fam, rep, window):
                                2 * norm(R) * norm(Rinv))
     series, n = _series(spec, fam.params), rep.n_diag()
     eps_n = np.array([fam.counit_N()])
+    words = [series_words(series, k) for k in range(D)]
     for name, pref, leg_k in (
             ("counit_left", series.exponent(eps_n, n),
-             lambda k: counit(series.words(k)[0], fam) * rep_word(series.words(k)[1], rep)),
+             lambda u, v: counit(u, fam) * rep_word(v, rep)),
             ("counit_right", series.exponent(n, eps_n),
-             lambda k: rep_word(series.words(k)[0], rep) * counit(series.words(k)[1], fam))):
+             lambda u, v: rep_word(u, rep) * counit(v, fam))):
         got = q_power(pref, fam.params).reshape(-1, 1) * sum(
-            series.coefficient(k) * leg_k(k) for k in range(D))
+            series.coefficient(k) * leg_k(*words[k]) for k in range(D))
         raw = windowed_residual(got, np.eye(D, dtype=complex), (D,), Window(D - 1))[0]
         out[name] = (raw, max(1.0, math.sqrt(D)), norm(got) + math.sqrt(D))
     return out
@@ -538,7 +558,7 @@ def test_pair_sector_checks_match_dense_oracle(q, D, spec, W):
 def test_coproduct_blocks_match_coproduct_op(params):
     # one Delta in two layouts: the pair-sector stacks, scattered to dense, are
     # the dense letter-image product, and with opposite=True its tensor swap;
-    # a word's stack is the product of its letters' stacks
+    # a word's stack is _word_blocks over its letters' stacks
     fams = (HopfFamily.canonical(params), family_for(GF, params))
     words = [(word(), 0), (word("N"), 0), (word("a"), -1), (word("adag"), 1),
              (word(qpow(0.5)), 0), (word("a", "adag"), 0), (word("adag", "N", "adag"), 2),
@@ -547,7 +567,8 @@ def test_coproduct_blocks_match_coproduct_op(params):
         for (D1, D2), opposite in (((5, 3), False), ((3, 5), False), ((4, 4), True)):
             rep1, rep2 = build_rep(D1, 0.5, params), build_rep(D2, 0.5, params)
             for w, deg in words:
-                got = scatter(_coproduct_blocks(w, fam, rep1, rep2, opposite), (D1, D2), deg)
+                letter = lambda ltr: _coproduct_blocks(ltr, fam, rep1, rep2, opposite)
+                got = scatter(_word_blocks(w, (D1, D2), letter), (D1, D2), deg)
                 want = (opposite_coproduct_op if opposite else coproduct_op)(w, rep1, rep2, fam)
                 assert np.abs(want).max() > 0.1
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (w.name, D1, D2)

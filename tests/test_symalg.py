@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qboson import DeformParams, ParameterError, Window, build_rep, q_power
 from qboson import symalg
+from qboson.fockrep import check_relation
 from qboson.report import residual
 from qboson.symalg import (BETA, EPS, NU, NU_PRIME,
                            _coproduct_key, _mul_keys, _word_table,
@@ -605,6 +606,18 @@ def test_quotient_cross_check(params):
     assert report.normalized_residual <= 1e-12
     with pytest.raises(ParameterError):
         quotient_cross_check(build_rep(6, 1.0, params))
+
+
+def test_quotient_cross_is_the_worst_of_its_three_relations(params):
+    # nu -> N, beta -> a sends the cross relations to the relation table's R0,
+    # R1 and Ry, read on the same c = 1/2 representation and window
+    rep = build_rep(12, 0.5, params)
+    report = quotient_cross_check(rep)
+    rows = [check_relation(rep, rel) for rel in ("R0", "R1", "Ry")]
+    assert (report.dims, report.window) == ([12], 10)
+    assert [(r.dims, r.window) for r in rows] == [([12], 10)] * 3
+    assert report.raw_residual == max(r.raw_residual for r in rows)
+    assert report.normalized_residual == max(r.normalized_residual for r in rows)
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
