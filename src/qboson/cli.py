@@ -186,7 +186,8 @@ def _parse_value(text: str, kind: str, key: str, lineno: int):
 
 
 def parse_config(path: str | Path) -> SuiteConfig:
-    """Parse the key-value configuration grammar, rejecting unknown keys."""
+    """Parse the key-value configuration grammar, rejecting unknown keys.  A
+    repeated key keeps its last line, so a config is extended by appending."""
     text = Path(path).read_text(encoding="utf-8")
     seen: dict = {}
     got_q = False
@@ -236,8 +237,9 @@ def _validate_config(config: SuiteConfig) -> None:
     if not 1 <= config.axiom_max_word_len <= config.axiom_dim - 1:
         raise ConfigError("axioms.max_word_len must be >= 1 and <= axioms.dim - 1, so the "
                           "longest axiom word has a leak-free window")
-    if config.window < 0 or config.window + 1 > config.dim_pair - 1:
-        raise ConfigError("window must be >= 0 and fit into the pairwise dimension")
+    if config.window < 1 or config.window + 1 > config.dim_pair - 1:
+        raise ConfigError("window must be >= 1 (at 0 the ladder checks compare nothing) "
+                          "and fit into the pairwise dimension")
     if config.pairing_kmax < 0 or config.pairing_mmax < 0:
         raise ConfigError("pairing kmax and mmax must be >= 0")
     # the only size bounds: no check function carries a cap of its own
@@ -507,7 +509,7 @@ def _cmd_pairing(args) -> int:
         path = dump_matrix(symalg.pairing_gram(kmax, mmax, p),
                            Path(config.dump_dir) / "pairing_gram.mtx")
         print(f"wrote {path}")
-    print(f"pairing max deviation: {report.raw_residual:.3e}, "
+    print(f"pairing deviation: {report.raw_residual:.3e}, "
           f"normalized {report.normalized_residual:.3e} [{report.verdict}]")
     return 0 if report.verdict == "pass" else 1
 

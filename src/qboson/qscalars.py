@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .report import IdentityReport, compare, make_report, worst
+from .report import IdentityReport, compare
 
 #: largest n probed by the root-of-unity exclusion check
 _ROOT_OF_UNITY_PROBE = 64
@@ -120,25 +120,21 @@ def half_index_product(k: int, p: DeformParams) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# scalar identities: each report is the largest deviation over its inputs
-
-
-def _report(name: str, p: DeformParams, deviations: list) -> IdentityReport:
-    dev = worst(deviations)
-    return make_report(name, {"q": str(p.q)}, [len(deviations)], 0, dev, dev)
+# scalar identities: each compares its two sides over all of its inputs
 
 
 def check_qpower_additivity(pairs, p: DeformParams) -> IdentityReport:
     """q**(z1 + z2) = q**z1 q**z2 at each pair (z1, z2)."""
-    return _report("qscalars_qpower_additivity", p, [
-        abs(q_power(z1 + z2, p) - q_power(z1, p) * q_power(z2, p)) for z1, z2 in pairs])
+    lhs = np.array([q_power(z1 + z2, p) for z1, z2 in pairs])
+    rhs = np.array([q_power(z1, p) * q_power(z2, p) for z1, z2 in pairs])
+    return compare("qscalars_qpower_additivity", {"q": str(p.q)}, [len(lhs)], 0, [(lhs, rhs)])
 
 
 def check_qnum_inversion(points, p: DeformParams) -> IdentityReport:
     """[x] is the same at q and at 1/q, at each point x."""
-    pinv = p.inverted()
-    return _report("qscalars_qnum_inversion", p, [
-        abs(q_number(x, p) - q_number(x, pinv)) for x in points])
+    x = np.array(points, dtype=complex)
+    return compare("qscalars_qnum_inversion", {"q": str(p.q)}, [len(x)], 0,
+                   [(q_number(x, p), q_number(x, p.inverted()))])
 
 
 def check_half_index_recursion(p: DeformParams) -> IdentityReport:

@@ -1,4 +1,4 @@
-"""Identity reports, the one verdict policy and windowed residual every check
+"""Identity reports, the one verdict policy and the one residual every check
 reports through (compare), and the shared matrix dump format."""
 
 from __future__ import annotations
@@ -44,8 +44,11 @@ def residual(lhs: np.ndarray, rhs: np.ndarray, floor: float = 1.0) -> tuple[floa
     """(raw, normalized) residual of lhs - rhs, both already cut to the
     window: ||lhs - rhs||_F, and that over max(floor, ||rhs||_F).  The
     default floor keeps identities against zero matrices absolute; 1e-300
-    lets a check whose absolute scale is moot divide by ||rhs||_F alone."""
-    raw = frobenius(lhs - rhs)
+    lets a check whose absolute scale is moot divide by ||rhs||_F alone.
+    A comparison with no entries proves nothing, so it raises."""
+    if np.size(diff := lhs - rhs) == 0:
+        raise ValueError("the comparison has no entries (an empty window?)")
+    raw = frobenius(diff)
     return raw, raw / max(floor, frobenius(rhs))
 
 
@@ -83,26 +86,18 @@ class IdentityReport:
         return out
 
 
-def make_report(identity: str, params: dict, dims, window: int, raw: float,
-                normalized: float) -> IdentityReport:
-    """A report with no wall time yet; the suite runner times each case."""
-    return IdentityReport(
-        identity=identity,
-        params=params,
-        dims=list(dims),
-        window=window,
-        raw_residual=float(raw),
-        normalized_residual=float(normalized),
-        verdict=verdict_of(normalized),
-    )
-
-
 def compare(identity: str, params: dict, dims, window: int, pairs,
             floor: float = 1.0) -> IdentityReport:
     """The report of (lhs, rhs) pairs already cut to the window: the largest
-    raw and the largest normalized residual, each taken separately."""
-    raws, nrms = np.reshape([residual(lhs, rhs, floor) for lhs, rhs in pairs], (-1, 2)).T
-    return make_report(identity, params, dims, window, worst(raws), worst(nrms))
+    raw and the largest normalized residual, each taken separately.  This is
+    the one place a residual is measured; a check that compared nothing
+    raises, so its case becomes an error report, never a pass."""
+    res = [residual(lhs, rhs, floor) for lhs, rhs in pairs]
+    if not res:
+        raise ValueError(f"{identity}: no pair to compare")
+    raw, nrm = (worst(col) for col in zip(*res))
+    return IdentityReport(identity=identity, params=params, dims=list(dims), window=window,
+                          raw_residual=raw, normalized_residual=nrm, verdict=verdict_of(nrm))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ import numpy as np
 
 from .fockrep import FockRep, Window, relation_sides
 from .qscalars import DeformParams, ParameterError, half_index_product, q_power
-from .report import IdentityReport, compare, make_report, worst
+from .report import IdentityReport, compare
 
 Key = tuple  # (k, m, two_s)
 
@@ -336,29 +336,21 @@ def pairing_gram(kmax: int, mmax: int, p: DeformParams) -> np.ndarray:
 
 def pairing_check(kmax: int, mmax: int, p: DeformParams) -> IdentityReport:
     """Compare the dual-multiplication pairing table with the closed form.
-
-    The raw residual is the largest absolute deviation; the normalized one
-    divides it by max(1, largest |closed form|) over the table, because the
-    entries grow like n!/gamma^n and an absolute test would fail on
-    rounding alone for q near 1.
-    """
+    The entries grow like n!/gamma^n, so for q near 1 only the normalized
+    residual can pass."""
     pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
-    G = pairing_gram(kmax, mmax, p)
     # the closed form vanishes off the diagonal
     want = np.diag([pairing_closed_form(k, m, k, m, p) for k, m in pairs])
-    dev = float(np.abs(G - want).max())
-    scale = float(np.abs(want).max())
-    return make_report("pairing_eqn", {"kmax": kmax, "mmax": mmax, "q": str(p.q)},
-                       [kmax + 1, mmax + 1], kmax, dev, dev / max(1.0, scale))
+    return compare("pairing_eqn", {"kmax": kmax, "mmax": mmax, "q": str(p.q)},
+                   [kmax + 1, mmax + 1], kmax, [(pairing_gram(kmax, mmax, p), want)])
 
 
 def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4) -> IdentityReport:
-    """[nu, beta] + beta evaluates to zero on every tie basis element."""
+    """[nu, beta] = -beta on every tie basis element."""
     keys = [(l, n, 2 * l) for l in range(lmax + 1) for n in range(nmax + 1)]
     nu_beta, beta_nu, beta = _word_table([(NU, BETA), (BETA, NU), (BETA,)], keys, p)
-    dev = float(np.abs(nu_beta - beta_nu + beta).max())
-    return make_report("dual_bracket", {"lmax": lmax, "nmax": nmax, "q": str(p.q)},
-                       [lmax + 1, nmax + 1], lmax, dev, dev)
+    return compare("dual_bracket", {"lmax": lmax, "nmax": nmax, "q": str(p.q)},
+                   [lmax + 1, nmax + 1], lmax, [(nu_beta - beta_nu, -beta)])
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +400,15 @@ def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
     met = set(keys).union(*sxs.values(), *yxs.values())
     val = {f: {key: eval_atomic(f, key, p) for key in met} for f in functionals}
     ev = lambda f, z: sum((c * val[f][key] for key, c in z.items()), start=0j)
-    devs = []
+    rows = []  # (the table's value, the primal one) per functional and row key
     for f in functionals:
         s0_inv, coproduct = _s0_inv_atomic(f, p), _dual_coproduct(f, p)
         for x in keys:
-            devs.append(sum(c * val[g][x] for c, g in s0_inv) - ev(f, sxs[x]))
-            devs += [sum(c * val[g1][x] * val[g2][y] for c, g1, g2 in coproduct)
-                     - ev(f, yxs[x, y]) for y in keys]
-    dev = worst(map(abs, devs))
-    return make_report("dual_hopf", {"deg": deg, "q": str(p.q)},
-                       [deg + 1, deg + 1], deg, dev, dev)
+            rows.append((sum(c * val[g][x] for c, g in s0_inv), ev(f, sxs[x])))
+            rows += [(sum(c * val[g1][x] * val[g2][y] for c, g1, g2 in coproduct),
+                      ev(f, yxs[x, y])) for y in keys]
+    return compare("dual_hopf", {"deg": deg, "q": str(p.q)}, [deg + 1, deg + 1], deg,
+                   [np.array(rows, dtype=complex).T])
 
 
 # ---------------------------------------------------------------------------
@@ -466,22 +457,20 @@ def straighten_cross(fname: str, xname: str, p: DeformParams) -> dict:
 
 
 def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
-                           grid: int = 3) -> float:
-    """Max deviation between two x*f term dicts, as elements of the double.
-
-    Terms are grouped by primal key and the dual parts compared by
-    evaluating on all tie basis elements up to the grid degree.
-    """
-    duals: dict = {}  # primal key -> {atomic functional: coefficient}
-    for sign, terms in ((1.0, lhs), (-1.0, rhs)):
-        for (xk, f), c in terms.items():
-            group = duals.setdefault(xk, {})
-            group[f] = group.get(f, 0.0) + sign * c
-    functionals = list(dict.fromkeys(f for terms in duals.values() for f in terms))
+                           grid: int = 3) -> tuple[np.ndarray, np.ndarray]:
+    """Two x*f term dicts as elements of the double, side by side: terms are
+    grouped by primal key, and each group's dual part is evaluated on all tie
+    basis elements up to the grid degree.  Returns both sides' values, one
+    row per primal key of either side, for report.compare."""
+    row = {xk: n for n, xk in enumerate(dict.fromkeys(xk for xk, _ in (*lhs, *rhs)))}
+    functionals = list(dict.fromkeys(f for _, f in (*lhs, *rhs)))
     keys = [(l, n, 2 * l) for l in range(grid + 1) for n in range(grid + 1)]
     table = dict(zip(functionals, _word_table([(f,) for f in functionals], keys, p)))
-    return worst(float(np.abs(sum(c * table[f] for f, c in terms.items())).max())
-                 for terms in duals.values())
+    sides = np.zeros((2, len(row), len(keys)), dtype=complex)
+    for side, terms in zip(sides, (lhs, rhs)):
+        for (xk, f), c in terms.items():
+            side[row[xk]] += c * table[f]
+    return sides[0], sides[1]
 
 
 def cross_straighten_check(p: DeformParams) -> IdentityReport:
@@ -489,12 +478,12 @@ def cross_straighten_check(p: DeformParams) -> IdentityReport:
     their closed forms on the tie basis up to degree 2:
     nu * A = A nu + A, nu * Np = Np nu, beta * Np = Np beta + beta."""
     akey, nkey, unit, grid = (1, 0, 2), (0, 1, 0), (0, 0, 0), 2
-    dev = worst(cross_terms_difference(straighten_cross(fname, xname, p), expected, p, grid)
-                for fname, xname, expected in (
-                    ("nu", "araise", {(akey, NU): 1.0, (akey, EPS): 1.0}),
-                    ("nu", "nprime", {(nkey, NU): 1.0}),
-                    ("beta", "nprime", {(nkey, BETA): 1.0, (unit, BETA): 1.0})))
-    return make_report("cross_straighten", {"q": str(p.q)}, [grid + 1, grid + 1], grid, dev, dev)
+    return compare("cross_straighten", {"q": str(p.q)}, [grid + 1, grid + 1], grid, (
+        cross_terms_difference(straighten_cross(fname, xname, p), expected, p, grid)
+        for fname, xname, expected in (
+            ("nu", "araise", {(akey, NU): 1.0, (akey, EPS): 1.0}),
+            ("nu", "nprime", {(nkey, NU): 1.0}),
+            ("beta", "nprime", {(nkey, BETA): 1.0, (unit, BETA): 1.0}))))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_criterion_3_pairing_reproduction():
     for q in Q_BOTH:
         rpt = pairing_check(3, 3, DeformParams(q=q))
         worst = max(worst, rpt.raw_residual)
-    criterion(3, f"dual pairing matches closed form (max dev {worst:.2e} <= 1e-9)",
+    criterion(3, f"dual pairing matches closed form (raw residual {worst:.2e} <= 1e-9)",
               worst <= 1e-9)
 
 
@@ -73,7 +73,7 @@ def test_criterion_4_dual_bracket():
     for q in Q_BOTH:
         rpt = dual_bracket_check(DeformParams(q=q), lmax=4, nmax=4)
         worst = max(worst, rpt.raw_residual)
-    criterion(4, f"[nu, beta] + beta vanishes (max dev {worst:.2e} <= 1e-12)",
+    criterion(4, f"[nu, beta] + beta vanishes (raw residual {worst:.2e} <= 1e-12)",
               worst <= 1e-12)
 
 

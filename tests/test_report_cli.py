@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qboson import DeformParams, build_rep, cli, fockrep, hopfops, q_number, rmatrix, symalg
+from qboson import (DeformParams, build_rep, cli, fockrep, hopfops, q_number, qscalars, rmatrix,
+                    symalg)
 from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.qscalars import check_qnum_inversion
 from qboson.report import (TOL, IdentityReport, compare, dump_matrix, frobenius, load_matrix,
-                           make_report, residual, verdict_of, worst)
+                           residual, verdict_of, worst)
 
 FAST_CONFIG = """
 # desk-scale smoke configuration
@@ -214,6 +215,14 @@ def test_parse_config_window_violation(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_repeated_key_takes_the_later_line(tmp_path):
+    # a config is extended by appending lines: a repeated key keeps its last value
+    path = tmp_path / "c.cfg"
+    path.write_text("q = 1.3\ndims.pair = 12\nq = 2.1\ndims.pair = 10\n")
+    config = parse_config(path)
+    assert (config.q, config.dim_pair) == (2.1, 10)
+
+
 def test_parse_config_alpha_from_kappa(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text('q = 1.3\nkappa = 0\n')
@@ -324,12 +333,18 @@ def test_emit_report_roundtrip(tmp_path, fast_config):
         [r.normalized_residual for r in reports]
 
 
+def _deviation_report(identity: str, dev: float) -> IdentityReport:
+    """A report whose raw and normalized residuals are both dev."""
+    return compare(identity, {}, [2], 1, [(np.array([dev, 0.0]), np.zeros(2))])
+
+
 def test_exit_code_semantics():
-    ok = make_report("x", {}, [2], 1, 0.0, 0.0)
+    ok = _deviation_report("x", 0.0)
     ok.expected = "pass"
-    bad = make_report("y", {}, [2], 1, 1.0, 1.0)
+    bad = _deviation_report("y", 1.0)
     bad.expected = "pass"
-    info = make_report("z", {}, [2], 1, 5e-8, 5e-8)
+    info = _deviation_report("z", 5e-8)
+    assert (ok.verdict, bad.verdict, info.verdict) == ("pass", "fail", "info")
     assert exit_code_for([ok]) == 0
     assert exit_code_for([ok, info]) == 0  # info entries never block
     assert exit_code_for([ok, bad]) == 1
@@ -338,7 +353,7 @@ def test_exit_code_semantics():
 
 
 def test_exit_code_errored_case():
-    ok = make_report("x", {}, [2], 1, 0.0, 0.0)
+    ok = _deviation_report("x", 0.0)
     ok.expected = "pass"
     crashed = IdentityReport(identity="y", params={}, dims=[], window=0,
                              raw_residual=float("nan"), normalized_residual=float("nan"),
@@ -370,8 +385,38 @@ def test_compare_takes_each_largest_separately():
         residual(*small, floor=1e-300)[1]
     nan = compare("c", {}, [4], 3, [small, (np.full(4, math.nan), np.zeros(4))])
     assert nan.verdict == "fail" and math.isnan(nan.raw_residual)
-    empty = compare("c", {}, [4], 3, [])
-    assert (empty.raw_residual, empty.normalized_residual, empty.verdict) == (0.0, 0.0, "pass")
+
+
+@pytest.mark.parametrize("module, check", [
+    (qscalars, lambda p: qscalars.check_qpower_additivity(
+        [(0.3 + 0.2j, -1.1 + 0.5j), (1.7, -0.4j), (-1.9 - 1.2j, 0.8)], p)),
+    (symalg, lambda p: symalg.pairing_check(3, 3, p)),
+    (symalg, symalg.dual_bracket_check),
+    (symalg, lambda p: symalg.dual_hopf_check(p, deg=2)),
+], ids=["qpower_additivity", "pairing_eqn", "dual_bracket", "dual_hopf"])
+def test_planted_relative_error_fails(monkeypatch, module, check):
+    # a relative 1e-6 error on one side is far above the fail threshold for
+    # each of these checks, whatever the scale of its values
+    p = DeformParams(q=1.3)
+    assert check(p).verdict == "pass"
+
+    def planted(identity, params, dims, window, pairs, floor=1.0):
+        return compare(identity, params, dims, window,
+                       [((1 + 1e-6) * lhs, rhs) for lhs, rhs in pairs], floor)
+
+    monkeypatch.setattr(module, "compare", planted)
+    assert check(p).verdict == "fail"
+
+
+def test_compare_raises_on_an_empty_comparison():
+    # a check that compared nothing proves nothing: no pair, or a pair cut to
+    # no entry (an empty window), raises instead of reading 0.0 and passing
+    empty, some = np.zeros((0, 3)), (np.ones(3), np.ones(3))
+    for pairs in ([], [(empty, empty)], [some, (empty, empty)]):
+        with pytest.raises(ValueError):
+            compare("c", {}, [4], 0, pairs)
+    with pytest.raises(ValueError):
+        residual(empty, empty)
 
 
 def _case_report(config, case_id):
@@ -560,6 +605,11 @@ def test_cli_negative_window_is_config_error(capsys):
     assert_config_error(["--window", "-1", "verify"], capsys)
 
 
+def test_cli_window_zero_is_config_error(capsys):
+    # at window 0 the ladder intertwiners and Yan relations would compare no entry
+    assert_config_error(["--window", "0", "verify"], capsys)
+
+
 def test_cli_negative_seed_is_config_error(capsys):
     # random.Random seeds with |seed|, so -7 would silently repeat seed 7
     assert_config_error(["--seed", "-7", "verify"], capsys)
@@ -693,7 +743,7 @@ def test_cli_pairing(tmp_path, capsys):
     code = main(["--q", "1.3", "--dump-dir", str(tmp_path), "pairing",
                  "--kmax", "1", "--mmax", "1"])
     assert code == 0
-    assert "pairing max deviation" in capsys.readouterr().out
+    assert "pairing deviation" in capsys.readouterr().out
     assert load_matrix(tmp_path / "pairing_gram.mtx").shape == (4, 4)
 
 
@@ -733,7 +783,7 @@ def test_cli_pairing_near_one_prints_both_residuals(monkeypatch, capsys):
     monkeypatch.setattr(symalg, "pairing_gram", counted_gram)
     assert main(["--q", "1.05", "pairing", "--kmax", "5", "--mmax", "5"]) == 0
     line = capsys.readouterr().out.strip().splitlines()[-1]
-    match = re.fullmatch(r"pairing max deviation: (\S+), normalized (\S+) \[pass\]", line)
+    match = re.fullmatch(r"pairing deviation: (\S+), normalized (\S+) \[pass\]", line)
     assert match, line
     raw, normalized = float(match[1]), float(match[2])
     assert raw > 1e-9 and normalized <= 1e-13

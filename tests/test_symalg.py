@@ -584,7 +584,8 @@ def test_straighten_cross_generators(params):
     )
     for fname, xname, expected in cases:
         got = straighten_cross(fname, xname, params)
-        assert cross_terms_difference(got, expected, params) <= 1e-12, (fname, xname)
+        assert residual(*cross_terms_difference(got, expected, params))[0] <= 1e-12, \
+            (fname, xname)
     # the suite's case compares these three on the tie basis up to degree 2
     report = cross_straighten_check(params)
     assert report.verdict == "pass" and (report.dims, report.window) == ([3, 3], 2)
@@ -664,8 +665,18 @@ def test_dual_hopf_fails_on_a_nan(params, monkeypatch):
     assert np.isnan(report.normalized_residual) and report.verdict == "fail"
 
 
-def test_cross_terms_difference_keeps_a_nan_group(params):
-    # the first primal group cancels, the second is NaN
+def test_cross_terms_difference_keeps_a_nan_group(params, monkeypatch):
+    # the first primal group cancels, the second is NaN: both sides keep one
+    # row per primal key, on the 3 x 3 tie grid
     lhs = {((1, 0, 2), NU): 1.0, ((0, 1, 0), NU): np.nan}
     rhs = {((1, 0, 2), NU): 1.0}
-    assert np.isnan(cross_terms_difference(lhs, rhs, params, grid=2))
+    left, right = cross_terms_difference(lhs, rhs, params, grid=2)
+    assert left.shape == right.shape == (2, 9)
+    np.testing.assert_array_equal(left[0], right[0])
+    assert np.isnan(left[1]).all() and not right[1].any()
+    # so a NaN term in one straightened relation is cross_straighten's residual
+    straighten = symalg.straighten_cross
+    monkeypatch.setattr(symalg, "straighten_cross", lambda f, x, p: (
+        {**straighten(f, x, p), ((0, 1, 0), NU): np.nan} if f == "beta" else straighten(f, x, p)))
+    report = cross_straighten_check(params)
+    assert np.isnan(report.normalized_residual) and report.verdict == "fail"
