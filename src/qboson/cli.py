@@ -9,6 +9,7 @@ runtime errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import fnmatch
 import gc
 import json
@@ -220,11 +221,15 @@ def _validate_config(config: SuiteConfig) -> None:
             raise ConfigError(f"{exc} (q = {q})") from None
     if len(config.rep_dims) != len(config.rep_shifts) or not config.rep_dims:
         raise ConfigError("reps.dims and reps.shifts must be equal-length, non-empty")
+    if not all(map(cmath.isfinite, config.rep_shifts)):
+        raise ConfigError(f"reps.shifts must be finite, got {list(config.rep_shifts)}")
     if not (len(config.family_m) == len(config.family_K) == len(config.family_signs)):
         raise ConfigError("family grid lists must have equal length")
-    # every family point the suite builds, by HopfFamily's rules (none reads q)
+    # every family point the suite builds, by HopfFamily's rules (none reads q);
+    # the first is the canonical point, HopfFamily.canonical's K = -2 kappa - 1
     p = config.params()
-    for m, K, sign in zip(config.family_m, config.family_K, config.family_signs):
+    for m, K, sign in ((0.5, -2 * config.kappa - 1, "lower"),
+                       *zip(config.family_m, config.family_K, config.family_signs)):
         try:
             hopfops.HopfFamily(m=m, K=K, sign=sign, params=p)
         except ParameterError as exc:
@@ -397,8 +402,9 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
     """Run every case of the table in order, a case that raises giving an
     error report, then apply CLAIMS to each report.
 
-    The rmatrix cases share each R, and the symalg cases their coproduct
-    and transfer tables; all are keyed by q and held for this run only.
+    The rmatrix cases share each R, and the symalg cases their split
+    coefficients and transfer tables; all are keyed by q and held for this
+    run only.
     """
     rows = _cases(config, config.params())
     try:
@@ -428,9 +434,8 @@ def exit_code_for(reports: list[IdentityReport]) -> int:
 
 
 def emit_report(reports: list[IdentityReport], path: str | Path | None,
-                config_echo: dict | None = None, include_timing: bool = True) -> str:
-    doc = {"config": config_echo or {},
-           "results": [r.as_dict(include_timing=include_timing) for r in reports]}
+                config_echo: dict | None = None) -> str:
+    doc = {"config": config_echo or {}, "results": [r.as_dict() for r in reports]}
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path is not None:
         _write(path, text)

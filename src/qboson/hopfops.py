@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fockrep import RELATIONS, FockRep, Window, shared_params
-from .qscalars import DeformParams, ParameterError, q_power
+from .qscalars import MAX_EXACT_INT, DeformParams, ParameterError, q_power
 from .report import IdentityReport, compare
 
 # a word letter is "N" | "a" | "adag" | ("qpow", s) with s the exponent in q^{sN}
@@ -88,6 +88,10 @@ class HopfFamily:
     def __post_init__(self):
         if self.sign not in ("upper", "lower"):
             raise ParameterError("sign must be 'upper' or 'lower'")
+        if not math.isfinite(self.m):
+            raise ParameterError("m must be finite")
+        if abs(self.K) > MAX_EXACT_INT:
+            raise ParameterError("|K| must be at most 2**53, where integers are exact as floats")
         if abs(2 * self.m - round(2 * self.m)) > 1e-12:
             raise ParameterError("m must be an integer or half-integer")
         object.__setattr__(self, "beta_const",

@@ -21,6 +21,8 @@ from .report import IdentityReport, compare
 #: largest n probed by the root-of-unity exclusion check
 _ROOT_OF_UNITY_PROBE = 64
 _ROOT_OF_UNITY_TOL = 1e-12
+#: the integers kappa and K enter float arithmetic, exact only up to this size
+MAX_EXACT_INT = 2 ** 53
 
 
 class ParameterError(ValueError):
@@ -34,8 +36,9 @@ class DeformParams:
     gamma = Log(q) (principal) and alpha = 2*kappa*pi + pi/2 are derived
     once at construction; every q**z in the package is exp(z * gamma).
     q on the negative real axis is rejected (the principal log is
-    discontinuous there), as are q = 0 and near-roots of unity up to
-    order 64 (finite float proxy for the exact exclusion).
+    discontinuous there), as are q = 0, near-roots of unity up to
+    order 64 (finite float proxy for the exact exclusion) and a kappa
+    beyond MAX_EXACT_INT.
     """
 
     q: complex
@@ -47,6 +50,9 @@ class DeformParams:
         q = complex(self.q)
         if not cmath.isfinite(q):
             raise ParameterError("q must be finite")
+        if abs(self.kappa) > MAX_EXACT_INT:
+            raise ParameterError("|kappa| must be at most 2**53, "
+                                 "where integers are exact as floats")
         if q == 0:
             raise ParameterError("q must be nonzero")
         if q.imag == 0 and q.real < 0:
@@ -61,13 +67,6 @@ class DeformParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "gamma", complex(np.log(q)))
         object.__setattr__(self, "alpha", 2.0 * self.kappa * math.pi + math.pi / 2.0)
-        # the generated hash rebuilds a tuple of every field on each call, and
-        # every cache keyed by these parameters pays it; equality stays fieldwise
-        object.__setattr__(self, "_hash",
-                           hash((self.q, self.kappa, self.gamma, self.alpha)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def ialpha_over_gamma(self) -> complex:

@@ -67,23 +67,9 @@ class IdentityReport:
     error: str | None = None
     expected: str | None = None
 
-    def as_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "identity": self.identity,
-            "params": self.params,
-            "dims": list(self.dims),
-            "window": self.window,
-            "raw_residual": self.raw_residual,
-            "normalized_residual": self.normalized_residual,
-            "verdict": self.verdict,
-        }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        if self.error is not None:
-            out["error"] = self.error
-        if self.expected is not None:
-            out["expected"] = self.expected
-        return out
+    def as_dict(self) -> dict:
+        """The report's fields, error and expected only when set."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def compare(identity: str, params: dict, dims, window: int, pairs,

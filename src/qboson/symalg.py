@@ -131,10 +131,8 @@ def _coproduct_coeff(k: int, r: int, t, p: DeformParams):
     return _cexp(-1j * (t / 4.0) * p.alpha) * _split_row(k, p)[r]
 
 
-@functools.lru_cache(maxsize=None)
 def _coproduct_key(key: Key, p: DeformParams) -> dict:
-    """Delta(E[k, m, s]) expanded in the tensor basis, in closed form; the
-    cached dict is shared, so callers only read it.
+    """Delta(E[k, m, s]) expanded in the tensor basis, in closed form.
 
     Legs: Delta(q**(sN/2)) = e^{-is alpha/2} q**(sN/2) (x) q**(sN/2),
     Delta(Np) = Np (x) 1 + 1 (x) Np, and
@@ -300,12 +298,12 @@ def _word_table(words, keys, p: DeformParams) -> np.ndarray:
 
 
 def clear_caches() -> None:
-    """Empty the coproduct, split-coefficient and transfer-weight caches.
+    """Empty the split-coefficient and transfer-weight caches.
 
     Their keys hold DeformParams, so entries made at one q are never
     reused at another; a sweep over q clears them after each point.
     """
-    for cache in (_coproduct_key, _split_row, _transfer_weights):
+    for cache in (_split_row, _transfer_weights):
         cache.cache_clear()
 
 

@@ -19,7 +19,7 @@ def test_params_derived_constants():
 
 
 def test_params_hash_is_fieldwise_and_hits_one_cache_entry():
-    # the hash is computed once; equal parameters hash equal, equality is fieldwise
+    # the dataclass's hash and equality are fieldwise; equal parameters hash equal
     a, b = DeformParams(q=1.3), DeformParams(q=1.3 + 0j, kappa=0)
     assert a == b and hash(a) == hash(b)
     assert a != DeformParams(q=1.3, kappa=1)

@@ -306,11 +306,16 @@ def test_run_suite_empty_rspecs(fast_config):
     assert [r for r in reports if r.identity == "pairing_eqn"]
 
 
+def _untimed(reports):
+    """The reports with their wall times zeroed, so two runs render alike."""
+    for rep in reports:
+        rep.wall_time = 0.0
+    return reports
+
+
 def test_determinism_byte_output(fast_config):
-    a = emit_report(run_suite(fast_config), None, fast_config.echo(),
-                    include_timing=False)
-    b = emit_report(run_suite(fast_config), None, fast_config.echo(),
-                    include_timing=False)
+    a, b = (emit_report(_untimed(run_suite(fast_config)), None, fast_config.echo())
+            for _ in range(2))
     assert a == b
 
 
@@ -684,6 +689,40 @@ def test_cli_invalid_family_point_exits_2_before_any_case(tmp_path, monkeypatch,
         assert_config_error(["--config", str(cfg), *command], capsys)
 
 
+_HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("lines, flags",
+                         [("families.m = [nan]\nfamilies.k = [0]\nfamilies.signs = [lower]", []),
+                          ("families.m = [inf]\nfamilies.k = [0]\nfamilies.signs = [lower]", []),
+                          ('rspecs = ["general:m=nan,K=0,sign=lower"]', []),
+                          (f"families.m = [0.5]\nfamilies.k = [{_HUGE}]\n"
+                           "families.signs = [lower]", []),
+                          ("kappa = 1e300", []),
+                          ("kappa = 4503599627370496", []),
+                          ("", ["--kappa", "100000000000000000000"]),
+                          ("", ["--kappa", _HUGE]),
+                          ("reps.shifts = [0, nan]", [])],
+                         ids=["grid_m_nan", "grid_m_inf", "rspec_m_nan", "grid_huge_K",
+                              "kappa_1e300", "kappa_2p52_canonical_K", "kappa_flag_1e20",
+                              "kappa_flag_huge", "shift_nan"])
+def test_cli_unrepresentable_inputs_exit_2_before_any_case(tmp_path, monkeypatch, capsys,
+                                                           lines, flags):
+    # a non-finite number, or an integer that float arithmetic cannot hold
+    # exactly (|kappa| or |K| above 2**53, the canonical K = -2 kappa - 1
+    # included), is a config error, never a run of failed identities or a
+    # runtime error
+    monkeypatch.setattr(cli, "_cases", no_work)
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG + lines + "\n", encoding="utf-8")
+    assert_config_error(["--config", str(cfg), *flags, "verify"], capsys)
+    if lines.startswith("rspecs"):
+        spec = lines.split('"')[1]
+        assert_config_error(["--q", "1.3", "--dump-dir", str(tmp_path / "r"), "rmatrix",
+                             "--rspec", spec], capsys)
+        assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("rspec", ["general:m=0.5,K=-1,sign=lower,m=1",
                                    "general:m=0.5,K=-1,sign=lower,extra=1",
                                    "general:m=0.5,K=-1,sign=lower,",
@@ -814,7 +853,7 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
     def run(rows):
         rmatrix.clear_caches()
         symalg.clear_caches()
-        return [(case_id, [r.as_dict(include_timing=False) for r in _run_case(case_id, fn)])
+        return [(case_id, [r.as_dict() for r in _untimed(_run_case(case_id, fn))])
                 for case_id, fn in rows]
 
     forward = run(_cases(fast_config, p))
@@ -832,7 +871,7 @@ SAMPLED_CASES = ("qscalars_qpower_additivity", "qscalars_qnum_inversion")
 
 def _sampled_reports(config):
     rows = {row[0]: row for row in _cases(config, config.params())}
-    return {case_id: _run_case(*rows[case_id])[0].as_dict(include_timing=False)
+    return {case_id: _untimed(_run_case(*rows[case_id]))[0].as_dict()
             for case_id in SAMPLED_CASES}
 
 
@@ -957,8 +996,7 @@ def test_cli_run_loads_no_numpy_random(tmp_path, command):
 
 
 def _symalg_cache_sizes():
-    return (symalg._coproduct_key.cache_info().currsize,
-            symalg._split_row.cache_info().currsize,
+    return (symalg._split_row.cache_info().currsize,
             symalg._transfer_weights.cache_info().currsize)
 
 
@@ -996,7 +1034,7 @@ def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
     (started, (_, last_point), after_two) = scan("1.2, 1.4")
     assert all(size > 0 for size in one_point)
     assert last_point == one_point
-    assert started == [(0, 0, 0)] * 2 and after_one == after_two == (0, 0, 0)
+    assert started == [(0, 0)] * 2 and after_one == after_two == (0, 0)
 
 
 def test_run_suite_builds_each_r_once(fast_config, monkeypatch):
