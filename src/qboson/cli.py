@@ -1,6 +1,6 @@
 """Command-line surface: configuration, suite orchestration, reporting.
 
-Exit codes: 0 when every non-informational verdict matches its
+Exit codes: 0 when every verdict outside the gray zone matches its
 expectation (expected failures included) and no case raised, 1 on any
 unexpected verdict or any case that raised, 2 on configuration or
 runtime errors.
@@ -27,30 +27,31 @@ from . import fockrep, hopfops, qscalars, rmatrix, sl2bridge, symalg
 from .qscalars import DeformParams, ParameterError
 from .report import IdentityReport, dump_matrix
 
-# The paper's verdict matrix: (fnmatch pattern on a report's "rspec-label:identity"
-# key or its bare identity, claim) rows.  A fail report must fail; an info report
-# is not claimed, so its verdict is info; a report no row matches must pass.  An
-# info row wins over a fail row; the expect_fail config key replaces the fail rows.
+# The paper's verdict matrix: fnmatch patterns on a report's "rspec-label:identity"
+# key or its bare identity, each with the reason its reports fail.  A report a
+# pattern matches must fail, any other must pass; expect_fail replaces the table.
 CLAIMS = (
     # the identities the published candidate breaks, its own Yan relation included
-    ("yan_claimed:intertwiner_a", "fail"),
-    ("yan_claimed:intertwiner_adag", "fail"),
-    ("yan_claimed:yang_baxter", "fail"),
-    ("yan_claimed:fusion_*", "fail"),
-    ("yan_claimed:yan_relation_*", "fail"),
+    "yan_claimed:intertwiner_a",
+    "yan_claimed:intertwiner_adag",
+    "yan_claimed:yang_baxter",
+    "yan_claimed:fusion_*",
+    "yan_claimed:yan_relation_*",
+    # measured cause: of the candidate's differences from the double, switched on
+    # one at a time, the undressed raising word and the extra -N (x) N / 2 exponent
+    # each break R ((S (x) I)R) = I, and the (1 + q^{-1})^k coefficient does not
+    "yan_claimed:antipode_inverse",
+    # R's diagonal factor at eps(N) keeps the phase q^{-(i alpha/gamma) N / 2} =
+    # e^{-i alpha N / 2} of that extra exponent, which no q removes (sqrt 2 at
+    # dims.pair 12)
+    "yan_claimed:counit_*",
     # Delta, with Delta(N) = N (x) 1 + 1 (x) N + beta, is no algebra map of these
     # presentations on the c = 0 Fock square (it is of R0, R1 and Ry, which must pass)
-    ("coproduct_relation_R[2-5]", "fail"),
+    "coproduct_relation_R[2-5]",
     # Delta(C) leaves the Hopf ideal: a norm away from zero where pi(C) = 0
-    ("coproduct_relation_C", "fail"),
-    # diagnostics of the published candidate, expected neither to pass nor to fail
-    ("yan_claimed:antipode_inverse", "info"),
-    ("yan_claimed:counit_*", "info"),
-    # the Yan relation is the published candidate's claim; others report it to compare
-    ("quantum_double:yan_relation_*", "info"),
-    ("general_family*:yan_relation_*", "info"),
+    "coproduct_relation_C",
     # the published shift constant misses the symmetrized relation; surfaced, not corrected
-    ("inverse_realization_y", "info"),
+    "inverse_realization_y",
 )
 
 
@@ -80,7 +81,7 @@ class SuiteConfig:
     pairing_mmax: int = 3
     out_report: str | None = None
     dump_dir: str | None = None
-    expect_fail: tuple = tuple(pattern for pattern, claim in CLAIMS if claim == "fail")
+    expect_fail: tuple = CLAIMS
     scan_q_values: tuple = ()
 
     def params(self, q: complex | None = None) -> DeformParams:
@@ -214,11 +215,15 @@ def parse_config(path: str | Path) -> SuiteConfig:
 
 
 def _validate_config(config: SuiteConfig) -> None:
-    for q in (config.q, *config.scan_q_values):
+    try:  # DeformParams' messages name the faulty value, q or kappa
+        p = config.params()
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
+    for q in config.scan_q_values:
         try:
             config.params(q)
         except ParameterError as exc:
-            raise ConfigError(f"{exc} (q = {q})") from None
+            raise ConfigError(f"scan.q_values entry {q}: {exc}") from None
     if len(config.rep_dims) != len(config.rep_shifts) or not config.rep_dims:
         raise ConfigError("reps.dims and reps.shifts must be equal-length, non-empty")
     if not all(map(cmath.isfinite, config.rep_shifts)):
@@ -227,7 +232,6 @@ def _validate_config(config: SuiteConfig) -> None:
         raise ConfigError("family grid lists must have equal length")
     # every family point the suite builds, by HopfFamily's rules (none reads q);
     # the first is the canonical point, HopfFamily.canonical's K = -2 kappa - 1
-    p = config.params()
     for m, K, sign in ((0.5, -2 * config.kappa - 1, "lower"),
                        *zip(config.family_m, config.family_K, config.family_signs)):
         try:
@@ -352,9 +356,12 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
                  (f"{label}:antipode_inverse",
                   partial(rmatrix.check_antipode_inverse, spec, *pair_reps, win_pair)),
                  (f"{label}:counit", partial(rmatrix.check_counit, spec, *pair_reps))]
+        # the Yan relation is the published candidate's own claim: an invertible R
+        # that passes the intertwiners meets it iff Deltabar = T Delta, a fact of
+        # the coproducts that sorts no candidate
         rows += [(f"{label}:yan_relation_{gen}",
                   partial(rmatrix.check_yan_relation, spec, *pair_reps, gen, win_pair))
-                 for gen in ("N", "a")]
+                 for gen in ("N", "a") if spec.kind == "yan_claimed"]
 
     rows += [("sl2_relations", lambda: sl2bridge.check_sl2(sl2bridge.realize_sl2(rep_pair, 1.0))),
              ("sl2_casimir_central", partial(sl2bridge.casimir_centrality, Dp, p)),
@@ -365,7 +372,7 @@ def _cases(config: SuiteConfig, p: DeformParams) -> list[tuple]:
 
 def _run_case(case_id: str, fn) -> list[IdentityReport]:
     """The case's reports, its wall time split evenly over them; a case that
-    raises gives one error report."""
+    raises gives one failed report with its error."""
     started = time.perf_counter()
     try:
         result = fn()
@@ -375,7 +382,7 @@ def _run_case(case_id: str, fn) -> list[IdentityReport]:
                                   params={"case": case_id}, dims=[], window=0,
                                   raw_residual=float("nan"),
                                   normalized_residual=float("nan"),
-                                  verdict="info",
+                                  verdict="fail",
                                   error=f"{type(exc).__name__}: {exc}")]
     share = (time.perf_counter() - started) / max(len(reports), 1)
     for rep in reports:
@@ -384,23 +391,15 @@ def _run_case(case_id: str, fn) -> list[IdentityReport]:
 
 
 def _claim_matcher(expect_fail):
-    """The claim on keys: info when an info row of CLAIMS matches one of them,
-    else fail when an expect_fail pattern does, else pass.  The patterns'
-    fnmatch translations are one compiled regex, the info rows tried first."""
-    info = [pattern for pattern, claim in CLAIMS if claim == "info"]
-    regex = re.compile("|".join(
-        f"(?P<{claim}>{'|'.join(map(fnmatch.translate, patterns)) or '(?!)'})"
-        for claim, patterns in (("info", info), ("fail", expect_fail))))
-
-    def claim_of(*keys) -> str:
-        found = {match.lastgroup for match in map(regex.match, keys) if match}
-        return "info" if "info" in found else "fail" if found else "pass"
-    return claim_of
+    """The claim on keys: fail when an expect_fail pattern matches one of
+    them, else pass.  The patterns' fnmatch translations are one compiled regex."""
+    regex = re.compile("|".join(map(fnmatch.translate, expect_fail)) or "(?!)")
+    return lambda *keys: "fail" if any(map(regex.match, keys)) else "pass"
 
 
 def run_suite(config: SuiteConfig) -> list[IdentityReport]:
     """Run every case of the table in order, a case that raises giving an
-    error report, then apply CLAIMS to each report.
+    error report, then claim each report by expect_fail (CLAIMS by default).
 
     The rmatrix cases share each R, and the symalg cases their split
     coefficients and transfer tables; all are keyed by q and held for this
@@ -413,12 +412,9 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
         rmatrix.clear_caches()
         symalg.clear_caches()
     claim_of = _claim_matcher(config.expect_fail)
-    for rep in reports:  # a case that raised gave an info report already
-        claim = claim_of(f"{rep.params.get('rspec', '-')}:{rep.identity}", rep.identity)
-        if claim == "info":
-            rep.verdict = "info"
-        elif rep.verdict != "info":
-            rep.expected = claim
+    for rep in reports:  # a gray-zone verdict is reported, never claimed
+        if rep.verdict in ("pass", "fail"):
+            rep.expected = claim_of(f"{rep.params.get('rspec', '-')}:{rep.identity}", rep.identity)
     return reports
 
 

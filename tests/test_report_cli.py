@@ -19,8 +19,8 @@ from qboson import (DeformParams, build_rep, cli, fockrep, hopfops, q_number, qs
 from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.qscalars import check_qnum_inversion
-from qboson.report import (TOL, IdentityReport, compare, dump_matrix, frobenius, load_matrix,
-                           residual, verdict_of, worst)
+from qboson.report import (IdentityReport, compare, dump_matrix, frobenius, load_matrix, residual,
+                           verdict_of, worst)
 
 FAST_CONFIG = """
 # desk-scale smoke configuration
@@ -260,25 +260,20 @@ def test_run_suite_fast(fast_config):
     # every row's window is bound when the table is built
     assert [r.window for r in reports if r.identity == "casimir_scalar"] == [4]
     # verdict policy: the published candidate's antipode and counit legs are
-    # not claimed, and the Yan relation is claimed for that candidate only
+    # claimed failures, and only that candidate runs its Yan relation
     by_spec = {}
     for r in reports:
         by_spec.setdefault(r.params.get("rspec"), {})[r.identity] = r
     yan = by_spec.pop("yan_claimed")
-    assert [yan[name].verdict for name in ("antipode_inverse", "counit_left",
-                                           "counit_right")] == ["info"] * 3
-    for name in ("yan_relation_N", "yan_relation_a"):
+    for name in ("antipode_inverse", "counit_left", "counit_right",
+                 "yan_relation_N", "yan_relation_a"):
         assert yan[name].verdict == verdict_of(yan[name].normalized_residual) == "fail"
         assert yan[name].expected == "fail"
     assert {"quantum_double", "general_family(m=0.5,K=-1,lower)"} <= set(by_spec)
     for spec, named in by_spec.items():
-        if spec is None:
-            continue
-        for name in ("yan_relation_N", "yan_relation_a"):
-            assert named[name].verdict == "info" and named[name].expected is None
-        # the double does not satisfy the relation either; only the policy
-        # keeps that from counting as a failure
-        assert named["yan_relation_N"].normalized_residual > 100 * TOL
+        if spec is not None:
+            assert not [name for name in named if name.startswith("yan_relation")], spec
+            assert {r.verdict for r in named.values()} == {"pass"}, spec
 
 
 def window_too_small(*args, **kwargs):
@@ -362,7 +357,7 @@ def test_exit_code_errored_case():
     ok.expected = "pass"
     crashed = IdentityReport(identity="y", params={}, dims=[], window=0,
                              raw_residual=float("nan"), normalized_residual=float("nan"),
-                             verdict="info", error="WindowError: too small")
+                             verdict="fail", error="WindowError: too small")
     assert exit_code_for([ok, crashed]) == 1
 
 
@@ -455,11 +450,14 @@ def test_expected_for_patterns():
     claim_of = _claim_matcher(("*:coproduct_relation_C", "intertwiner_N"))
     assert claim_of("-:coproduct_relation_C", "coproduct_relation_C") == "fail"
     assert claim_of("quantum_double:intertwiner_N", "intertwiner_N") == "fail"
-    # an info row of CLAIMS wins over an expect_fail pattern on either key
-    claim_of = _claim_matcher(("*:yan_relation_*", "inverse_realization_y"))
-    assert claim_of("quantum_double:yan_relation_N", "yan_relation_N") == "info"
-    assert claim_of("-:inverse_realization_y", "inverse_realization_y") == "info"
-    assert claim_of("yan_claimed:yan_relation_N", "yan_relation_N") == "fail"
+    # a claim is fail or pass: CLAIMS has no other kind, and a key no
+    # expect_fail pattern matches must pass
+    claim_of = _claim_matcher(CLAIMS)
+    assert claim_of("yan_claimed:counit_left", "counit_left") == "fail"
+    assert claim_of("-:inverse_realization_y", "inverse_realization_y") == "fail"
+    assert claim_of("quantum_double:counit_left", "counit_left") == "pass"
+    assert claim_of("quantum_double:antipode_inverse", "antipode_inverse") == "pass"
+    assert _claim_matcher(())("-:inverse_realization_y", "inverse_realization_y") == "pass"
 
 
 EXPECT_KEYS = (
@@ -478,13 +476,10 @@ EXPECT_KEYS = (
     ("general*:yan_relation_[!N]", "*a*b*", "a.b", "[[]x]", "?"),
     ()], ids=("default", "with_marks", "classes", "none"))
 def test_expect_fail_regex_matches_like_fnmatch(patterns):
-    # one compiled alternation decides as the patterns one by one would, the
-    # info rows of CLAIMS before the expect_fail patterns
+    # one compiled alternation decides as the patterns one by one would
     claim_of = _claim_matcher(patterns)
-    info = [pattern for pattern, claim in CLAIMS if claim == "info"]
     for key in EXPECT_KEYS:
-        hit = lambda group: any(fnmatch.fnmatch(key, pattern) for pattern in group)
-        want = "info" if hit(info) else "fail" if hit(patterns) else "pass"
+        want = "fail" if any(fnmatch.fnmatch(key, pattern) for pattern in patterns) else "pass"
         assert claim_of(key) == want, (key, patterns)
 
 
@@ -492,13 +487,13 @@ def test_every_claims_row_matches_a_report(fast_config):
     # a row that matches no report of the reduced suite claims nothing
     keys = [(f"{r.params.get('rspec', '-')}:{r.identity}", r.identity)
             for r in run_suite(fast_config)]
-    for pattern, _ in CLAIMS:
+    for pattern in CLAIMS:
         assert any(fnmatch.fnmatch(k, pattern) for pair in keys for k in pair), pattern
 
 
-def test_empty_expect_fail_leaves_the_info_rows(tmp_path):
-    # with no fail patterns the published candidate's failures are unexpected,
-    # and the info rows are still not claimed
+def test_empty_expect_fail_makes_every_failure_unexpected(tmp_path):
+    # expect_fail replaces the whole table: with no pattern, each of the 16
+    # failures the table claims by default is unexpected, and nothing is info
     cfg, out = tmp_path / "suite.cfg", tmp_path / "report.json"
     cfg.write_text(FAST_CONFIG + "expect_fail = []\n", encoding="utf-8")
     assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
@@ -508,14 +503,46 @@ def test_empty_expect_fail_leaves_the_info_rows(tmp_path):
     assert unexpected == {"yan_claimed:intertwiner_a", "yan_claimed:intertwiner_adag",
                           "yan_claimed:yang_baxter", "yan_claimed:fusion_left",
                           "yan_claimed:fusion_right", "yan_claimed:yan_relation_N",
-                          "yan_claimed:yan_relation_a", "-:coproduct_relation_R2",
-                          "-:coproduct_relation_R3", "-:coproduct_relation_R4",
-                          "-:coproduct_relation_R5", "-:coproduct_relation_C"}
-    claim_of = _claim_matcher(())
-    info = [r for r in results if claim_of(
-        f"{r['params'].get('rspec', '-')}:{r['identity']}", r["identity"]) == "info"]
-    assert len(info) == 8  # 3 legs of the published candidate, 2 x 2 Yan relations, 1
-    assert all(r["verdict"] == "info" and "expected" not in r for r in info)
+                          "yan_claimed:yan_relation_a", "yan_claimed:antipode_inverse",
+                          "yan_claimed:counit_left", "yan_claimed:counit_right",
+                          "-:coproduct_relation_R2", "-:coproduct_relation_R3",
+                          "-:coproduct_relation_R4", "-:coproduct_relation_R5",
+                          "-:coproduct_relation_C", "-:inverse_realization_y"}
+    assert all(r["expected"] == r["verdict"] == "pass" for r in results
+               if f"{r['params'].get('rspec', '-')}:{r['identity']}" not in unexpected)
+
+
+def test_yan_relation_rows_run_for_the_published_candidate_only(fast_config):
+    # an invertible R that passes the intertwiners meets the Yan relation iff
+    # Deltabar = T Delta, so the row sorts no candidate but the one that claims it
+    yan_rows = [case_id for case_id, _ in _cases(fast_config, fast_config.params())
+                if "yan_relation" in case_id]
+    assert yan_rows == ["yan_claimed:yan_relation_N", "yan_claimed:yan_relation_a"]
+    config = replace(fast_config, rspecs=("quantum_double", "general:m=1,K=0,sign=upper"))
+    assert not [case_id for case_id, _ in _cases(config, config.params())
+                if "yan_relation" in case_id]
+
+
+def test_former_info_row_that_passes_exits_1(tmp_path, monkeypatch):
+    # the published candidate's counit read with the double's exponent passes,
+    # against its claim: the run must not exit 0
+    series = rmatrix._series
+
+    def double_exponent(spec, p):
+        own = series(spec, p)
+        if spec.kind != "yan_claimed":
+            return own
+        return replace(own, exponent=series(rmatrix.RSpec("quantum_double"), p).exponent)
+
+    monkeypatch.setattr(rmatrix, "_series", double_exponent)
+    out = tmp_path / "report.json"
+    assert main(["--q", "1.3", "--out", str(out), "verify"]) == 1
+    unexpected = {f"{r['params'].get('rspec', '-')}:{r['identity']}": r["verdict"]
+                  for r in json.loads(out.read_text())["results"]
+                  if r["verdict"] != r["expected"]}
+    # at the default dims its other claimed failures still fail: its
+    # coefficient and raising word differ from the double's too
+    assert unexpected == {"yan_claimed:counit_left": "pass", "yan_claimed:counit_right": "pass"}
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +583,7 @@ def test_cli_errored_cases_exit_1(tmp_path, monkeypatch, capsys):
     assert main(["--config", str(cfg), "--out", str(out), "verify"]) == 1
     errors = [r for r in json.loads(out.read_text())["results"] if "error" in r]
     assert errors and all(r["error"].startswith("WindowError") for r in errors)
+    assert all(r["verdict"] == "fail" for r in errors)  # it proved nothing: never info
     # the summary line counts them as errors, not as informational verdicts
     line = capsys.readouterr().out.strip().splitlines()[-1]
     counts = {k: int(v) for v, k in re.findall(r"(\d+) (\w+)", line)}
@@ -580,16 +608,30 @@ def test_cli_q_values_validated_up_front(capsys):
 
 
 def test_cli_q_flags_read_the_config_grammar(tmp_path, capsys):
-    # --q and --q-list values parse as a config's q does, so a non-finite one
-    # gives the config's message
-    cfg = tmp_path / "inf.cfg"
-    cfg.write_text("q = Infinity\n", encoding="utf-8")
-    assert main(["--config", str(cfg), "verify"]) == 2
-    want = capsys.readouterr().err
-    assert want == "error: q must be finite (q = (inf+0j))\n"
-    for argv in (["--q", "Infinity", "verify"], ["scan", "--q-list", "1.3, Infinity"]):
+    # --q and --q-list values parse as a config's q and scan.q_values do, so a
+    # non-finite one gives the config's message
+    finite, scan = "q must be finite", "scan.q_values entry (inf+0j): q must be finite"
+    (tmp_path / "q.cfg").write_text("q = Infinity\n", encoding="utf-8")
+    (tmp_path / "scan.cfg").write_text("q = 1.3\nscan.q_values = [1.2, Infinity]\n",
+                                       encoding="utf-8")
+    for argv, want in ((["--config", str(tmp_path / "q.cfg"), "verify"], finite),
+                       (["--q", "Infinity", "verify"], finite),
+                       (["--config", str(tmp_path / "scan.cfg"), "scan"], scan),
+                       (["scan", "--q-list", "1.3, Infinity"], scan)):
         assert main(argv) == 2
-        assert capsys.readouterr().err == want, argv
+        assert capsys.readouterr().err == f"error: {want}\n", argv
+
+
+def test_config_error_names_the_faulty_value(tmp_path, capsys):
+    # a kappa out of range is named as kappa, never tagged with q; a bad scan
+    # point is named as that scan.q_values entry
+    assert main(["--q", "1.3", "--kappa", "100000000000000000000", "verify"]) == 2
+    assert capsys.readouterr().err == \
+        "error: |kappa| must be at most 2**53, where integers are exact as floats\n"
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("q = 1.3\nscan.q_values = [1.2, 0, 1.4]\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "scan"]) == 2
+    assert capsys.readouterr().err == "error: scan.q_values entry 0j: q must be nonzero\n"
 
 
 def test_parse_config_tensor_cap_bounds_every_dimension(tmp_path):
@@ -859,8 +901,8 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
     forward = run(_cases(fast_config, p))
     backward = run(reversed(_cases(fast_config, p)))[::-1]
     rmatrix.clear_caches()
-    assert len(forward) == len(backward) == 53
-    assert len({case_id for case_id, _ in forward}) == 53  # each case runs once
+    assert len(forward) == len(backward) == 49
+    assert len({case_id for case_id, _ in forward}) == 49  # each case runs once
     assert not [case for case, reps in forward if any("error" in r for r in reps)]
     for (case_id, reports), (_, again) in zip(forward, backward):
         assert again == reports, case_id

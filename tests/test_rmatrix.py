@@ -298,7 +298,8 @@ def test_yan_relation(params):
     # the candidate named after the relation does not satisfy it
     rpt = check_yan_relation(YAN, rep, rep, "N", Window(4, guard=1))
     assert rpt.normalized_residual > 100 * TOL
-    # the double's R does not satisfy it either (the suite reports it as info)
+    # the double's R does not satisfy it either, so the suite runs it for the
+    # published candidate only
     rpt2 = check_yan_relation(QD, rep, rep, "N", Window(4, guard=1))
     assert rpt2.normalized_residual > 100 * TOL
 
