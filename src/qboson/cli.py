@@ -401,16 +401,13 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
     """Run every case of the table in order, a case that raises giving an
     error report, then claim each report by expect_fail (CLAIMS by default).
 
-    The rmatrix cases share each R, and the symalg cases their split
-    coefficients and transfer tables; all are keyed by q and held for this
-    run only.
+    The rmatrix cases share each R, keyed by q and held for this run only.
     """
     rows = _cases(config, config.params())
     try:
         reports = [rep for row in rows for rep in _run_case(*row)]
     finally:
         rmatrix.clear_caches()
-        symalg.clear_caches()
     claim_of = _claim_matcher(config.expect_fail)
     for rep in reports:  # a gray-zone verdict is reported, never claimed
         if rep.verdict in ("pass", "fail"):
@@ -419,8 +416,8 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
 
 
 def exit_code_for(reports: list[IdentityReport]) -> int:
-    for rep in reports:
-        if rep.error is not None:
+    for rep in reports:  # a crash or a non-finite residual proved nothing, claimed or not
+        if rep.error is not None or not cmath.isfinite(rep.normalized_residual):
             return 1
         if rep.verdict == "info":
             continue
@@ -520,8 +517,7 @@ def _cmd_scan(args) -> int:
     q_values = [_parse_q(s, "--q-list") for s in args.q_list.split(",")] \
         if args.q_list else list(config.scan_q_values)
     if not q_values:
-        print("scan: no q values given (use --q-list or scan.q_values)", file=sys.stderr)
-        return 2
+        raise ConfigError("scan: no q values given (use --q-list or scan.q_values)")
     _validate_config(replace(config, scan_q_values=tuple(q_values)))
     results = _scan_points(config, q_values)
     for idx, (q, (text, _)) in enumerate(zip(q_values, results)):

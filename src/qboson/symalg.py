@@ -38,7 +38,8 @@ splitting off f is one batched product of that vector with f's transfer
 weights, a lower-triangular (m, m') matrix per (k, t).  Vectors are
 memoized by suffix, so the words of one table share their tails.  The
 pairing table, the dual bracket and the cross straightening evaluate
-through this path, _word_table; clear_caches() empties its caches.
+through this path, _word_table; its split rows, transfer weights and
+suffix vectors live for that one call, so the module holds no state.
 
 The dual's Hopf structure is written once, as two tables on the atomic
 functionals: the opposite dual coproduct (_dual_coproduct) and the dual
@@ -100,23 +101,23 @@ def multiply(x: dict, y: dict, p: DeformParams) -> dict:
 # coproduct
 
 
-@functools.lru_cache(maxsize=None)
-def _split_row(k: int, p: DeformParams) -> tuple:
-    """c_r(k, 0) = e^{-i k alpha/2} [k r]_w i**(k-r) q**(r(k-r)/2), r = 0..k.
+def _split_rows(kmax: int, p: DeformParams) -> list[tuple]:
+    """Rows k = 0..kmax of c_r(k, 0) = e^{-i k alpha/2} [k r]_w i**(k-r) q**(r(k-r)/2).
 
     The Gaussian binomials [k r]_w in w = 1/q come from the Pascal rule
     [n r] = [n-1 r-1] + w**r [n-1 r], which divides by nothing: the product
     formula's 1 - w**j factors lose digits for q near 1.
     """
-    w_pow = [q_power(-r, p) for r in range(k + 1)]
-    gauss = [1.0 + 0.0j]
-    for n in range(1, k + 1):
-        gauss = [(gauss[r - 1] if r else 0.0) + (w_pow[r] * gauss[r] if r < n else 0.0)
-                 for r in range(n + 1)]
-    # the phase of Delta(adag), once per factor
-    phase = complex(np.exp(-1j * p.alpha / 2.0)) ** k
-    return tuple(phase * gauss[r] * 1j ** (k - r) * q_power(r * (k - r) / 2.0, p)
-                 for r in range(k + 1))
+    w_pow = [q_power(-r, p) for r in range(kmax + 1)]
+    phase = complex(np.exp(-1j * p.alpha / 2.0))  # the phase of Delta(adag), once per factor
+    gauss, rows = [1.0 + 0.0j], []
+    for n in range(kmax + 1):
+        if n:
+            gauss = [(gauss[r - 1] if r else 0.0) + (w_pow[r] * gauss[r] if r < n else 0.0)
+                     for r in range(n + 1)]
+        rows.append(tuple(phase ** n * gauss[r] * 1j ** (n - r) * q_power(r * (n - r) / 2.0, p)
+                          for r in range(n + 1)))
+    return rows
 
 
 def _cexp(z):
@@ -125,10 +126,10 @@ def _cexp(z):
     return np.exp(z) if isinstance(z, np.ndarray) else complex(np.exp(z))
 
 
-def _coproduct_coeff(k: int, r: int, t, p: DeformParams):
+def _coproduct_coeff(c0: complex, t, p: DeformParams):
     """c_r(k, t) = e^{-i t alpha/4} c_r(k, 0), the phase of Delta(q**(sN/2))
-    put on; elementwise when t is an integer array."""
-    return _cexp(-1j * (t / 4.0) * p.alpha) * _split_row(k, p)[r]
+    put on c0 = c_r(k, 0); elementwise when t is an integer array."""
+    return _cexp(-1j * (t / 4.0) * p.alpha) * c0
 
 
 def _coproduct_key(key: Key, p: DeformParams) -> dict:
@@ -145,9 +146,10 @@ def _coproduct_key(key: Key, p: DeformParams) -> dict:
         c_r(k, t) = e^{-i t alpha/4} e^{-i k alpha/2} [k r]_w i**(k-r) q**(r(k-r)/2).
     """
     k, m, t = key
+    row = _split_rows(k, p)[k]
     out: dict = {}
     for r in range(k + 1):
-        c_r = _coproduct_coeff(k, r, t, p)
+        c_r = _coproduct_coeff(row[r], t, p)
         for j in range(m + 1):
             out[((r, j, t - 2 * (k - r)), (k - r, m - j, t + 2 * r))] = c_r * math.comb(m, j)
     return _nonzero(out)
@@ -253,27 +255,27 @@ def _atomic_vector(f: tuple, box: tuple, p: DeformParams) -> np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=None)
-def _transfer_weights(f: tuple, box: tuple, p: DeformParams) -> np.ndarray:
+def _transfer_weights(f: tuple, box: tuple, rows: list, p: DeformParams) -> np.ndarray:
     """W[k, t, m, m'] with (f . w)[k, m, t] = sum_m' W[k, t, m, m'] w[k-d, m', t+2d]:
     f takes the leg E[d, m-m', t-2(k-d)] of Delta(E[k, m, t]) with
-    coefficient C(m, m') c_d(k, t)."""
+    coefficient C(m, m') c_d(k, t), read from the split rows up to the box's K."""
     K, M, t0, nt = box
     d = _degree(f)
     W = np.zeros((K + 1, nt, M + 1, M + 1), dtype=complex)
     ks, t = np.arange(d, K + 1), np.arange(t0, t0 + nt)
-    c = np.array([_coproduct_coeff(k, d, t, p) for k in ks]).reshape(-1, nt)
+    c = np.array([_coproduct_coeff(rows[k][d], t, p) for k in ks]).reshape(-1, nt)
     leg_t = t - 2 * (ks[:, None] - d)
     for j in range(M + 1):  # the Np power of f's leg; m' = m - j
         c_leg = c * eval_atomic(f, (d, j, leg_t), p)
         for m in range(j, M + 1):
             W[d:, :, m, m - j] = math.comb(m, j) * c_leg
-    W.flags.writeable = False
     return W
 
 
-def _word_vector(factors: tuple, box: tuple, p: DeformParams, memo: dict) -> np.ndarray:
-    """The word's values on every key of the box, memoized by suffix in memo.
+def _word_vector(factors: tuple, box: tuple, p: DeformParams, memo: dict,
+                 weights) -> np.ndarray:
+    """The word's values on every key of the box, memoized by suffix in memo;
+    weights(f) is f's transfer weights on the box.
 
     The rest is read at (k - d, t + 2d) by rolling its vector; what rolls
     in across the box's edges lands on keys no asked-for key splits into.
@@ -284,27 +286,22 @@ def _word_vector(factors: tuple, box: tuple, p: DeformParams, memo: dict) -> np.
         else:
             f, rest = factors[0], factors[1:]
             d = _degree(f)
-            w = np.roll(_word_vector(rest, box, p, memo), (d, -2 * d), axis=(0, 1))
-            memo[factors] = np.einsum("ktab,ktb->kta", _transfer_weights(f, box, p), w)
+            w = np.roll(_word_vector(rest, box, p, memo, weights), (d, -2 * d), axis=(0, 1))
+            memo[factors] = np.einsum("ktab,ktb->kta", weights(f), w)
     return memo[factors]
 
 
 def _word_table(words, keys, p: DeformParams) -> np.ndarray:
-    """Values of the dual words on the basis keys, shape (len(words), len(keys))."""
+    """Values of the dual words on the basis keys, shape (len(words), len(keys)).
+    The split rows, each functional's transfer weights and the suffix vectors
+    are built once for this call and dropped with it."""
     box = _grid_box(keys)
     k, m, t = (np.array(axis) for axis in zip(*keys))
+    rows = _split_rows(box[0], p)
+    weights = functools.cache(lambda f: _transfer_weights(f, box, rows, p))
     memo: dict = {}
-    return np.array([_word_vector(tuple(w), box, p, memo)[k, t - box[2], m] for w in words])
-
-
-def clear_caches() -> None:
-    """Empty the split-coefficient and transfer-weight caches.
-
-    Their keys hold DeformParams, so entries made at one q are never
-    reused at another; a sweep over q clears them after each point.
-    """
-    for cache in (_split_row, _transfer_weights):
-        cache.cache_clear()
+    return np.array([_word_vector(tuple(w), box, p, memo, weights)[k, t - box[2], m]
+                     for w in words])
 
 
 def dual_basis_factors(k: int, m: int) -> tuple:

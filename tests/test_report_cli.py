@@ -361,6 +361,30 @@ def test_exit_code_errored_case():
     assert exit_code_for([ok, crashed]) == 1
 
 
+def test_nan_claimed_failure_fails_the_run(tmp_path, monkeypatch):
+    # the published candidate's antipode_inverse is claimed to fail; a NaN
+    # there measured nothing, so it must not count as the claimed failure
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG, encoding="utf-8")
+    argv = ["--config", str(cfg), "--q", "1.3", "--out", str(tmp_path / "r.json"), "verify"]
+    assert main(argv) == 0
+    check = rmatrix.check_antipode_inverse
+
+    def planted(spec, *args):
+        rep = check(spec, *args)
+        if spec.kind == "yan_claimed":
+            rep.raw_residual = rep.normalized_residual = math.nan
+        return rep
+
+    monkeypatch.setattr(rmatrix, "check_antipode_inverse", planted)
+    assert main(argv) == 1
+    results = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["results"]
+    [nan] = [r for r in results if r["params"].get("rspec") == "yan_claimed"
+             and r["identity"] == "antipode_inverse"]
+    assert (nan["verdict"], nan["expected"], "error" in nan) == ("fail", "fail", False)
+    assert math.isnan(nan["normalized_residual"])
+
+
 def test_worst_fails_on_nan():
     # a NaN deviation is the largest, wherever it falls among the samples
     for devs in ([math.nan, 1e-12], [1e-12, math.nan], [math.nan]):
@@ -881,10 +905,12 @@ def test_cli_scan(tmp_path):
     assert (tmp_path / "scan_1.json").exists()
 
 
-def test_cli_scan_without_values_errors(tmp_path):
+def test_cli_scan_without_values_errors(tmp_path, capsys):
+    # a config error like any other: exit 2 and an 'error:' line
     cfg = tmp_path / "suite.cfg"
     cfg.write_text(FAST_CONFIG, encoding="utf-8")
     assert main(["--config", str(cfg), "scan"]) == 2
+    assert capsys.readouterr().err.startswith("error: scan: no q values given")
 
 
 def test_sampled_cases_do_not_depend_on_run_order(fast_config):
@@ -894,7 +920,6 @@ def test_sampled_cases_do_not_depend_on_run_order(fast_config):
 
     def run(rows):
         rmatrix.clear_caches()
-        symalg.clear_caches()
         return [(case_id, [r.as_dict() for r in _untimed(_run_case(case_id, fn))])
                 for case_id, fn in rows]
 
@@ -1035,48 +1060,6 @@ def test_cli_run_loads_no_numpy_random(tmp_path, command):
     assert done.returncode == 0, done.stderr[-2000:]
     assert "import time:" in done.stderr
     assert [ln for ln in done.stderr.splitlines() if "numpy.random" in ln] == []
-
-
-def _symalg_cache_sizes():
-    return (symalg._split_row.cache_info().currsize,
-            symalg._transfer_weights.cache_info().currsize)
-
-
-def test_scan_scopes_symalg_caches_to_one_q(tmp_path, monkeypatch):
-    # the caches are keyed by q; a scan must not carry one point's entries
-    # into the next: each suite run starts with them empty and clears them
-    # when it ends, as it clears rmatrix's held R
-    starts, ends = [], []
-    clear, suite = symalg.clear_caches, run_suite
-
-    def traced_clear():
-        ends.append(_symalg_cache_sizes())
-        clear()
-
-    def traced_run_suite(config):
-        starts.append(_symalg_cache_sizes())
-        return suite(config)
-
-    monkeypatch.setattr(symalg, "clear_caches", traced_clear)
-    monkeypatch.setattr(cli, "run_suite", traced_run_suite)
-    # a forked child's cache sizes cannot be seen here: run every point in
-    # this process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-    def scan(values):
-        cfg = tmp_path / "suite.cfg"
-        cfg.write_text(FAST_CONFIG + f"scan.q_values = [{values}]\n", encoding="utf-8")
-        clear()
-        starts.clear()
-        ends.clear()
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "s.json"), "scan"]) == 0
-        return list(starts), list(ends), _symalg_cache_sizes()
-
-    (_, (one_point,), after_one) = scan("1.4")
-    (started, (_, last_point), after_two) = scan("1.2, 1.4")
-    assert all(size > 0 for size in one_point)
-    assert last_point == one_point
-    assert started == [(0, 0)] * 2 and after_one == after_two == (0, 0)
 
 
 def test_run_suite_builds_each_r_once(fast_config, monkeypatch):

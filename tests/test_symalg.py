@@ -507,6 +507,24 @@ def test_pairing_gram_matches_recursive_evaluator(q):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_word_table_builds_its_tables_once_per_call(monkeypatch):
+    # one call builds the split rows once and each functional it splits off
+    # (every factor but a word's last) one transfer-weight table; nothing is
+    # kept for the next call
+    p, rows, weights = DeformParams(q=1.3), [], []
+    split_rows, transfer_weights = symalg._split_rows, symalg._transfer_weights
+    monkeypatch.setattr(symalg, "_split_rows",
+                        lambda kmax, p: rows.append(kmax) or split_rows(kmax, p))
+    monkeypatch.setattr(symalg, "_transfer_weights",
+                        lambda f, *args: weights.append(f) or transfer_weights(f, *args))
+    split_off = {f for k in range(6) for m in range(6) for f in dual_basis_factors(k, m)[:-1]}
+    assert len(split_off) == 7  # nu', beta and q**(-k nu/2) for k = 1..5
+    for calls in (1, 2):
+        pairing_gram(5, 5, p)
+        assert rows == [5] * calls
+        assert sorted(weights) == sorted(list(split_off) * calls)
+
+
 def test_dual_bracket(params):
     report = dual_bracket_check(params, lmax=4, nmax=4)
     assert report.raw_residual <= 1e-12
