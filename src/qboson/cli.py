@@ -399,7 +399,8 @@ def _claim_matcher(expect_fail):
 
 def run_suite(config: SuiteConfig) -> list[IdentityReport]:
     """Run every case of the table in order, a case that raises giving an
-    error report, then claim each report by expect_fail (CLAIMS by default).
+    error report, then claim each other report by expect_fail (CLAIMS by
+    default).
 
     The rmatrix cases share each R, keyed by q and held for this run only.
     """
@@ -409,8 +410,8 @@ def run_suite(config: SuiteConfig) -> list[IdentityReport]:
     finally:
         rmatrix.clear_caches()
     claim_of = _claim_matcher(config.expect_fail)
-    for rep in reports:  # a gray-zone verdict is reported, never claimed
-        if rep.verdict in ("pass", "fail"):
+    for rep in reports:  # a gray-zone verdict or a crash is reported, never claimed
+        if rep.error is None and rep.verdict in ("pass", "fail"):
             rep.expected = claim_of(f"{rep.params.get('rspec', '-')}:{rep.identity}", rep.identity)
     return reports
 

@@ -164,9 +164,8 @@ def relation_sides(rel: str, letters: dict, p: DeformParams) -> tuple[np.ndarray
     return lhs, letters[rhs] if isinstance(rhs, str) else np.diag(rhs(np.diag(letters["N"]), p))
 
 
-def check_relation(rep: FockRep, rel: str, window: Window | None = None) -> IdentityReport:
+def check_relation(rep: FockRep, rel: str, window: Window) -> IdentityReport:
     """Windowed residual of the relation RELATIONS[rel] in the representation."""
-    window = window or Window(rep.dim - 2, guard=1)
     return compare(f"relation_{rel}", {"q": str(rep.params.q), "c": str(rep.c)}, [rep.dim],
                    window.max_index, [window.cut(*relation_sides(rel, rep.letters(), rep.params))])
 

@@ -337,7 +337,7 @@ def sweedler_letter(letter, fam: HopfFamily) -> list[tuple[complex, GenWord, Gen
 # Hopf axiom suite
 
 
-def default_axiom_words(max_len: int = 3) -> list[GenWord]:
+def default_axiom_words(max_len: int) -> list[GenWord]:
     return [word(*combo) for n in range(1, max_len + 1)
             for combo in product(("N", "a", "adag"), repeat=n)]
 
@@ -358,14 +358,13 @@ def _delta2_on_columns(w: GenWord, images, W: int, pad: int) -> tuple[np.ndarray
 
 
 def check_hopf_axioms(fam: HopfFamily, rep: FockRep,
-                      sample: list[GenWord] | None = None) -> list[IdentityReport]:
+                      sample: list[GenWord]) -> list[IdentityReport]:
     """Residuals of the coassociativity, counit and antipode axioms, every side
     built letter by letter from letter images made once per call: Delta_2 on the
     window columns (_delta2_on_columns), the counit sides as products of the
     images (eps (x) id)Delta(l) and (id (x) eps)Delta(l), the antipode sides by
     A(x l) = sum S(l_(1)) A(x) l_(2) and B(l y) = sum l_(1) B(y) S(l_(2)), all
     memoized; residuals on the window, normalized by max(1, ||rhs||_F) there."""
-    sample = default_axiom_words() if sample is None else sample
     D, reports, eye = rep.dim, [], np.eye(rep.dim, dtype=complex)
     fam_tag = {"m": fam.m, "K": fam.K, "sign": fam.sign, "q": str(fam.params.q)}
     pad = max((len(w.letters) for w in sample), default=0)

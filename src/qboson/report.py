@@ -45,11 +45,16 @@ def residual(lhs: np.ndarray, rhs: np.ndarray, floor: float = 1.0) -> tuple[floa
     window: ||lhs - rhs||_F, and that over max(floor, ||rhs||_F).  The
     default floor keeps identities against zero matrices absolute; 1e-300
     lets a check whose absolute scale is moot divide by ||rhs||_F alone.
-    A comparison with no entries proves nothing, so it raises."""
+    A comparison with no entries proves nothing, so it raises; so does a
+    relative one (floor below 1) whose ||rhs||_F is zero or subnormal: a
+    right side that underflowed makes any left side that did too pass."""
     if np.size(diff := lhs - rhs) == 0:
         raise ValueError("the comparison has no entries (an empty window?)")
-    raw = frobenius(diff)
-    return raw, raw / max(floor, frobenius(rhs))
+    raw, scale = frobenius(diff), frobenius(rhs)
+    if floor < 1.0 and scale < np.finfo(float).tiny:
+        raise ValueError(f"the right side's norm {scale:.3g} is zero or subnormal, "
+                         "so the relative residual proves nothing (an underflowed R?)")
+    return raw, raw / max(floor, scale)
 
 
 @dataclass
@@ -105,23 +110,3 @@ def dump_matrix(matrix: np.ndarray, path: str | Path) -> Path:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
-
-def load_matrix(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing '# rows cols' header")
-    head = lines[0][1:].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}")
-    rows, cols = int(head[0]), int(head[1])
-    mat = np.zeros((rows, cols), dtype=complex)
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{ln}: expected 'row col re im'")
-        i, j = int(parts[0]), int(parts[1])
-        mat[i, j] = float(parts[2]) + 1j * float(parts[3])
-    return mat

@@ -190,16 +190,15 @@ def _echo(spec: RSpec, p: DeformParams, extra: dict | None = None) -> dict:
     return {"rspec": spec.label(), "q": str(p.q), "kappa": p.kappa, **unit, **(extra or {})}
 
 
-def _pair_setup(spec: RSpec, rep1: FockRep, rep2: FockRep, window: Window | None,
-                gen: str = ""):
-    """(the candidate's family, held R, validated window, Delta(gen) blocks or
-    without gen the identity's)."""
+def _pair_setup(spec: RSpec, rep1: FockRep, rep2: FockRep, window: Window, gen: str = ""):
+    """(the candidate's family, held R, Delta(gen) blocks or without gen the
+    identity's), once the window is validated."""
     if gen not in ("", "N", "a", "adag"):
         raise ParameterError(f"generator must be N, a or adag, not {gen!r}")
-    (win := window or Window(min(rep1.dim, rep2.dim) - 2, guard=1)).validate(rep1.dim, rep2.dim)
+    window.validate(rep1.dim, rep2.dim)
     R, fam = _held_r(spec, rep1, rep2), family_for(spec, rep1.params)
-    return fam, R, win, (_coproduct_blocks(gen, fam, rep1, rep2) if gen
-                         else _word_blocks(word(), (rep1.dim, rep2.dim), None))
+    return fam, R, (_coproduct_blocks(gen, fam, rep1, rep2) if gen
+                    else _word_blocks(word(), (rep1.dim, rep2.dim), None))
 
 
 def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.ndarray,
@@ -214,12 +213,12 @@ def _twisted_report(name: str, spec: RSpec, fam: HopfFamily, gen: str, left: np.
 
 
 def check_intertwiner(spec: RSpec, rep1: FockRep, rep2: FockRep, gen: str,
-                      window: Window | None = None) -> IdentityReport:
+                      window: Window) -> IdentityReport:
     """(T Delta(gen)) R = R Delta(gen) on the window, over ||R Delta(gen)||_F."""
-    fam, R, win, dg = _pair_setup(spec, rep1, rep2, window, gen)
+    fam, R, dg = _pair_setup(spec, rep1, rep2, window, gen)
     tdg = _coproduct_blocks(gen, fam, rep1, rep2, opposite=True)
     return _twisted_report("intertwiner", spec, fam, gen, tdg, R, dg, (rep1.dim, rep2.dim),
-                           win.max_index)
+                           window.max_index)
 
 
 @functools.cache
@@ -346,13 +345,13 @@ def _antipode_blocks(spec: RSpec, fam: HopfFamily, rep1: FockRep, rep2: FockRep)
 
 
 def check_antipode_inverse(spec: RSpec, rep1: FockRep, rep2: FockRep,
-                           window: Window | None = None) -> IdentityReport:
+                           window: Window) -> IdentityReport:
     """R ((S (x) I)R) = ((S (x) I)R) R = I on the window, per pair sector;
     normalized by max(1, ||I||_F) on the window."""
-    fam, R, win, eye = _pair_setup(spec, rep1, rep2, window)
+    fam, R, eye = _pair_setup(spec, rep1, rep2, window)
     p, dims = fam.params, (rep1.dim, rep2.dim)
-    Rinv, cut = _antipode_blocks(spec, fam, rep1, rep2), _mask(dims, 0, win.max_index)
-    return compare("antipode_inverse", _echo(spec, p), list(dims), win.max_index,
+    Rinv, cut = _antipode_blocks(spec, fam, rep1, rep2), _mask(dims, 0, window.max_index)
+    return compare("antipode_inverse", _echo(spec, p), list(dims), window.max_index,
                    ((prod[cut], eye[cut]) for prod in (R @ Rinv, Rinv @ R)))
 
 
@@ -373,9 +372,9 @@ def check_counit(spec: RSpec, rep1: FockRep, rep2: FockRep) -> list[IdentityRepo
 
 
 def check_yan_relation(spec: RSpec, rep1: FockRep, rep2: FockRep, gen: str,
-                       window: Window | None = None) -> IdentityReport:
+                       window: Window) -> IdentityReport:
     """Residual of R Delta(gen) - Deltabar(gen) R, with Deltabar built at 1/q."""
-    fam, R, win, dg = _pair_setup(spec, rep1, rep2, window, gen)
+    fam, R, dg = _pair_setup(spec, rep1, rep2, window, gen)
     dbar = _coproduct_blocks(gen, qbar_family(fam), rep1, rep2)
     return _twisted_report("yan_relation", spec, fam, gen, dbar, R, dg, (rep1.dim, rep2.dim),
-                           win.max_index)
+                           window.max_index)

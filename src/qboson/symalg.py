@@ -313,12 +313,11 @@ def dual_basis_factors(k: int, m: int) -> tuple:
 # pairing against the closed form
 
 
-def pairing_closed_form(k: int, m: int, l: int, n: int, p: DeformParams) -> complex:
-    """delta_{kl} delta_{mn} n! (-i)^k q^{k(k+1)/4} / gamma^n * prod_j [j/2]."""
-    if k != l or m != n:
-        return 0.0 + 0.0j
-    return (math.factorial(n) * ((-1j) ** k) * q_power(k * (k + 1) / 4.0, p)
-            / (p.gamma ** n) * half_index_product(k, p))
+def pairing_closed_form(k: int, m: int, p: DeformParams) -> complex:
+    """The diagonal entry m! (-i)^k q^{k(k+1)/4} / gamma^m * prod_j [j/2] of
+    the pairing table at (k, m); the table vanishes off the diagonal."""
+    return (math.factorial(m) * ((-1j) ** k) * q_power(k * (k + 1) / 4.0, p)
+            / (p.gamma ** m) * half_index_product(k, p))
 
 
 def pairing_gram(kmax: int, mmax: int, p: DeformParams) -> np.ndarray:
@@ -334,14 +333,14 @@ def pairing_check(kmax: int, mmax: int, p: DeformParams) -> IdentityReport:
     The entries grow like n!/gamma^n, so for q near 1 only the normalized
     residual can pass."""
     pairs = [(k, m) for k in range(kmax + 1) for m in range(mmax + 1)]
-    # the closed form vanishes off the diagonal
-    want = np.diag([pairing_closed_form(k, m, k, m, p) for k, m in pairs])
+    want = np.diag([pairing_closed_form(k, m, p) for k, m in pairs])
     return compare("pairing_eqn", {"kmax": kmax, "mmax": mmax, "q": str(p.q)},
                    [kmax + 1, mmax + 1], kmax, [(pairing_gram(kmax, mmax, p), want)])
 
 
-def dual_bracket_check(p: DeformParams, lmax: int = 4, nmax: int = 4) -> IdentityReport:
-    """[nu, beta] = -beta on every tie basis element."""
+def dual_bracket_check(p: DeformParams) -> IdentityReport:
+    """[nu, beta] = -beta on every tie basis element up to degree 4."""
+    lmax = nmax = 4
     keys = [(l, n, 2 * l) for l in range(lmax + 1) for n in range(nmax + 1)]
     nu_beta, beta_nu, beta = _word_table([(NU, BETA), (BETA, NU), (BETA,)], keys, p)
     return compare("dual_bracket", {"lmax": lmax, "nmax": nmax, "q": str(p.q)},
@@ -382,7 +381,7 @@ def _dual_coproduct(f: tuple, p: DeformParams) -> list[tuple[complex, tuple, tup
     raise ParameterError(f"no dual coproduct rule for {f!r}")
 
 
-def dual_hopf_check(p: DeformParams, deg: int = 3) -> IdentityReport:
+def dual_hopf_check(p: DeformParams, deg: int) -> IdentityReport:
     """Both dual tables against the primal structure, on every row that the
     straightening reads (eps, nu, beta, q**(+-nu/2)) and the tie keys up to
     deg: (T Delta0(f), x (x) y) = (f, y x) and ((S0)^{-1}(f), x) = (f, S^{-1}(x)).
@@ -452,7 +451,7 @@ def straighten_cross(fname: str, xname: str, p: DeformParams) -> dict:
 
 
 def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
-                           grid: int = 3) -> tuple[np.ndarray, np.ndarray]:
+                           grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Two x*f term dicts as elements of the double, side by side: terms are
     grouped by primal key, and each group's dual part is evaluated on all tie
     basis elements up to the grid degree.  Returns both sides' values, one

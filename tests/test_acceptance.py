@@ -71,7 +71,7 @@ def test_criterion_3_pairing_reproduction():
 def test_criterion_4_dual_bracket():
     worst = 0.0
     for q in Q_BOTH:
-        rpt = dual_bracket_check(DeformParams(q=q), lmax=4, nmax=4)
+        rpt = dual_bracket_check(DeformParams(q=q))
         worst = max(worst, rpt.raw_residual)
     criterion(4, f"[nu, beta] + beta vanishes (raw residual {worst:.2e} <= 1e-12)",
               worst <= 1e-12)

@@ -19,8 +19,8 @@ from qboson import (DeformParams, build_rep, cli, fockrep, hopfops, q_number, qs
 from qboson.cli import (CLAIMS, ConfigError, SuiteConfig, _cases, _claim_matcher, _run_case,
                         emit_report, exit_code_for, main, parse_config, parse_rspec, run_suite)
 from qboson.qscalars import check_qnum_inversion
-from qboson.report import (IdentityReport, compare, dump_matrix, frobenius, load_matrix, residual,
-                           verdict_of, worst)
+from qboson.report import (IdentityReport, compare, dump_matrix, frobenius, residual, verdict_of,
+                           worst)
 
 FAST_CONFIG = """
 # desk-scale smoke configuration
@@ -100,9 +100,15 @@ def test_residual_floor_bounds_the_denominator():
     # the unit floor keeps a residual against a small or zero rhs absolute
     assert residual(2 * small, small) == (pytest.approx(2e-3), pytest.approx(2e-3))
     assert residual(small, zero) == (pytest.approx(2e-3), pytest.approx(2e-3))
-    # the 1e-300 floor divides by ||rhs||_F, and by 1e-300 when rhs is zero
+    # the 1e-300 floor divides by ||rhs||_F alone; a zero or subnormal rhs,
+    # which an underflowed R gives, proves nothing, so it raises
     assert residual(2 * small, small, floor=1e-300)[1] == pytest.approx(1.0)
-    assert residual(small, zero, floor=1e-300)[1] == pytest.approx(2e297)
+    assert residual(small, np.full((2, 2), 1e-300), floor=1e-300)[1] == pytest.approx(1e297)
+    for rhs in (zero, np.full((2, 2), 1e-310)):
+        with pytest.raises(ValueError, match="zero or subnormal"):
+            residual(small, rhs, floor=1e-300)
+        with pytest.raises(ValueError, match="zero or subnormal"):
+            residual(zero, rhs, floor=1e-300)
 
 
 def test_dump_matrix_format(tmp_path):
@@ -115,24 +121,23 @@ def test_dump_matrix_format(tmp_path):
     assert float(lines[1].split()[2]) == 1.0
 
 
+def _read_dump(path) -> np.ndarray:
+    """A dump read back: the '# rows cols' header, then 'row col re im' lines."""
+    rows, cols = map(int, Path(path).read_text(encoding="utf-8").split("\n", 1)[0][1:].split())
+    i, j, re_, im = np.loadtxt(path, ndmin=2).T  # the header is a '#' comment
+    mat = np.zeros((rows, cols), dtype=complex)
+    mat[i.astype(int), j.astype(int)] = re_ + 1j * im
+    return mat
+
+
 def test_dump_matrix_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     mat = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
     mat[1, 2] = 0.0
     path = dump_matrix(mat, tmp_path / "m.mtx")
-    back = load_matrix(path)
+    back = _read_dump(path)
     assert back.shape == (5, 4)
     assert np.abs(back - mat).max() <= 1e-16  # 17 significant digits round-trip
-
-
-def test_load_matrix_rejects_malformed(tmp_path):
-    bad = tmp_path / "bad.mtx"
-    bad.write_text("0 0 1.0 0.0\n")
-    with pytest.raises(ValueError):
-        load_matrix(bad)
-    bad.write_text("# 2 2\n0 0 1.0\n")
-    with pytest.raises(ValueError):
-        load_matrix(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +390,50 @@ def test_nan_claimed_failure_fails_the_run(tmp_path, monkeypatch):
     assert math.isnan(nan["normalized_residual"])
 
 
+def test_crashed_case_carries_no_claim(tmp_path, monkeypatch):
+    # a case that raises proved nothing: its error report is claimed neither
+    # way, not even where its row's claim is fail, and it fails the run
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(FAST_CONFIG, encoding="utf-8")
+    argv = ["--config", str(cfg), "--q", "1.3", "--out", str(tmp_path / "r.json"), "verify"]
+    check = rmatrix.check_antipode_inverse
+
+    def planted(spec, *args):
+        if spec.kind == "yan_claimed":
+            raise ArithmeticError("planted")
+        return check(spec, *args)
+
+    monkeypatch.setattr(rmatrix, "check_antipode_inverse", planted)
+    assert main(argv) == 1
+    results = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["results"]
+    [crashed] = [r for r in results if "error" in r]
+    assert crashed["params"] == {"case": "yan_claimed:antipode_inverse"}
+    assert (crashed["verdict"], crashed["error"]) == ("fail", "ArithmeticError: planted")
+    assert "expected" not in crashed
+
+
+#: the cases whose right side vanishes at q = 1.3, kappa = 3: every check that
+#: divides by its right side alone, on the double's and the published R
+VANISHED_AT_KAPPA_3 = sorted(
+    [f"{spec}:{name}" for spec in ("quantum_double", "yan_claimed")
+     for name in ("intertwiner_N", "intertwiner_a", "intertwiner_adag", "yang_baxter", "fusion")]
+    + ["yan_claimed:yan_relation_N", "yan_claimed:yan_relation_a"])
+
+
+def test_underflowed_r_matrix_checks_are_errors(tmp_path):
+    # at kappa = 3, R's factor exp(-alpha^2/gamma) underflows at q = 1.3, so R
+    # is all zeros and these checks compare two zero sides: each is an error
+    # report, never a pass, and the run exits 1
+    out = tmp_path / "k3.json"
+    with np.errstate(all="ignore"):  # the antipode_inverse checks overflow to NaN
+        assert main(["--q", "1.3", "--kappa", "3", "--out", str(out), "verify"]) == 1
+    results = json.loads(out.read_text(encoding="utf-8"))["results"]
+    errors = [r for r in results if "error" in r]
+    assert sorted(r["params"]["case"] for r in errors) == VANISHED_AT_KAPPA_3
+    for rep in errors:
+        assert "zero or subnormal" in rep["error"] and "expected" not in rep, rep
+
+
 def test_worst_fails_on_nan():
     # a NaN deviation is the largest, wherever it falls among the samples
     for devs in ([math.nan, 1e-12], [1e-12, math.nan], [math.nan]):
@@ -405,8 +454,10 @@ def test_compare_takes_each_largest_separately():
     rpt = compare("c", {}, [4], 3, [big, small])
     assert rpt.raw_residual == residual(*big)[0] and rpt.normalized_residual == residual(*small)[1]
     assert (rpt.identity, rpt.dims, rpt.window, rpt.verdict) == ("c", [4], 3, "fail")
-    assert compare("c", {}, [4], 3, iter([small]), floor=1e-300).normalized_residual == \
-        residual(*small, floor=1e-300)[1]
+    assert compare("c", {}, [4], 3, iter([big]), floor=1e-300).normalized_residual == \
+        residual(*big, floor=1e-300)[1]
+    with pytest.raises(ValueError, match="zero or subnormal"):  # small's rhs is zero
+        compare("c", {}, [4], 3, [big, small], floor=1e-300)
     nan = compare("c", {}, [4], 3, [small, (np.full(4, math.nan), np.zeros(4))])
     assert nan.verdict == "fail" and math.isnan(nan.raw_residual)
 
@@ -840,7 +891,7 @@ def test_cli_rmatrix_dump(tmp_path):
     code = main(["--q", "1.3", "--dim", "6", "--dump-dir", str(tmp_path), "rmatrix",
                  "--rspec", "quantum_double"])
     assert code == 0
-    mat = load_matrix(tmp_path / "rmatrix_quantum_double.mtx")
+    mat = _read_dump(tmp_path / "rmatrix_quantum_double.mtx")
     assert mat.shape == (36, 36)
 
 
@@ -849,7 +900,7 @@ def test_cli_pairing(tmp_path, capsys):
                  "--kmax", "1", "--mmax", "1"])
     assert code == 0
     assert "pairing deviation" in capsys.readouterr().out
-    assert load_matrix(tmp_path / "pairing_gram.mtx").shape == (4, 4)
+    assert _read_dump(tmp_path / "pairing_gram.mtx").shape == (4, 4)
 
 
 def test_flags_override_config_fields(tmp_path):
@@ -870,10 +921,10 @@ def test_cli_pairing_reads_config_degrees(tmp_path):
     cfg = tmp_path / "pairing.cfg"
     cfg.write_text("q = 1.3\npairing.kmax = 1\npairing.mmax = 1\n", encoding="utf-8")
     assert main(["--config", str(cfg), "--dump-dir", str(tmp_path / "a"), "pairing"]) == 0
-    assert load_matrix(tmp_path / "a" / "pairing_gram.mtx").shape == (4, 4)
+    assert _read_dump(tmp_path / "a" / "pairing_gram.mtx").shape == (4, 4)
     assert main(["--config", str(cfg), "--dump-dir", str(tmp_path / "b"), "pairing",
                  "--kmax", "2"]) == 0
-    assert load_matrix(tmp_path / "b" / "pairing_gram.mtx").shape == (6, 6)
+    assert _read_dump(tmp_path / "b" / "pairing_gram.mtx").shape == (6, 6)
 
 
 def test_cli_pairing_near_one_prints_both_residuals(monkeypatch, capsys):

@@ -18,7 +18,7 @@ from qboson.rmatrix import (RSpec, _antipode_blocks, _dressed_powers, _ladder, _
                             check_intertwiner, check_yan_relation, check_yang_baxter,
                             family_for)
 from test_hopfops import coproduct_op, opposite_coproduct_op, qbar_coproduct_op, scatter
-from test_fockrep import window_block, window_indices, windowed_residual
+from test_fockrep import ZONES, window_block, window_indices, windowed_residual
 
 QD = RSpec(kind="quantum_double")
 YAN = RSpec(kind="yan_claimed")
@@ -147,9 +147,9 @@ def test_pairwise_checks_reject_mismatched_kappa():
     rep1 = build_rep(6, 0.5, DeformParams(q=1.3, kappa=1))
     for a, b in ((rep0, rep1), (rep1, rep0)):
         for call in (lambda: build_r(QD, a, b), lambda: check_counit(QD, a, b),
-                     lambda: check_intertwiner(QD, a, b, "N"),
-                     lambda: check_antipode_inverse(QD, a, b),
-                     lambda: check_yan_relation(YAN, a, b, "a")):
+                     lambda: check_intertwiner(QD, a, b, "N", Window(4, guard=1)),
+                     lambda: check_antipode_inverse(QD, a, b, Window(4, guard=1)),
+                     lambda: check_yan_relation(YAN, a, b, "a", Window(4, guard=1))):
             with pytest.raises(ParameterError, match="share DeformParams"):
                 call()
 
@@ -227,10 +227,13 @@ def test_yang_baxter(params):
 
 
 def test_yang_baxter_near_classical():
+    # at q = 1 + 1e-6 the double's R carries exp(-alpha^2/gamma), which
+    # underflows: R is all zeros, both sides vanish and nothing is proved
     p = DeformParams(q=1.0 + 1e-6)
     rep = build_rep(8, 0.5, p)
-    rpt = check_yang_baxter(QD, rep, rep, rep)
-    assert rpt.normalized_residual <= 1e-8
+    assert not build_r(QD, rep, rep).any()
+    with pytest.raises(ValueError, match="zero or subnormal"):
+        check_yang_baxter(QD, rep, rep, rep)
 
 
 def test_intertwiners_near_classical_do_not_overflow():
@@ -241,7 +244,7 @@ def test_intertwiners_near_classical_do_not_overflow():
     spec = RSpec("general_family", m=1.0, K=0, sign="upper")
     rep = build_rep(8, 0.5, p)
     for gen in ("N", "a", "adag"):
-        rpt = check_intertwiner(spec, rep, rep, gen)
+        rpt = check_intertwiner(spec, rep, rep, gen, Window(6, guard=1))
         assert math.isfinite(rpt.raw_residual), gen
         assert rpt.normalized_residual <= 1e-13, gen
         assert rpt.verdict == "pass", gen
@@ -354,9 +357,11 @@ def _scaled_norm(x):
 
 
 def _dense_windowed(lhs, rhs, D, window):
-    """Windowed ||lhs - rhs||_F / ||rhs||_F with the 1e-300 floor."""
+    """Windowed ||lhs - rhs||_F / ||rhs||_F with the 1e-300 floor; None when
+    ||rhs||_F is zero or subnormal, where the check must raise."""
     raw = _scaled_norm(window_block(lhs - rhs, (D, D, D), window))
-    return raw / max(_scaled_norm(window_block(rhs, (D, D, D), window)), 1e-300)
+    den = _scaled_norm(window_block(rhs, (D, D, D), window))
+    return None if den < np.finfo(float).tiny else raw / max(den, 1e-300)
 
 
 def _dense_legs(spec, rep):
@@ -407,6 +412,7 @@ _q_values = (
 @given(q=_q_values, D=st.integers(4, 9), spec=st.sampled_from([QD, YAN, GF]))
 @example(q=1.0131156636588128, D=4, spec=GF)  # entries ~1e247: squared norms overflow
 @example(q=1.015625, D=4, spec=YAN)  # the published R's entries underflow when squared
+@example(q=1.000001, D=5, spec=QD)  # R underflows to zero: both checks raise
 def test_sector_checks_match_dense_oracle(q, D, spec):
     p = DeformParams(q=q)
     rep = build_rep(D, 0.5, p)
@@ -414,13 +420,18 @@ def test_sector_checks_match_dense_oracle(q, D, spec):
     wmax = (D - 1) // 2
     window = Window(wmax, guard=wmax)
     with np.errstate(all="ignore"):
-        yb = check_yang_baxter(spec, rep, rep, rep)
-        fusion = check_fusion(spec, rep, rep, rep)
         dense = [dense_yang_baxter(spec, rep, window), *dense_fusion(spec, fam, rep, window)]
-    for rpt, want in zip([yb, *fusion], dense):
-        assert rpt.window == wmax
-        assert _agrees(rpt.normalized_residual, want), (rpt.identity, rpt.normalized_residual, want)
-        assert rpt.verdict == verdict_of(want), rpt.identity
+        for check, want in ((lambda: [check_yang_baxter(spec, rep, rep, rep)], dense[:1]),
+                            (lambda: check_fusion(spec, rep, rep, rep), dense[1:])):
+            if None in want:  # a right side that underflowed proves nothing
+                with pytest.raises(ValueError, match="zero or subnormal"):
+                    check()
+                continue
+            for rpt, w in zip(check(), want):
+                assert rpt.window == wmax
+                assert _agrees(rpt.normalized_residual, w), \
+                    (rpt.identity, rpt.normalized_residual, w)
+                assert rpt.verdict == verdict_of(w), rpt.identity
 
 
 @pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
@@ -479,8 +490,7 @@ def dense_pair_checks(spec, fam, rep, window):
     """{identity: (raw, normalization, rounding scale)} of the pairwise checks
     from dense D^2 x D^2 products.  The rounding scale bounds the products'
     rounding error over u: ||A||_F ||B||_F summed over the products formed."""
-    D = rep.dim
-    win = window or Window(D - 2, guard=1)
+    D, win = rep.dim, window
     R = dense_r(spec, rep, rep)
     norm = np.linalg.norm
 
@@ -520,7 +530,6 @@ def dense_pair_checks(spec, fam, rep, window):
     return out
 
 
-ZONES = ("pass", "info", "fail")  # verdicts in order of the normalized residual
 _pair_q = (st.floats(0.5, 0.9) | st.floats(1.1, 2.2)
            | st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.5, 2.2), st.floats(0.05, 1.2))
            | st.just(0.8))
@@ -537,14 +546,14 @@ def test_pair_sector_checks_match_dense_oracle(q, D, spec, W):
     p = DeformParams(q=q)
     rep = build_rep(D, 0.5, p)
     fam = family_for(spec, p)
-    window = None if W is None else Window(min(W, D - 2), guard=1)
+    window = Window(D - 2 if W is None else min(W, D - 2), guard=1)
     dense = dense_pair_checks(spec, fam, rep, window)
     del dense["yan_relation_N_stripped"]  # a diagnostic the checks do not report
     reports = []
     for check, name, gens in ((check_intertwiner, "intertwiner", ("N", "a", "adag")),
                               (check_yan_relation, "yan_relation", ("N", "a"))):
         for g in gens:
-            if g != "N" and window is not None and window.max_index == 0:
+            if g != "N" and window.max_index == 0:
                 # the one window state (0, 0) joins no two states a ladder connects
                 with pytest.raises(ValueError, match="no entries"):
                     check(spec, rep, rep, g, window)
