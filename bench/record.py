@@ -13,7 +13,9 @@ each side's root, with run.py's own run length:
   peak_rss_mb over the runs, with the pairs the change won;
 * one traced verify run each, ``run.py --workload verify --trace 1
   --seed 7``: the per-layer metrics;
-* ``slope.py 8 12 16 20 24`` for each side;
+* ``slope.py 8 12 16 20 24`` in 5 alternated repeats per side (the side
+  that runs first alternates), summarized per D and metric as median and
+  quartiles over the repeats;
 * the interpreter, numpy version, core count, the parent's commit, the
   change's base commit with a digest of its uncommitted src/ diff, and
   whether PYTHONDONTWRITEBYTECODE is set (then every round recompiles
@@ -44,6 +46,7 @@ END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
 RUNS = 10
 SEED0 = 101
 SLOPE_DIMS = (8, 12, 16, 20, 24)
+SLOPE_REPEATS = 5
 SLOPE_COLUMNS = ("dims_triple", "yang_baxter_s", "fusion_s", "rmatrix_self_s")
 
 
@@ -83,14 +86,20 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def end_to_end(sides: dict, workload: str) -> dict:
+def alternated(sides: dict, repeats: int, what: str, run) -> dict:
+    """Side name -> [run(checkout, i) for i < repeats], both sides once per i,
+    the side that runs first alternating with i."""
     results = {name: [] for name in sides}
-    for i in range(RUNS):
-        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        for name in order:
-            print(f"{workload} pair {i + 1}/{RUNS}: {name}", file=sys.stderr, flush=True)
-            results[name].append(run_json(sides[name], "--workload", workload,
-                                          "--seed", str(SEED0 + i)))
+    for i in range(repeats):
+        for name in list(sides) if i % 2 == 0 else list(sides)[::-1]:
+            print(f"{what} {i + 1}/{repeats}: {name}", file=sys.stderr, flush=True)
+            results[name].append(run(sides[name], i))
+    return results
+
+
+def end_to_end(sides: dict, workload: str) -> dict:
+    results = alternated(sides, RUNS, f"{workload} pair", lambda checkout, i: run_json(
+        checkout, "--workload", workload, "--seed", str(SEED0 + i)))
     out = {"seeds": [SEED0 + i for i in range(RUNS)]}
     for metric in END_TO_END:
         values = {name: [r["metrics"][metric]["value"] for r in results[name]]
@@ -115,12 +124,16 @@ def traced_verify(sides: dict) -> dict:
 
 
 def slope(sides: dict) -> dict:
-    out = {}
-    for name, checkout in sides.items():
-        print(f"slope: {name}", file=sys.stderr, flush=True)
+    """Per side and D, each of slope.py's metrics over the alternated repeats."""
+    def table(checkout: Path, i: int) -> list[list[float]]:
         lines = perfbench(checkout, "slope.py", *map(str, SLOPE_DIMS)).splitlines()[1:]
-        out[name] = [dict(zip(SLOPE_COLUMNS, (int(f[0]), *map(float, f[1:4]))))
-                     for f in (line.split() for line in lines)]
+        return [[float(f) for f in line.split()[1:len(SLOPE_COLUMNS)]] for line in lines]
+
+    out = {}
+    for name, tables in alternated(sides, SLOPE_REPEATS, "slope repeat", table).items():
+        out[name] = [{SLOPE_COLUMNS[0]: D, **{metric: summary([t[d][c] for t in tables])
+                                              for c, metric in enumerate(SLOPE_COLUMNS[1:])}}
+                     for d, D in enumerate(SLOPE_DIMS)]
     return out
 
 
@@ -136,11 +149,13 @@ def main(argv: list[str] | None = None) -> int:
         doc = {
             "what": ("perfbench/run.py end-to-end metrics of the parent and the change in "
                      "alternated pairs; per-run values are each run's median over its "
-                     "rounds, median/q1/q3 are taken over the runs"),
+                     "rounds, median/q1/q3 are taken over the runs; slope.py's table "
+                     "likewise over alternated repeats, per D and metric"),
             "commands": {
                 "end_to_end": "python3 perfbench/run.py --workload W --seed S",
                 "traced": "python3 perfbench/run.py --workload verify --trace 1 --seed 7",
-                "slope": "python3 perfbench/slope.py " + " ".join(map(str, SLOPE_DIMS)),
+                "slope": (f"python3 perfbench/slope.py {' '.join(map(str, SLOPE_DIMS))}, "
+                          f"{SLOPE_REPEATS} alternated repeats per side"),
                 "record": f"python3 bench/record.py --parent {parent_rev} --out {args.out.name}",
             },
             "environment": {

@@ -30,9 +30,10 @@ rep pair) until clear_caches(), in the one two-leg layout of hopfops,
 whose _coproduct_blocks gives Delta's letter stacks.  Delta(a) maps pair
 sector s to s - 1, Delta(adag) to s + 1 and Delta(N) keeps it, so the
 pairwise residuals are small (s + deg, s) block products.  The triple products are
-block-diagonal in n1 + n2 + n3, where R12, R13 and R23 are direct sums
-of pair-sector blocks: Yang-Baxter and fusion multiply through those
-(_r_chains), and fusion's Delta ladders are pair-sector stacks (_ladder).
+block-diagonal in n1 + n2 + n3; in each triple sector, R12, R13 and R23 are
+one dense block each, gathered from R's pair-sector stack: Yang-Baxter and
+fusion multiply those blocks (_r_chains), and fusion's Delta ladders are
+pair-sector stacks (_ladder).
 Verdicts hold on a leak-free window; the triple products raise the
 middle factor by up to the window size, so there 2W <= D - 1 rather
 than the pairwise W + 1 <= D - 1.  Every report goes through
@@ -223,63 +224,53 @@ def check_intertwiner(spec: RSpec, rep1: FockRep, rep2: FockRep, gen: str,
 
 @functools.cache
 def _triple_layout(dims: tuple[int, int, int], wmax: int) -> tuple:
-    """The triple sectors n1 + n2 + n3 <= 3 wmax, independent of q.  R_ab raises
-    n_a and lowers n_b by the same k, so along a product of R-legs n1 only
-    rises, n3 only falls and n2 rises by at most what n3 falls: between window
-    states (every n_i <= wmax) it passes only through states with n1, n3 <=
-    wmax and n2 <= 2 wmax.  Orders those states by sector and returns the row and
-    column states of every window-block entry; the window states' positions w in
-    that order, their columns in their sector's block and (row, column) pairs over
-    each block; for R12, R13, R23 a grid of pair-sector blocks (legs, each row's
-    pair sector and slots, the states there or -1, each state's place); and for
-    fusion's ladders each entry's row and column slots in its (n1, n2) and
-    (n2, n3) pair sectors."""
+    """The triple sectors n1 + n2 + n3 = s <= 3 wmax, independent of q.  R_ab
+    raises n_a and lowers n_b by the same k, so along a product of R-legs n1
+    only rises, n3 only falls and n2 rises by at most what n3 falls: between
+    window states (every n_i <= wmax) it passes only through states with n1, n3
+    <= wmax and n2 <= 2 wmax.  Orders those states by sector, window states
+    first, and returns the row and column states of every window-block entry;
+    per sector the number of states and of window states; and for R12, R13,
+    R23 an index into R_ab's flattened block stack with a zero appended, at
+    each entry of each sector's block in turn, the zero where the leg's
+    untouched factor differs."""
     n = np.indices((wmax + 1, min(2 * wmax + 1, dims[1]), wmax + 1)).reshape(3, -1)
     n = n[:, n.sum(axis=0) <= 3 * wmax]
-    states = n[:, np.argsort(n.sum(axis=0), kind="stable")]
-    total, w = states.sum(axis=0), np.flatnonzero((states <= wmax).all(axis=0))
+    n = n[:, np.lexsort(((n > wmax).any(axis=0), n.sum(axis=0)))]
+    total, window = n.sum(axis=0), (n <= wmax).all(axis=0)
+    size = np.bincount(total)
+    m, first = size[total], np.repeat(np.cumsum(size) - size, size)  # of each state's sector
+    u = np.repeat(np.arange(len(m)), m)  # u, v: every block entry's states, row-major
+    v = np.arange(len(u)) + np.repeat(first - np.cumsum(m) + m, m)
     legs = []
     for a, b, f in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):  # R_ab leaves leg f alone
-        slot = _pair_sectors(dims[a], dims[b])[3][states[a], states[b]]
-        key = total * dims[f] + states[f]
-        order = np.lexsort((slot, key))
-        keys, first, count = np.unique(key[order], return_index=True, return_counts=True)
-        rank = np.arange(count.max())
-        take, pad = np.minimum(first[:, None] + rank, len(order) - 1), rank >= count[:, None]
-        pos, place = np.where(pad, -1, order[take]), np.full(len(order) + 1, pad.size)
-        place[pos[~pad]] = np.flatnonzero(~pad)
-        legs.append((a, b, keys // dims[f] - keys % dims[f], slot[order][take], pos, place))
-    col = np.arange(len(w)) - np.searchsorted(total[w], total[w])
-    r, c = np.nonzero(total[w][:, None] == total[w])
-    rows, cols = states[:, w[r]], states[:, w[c]]
-    slot12, slot23 = _pair_sectors(*dims[:2])[3], _pair_sectors(*dims[1:])[3]
-    slots = (slot12[rows[0], rows[1]], slot12[cols[0], cols[1]],
-             slot23[rows[1], rows[2]], slot23[cols[1], cols[2]])
-    return rows, cols, w, col, (r, c), legs, slots
+        i, _, _, slot = _pair_sectors(dims[a], dims[b])
+        P, at = i.shape[1], slot[n[a], n[b]]
+        row = (n[a] + n[b]) * P + at  # each state's (pair sector, slot) in R_ab's stack
+        legs.append(np.where(n[f][u] == n[f][v], row[u] * P + at[v], i.size * P))
+    r, c = (x[window[u] & window[v]] for x in (u, v))
+    return n[:, r], n[:, c], list(zip(size.tolist(), np.bincount(total[window]).tolist())), legs
 
 
 def _r_chains(spec: RSpec, reps: tuple[FockRep, FockRep, FockRep], wmax: int, *chains):
-    """Every window-block entry of products of R-legs, all sectors at once:
-    (row states, column states, per chain of legs 0, 1, 2 for R12, R13, R23
-    the entries of their product); a leg is one batched product on its grid."""
-    rows, cols, w, col, (r, c), legs, _ = _triple_layout(tuple(x.dim for x in reps), wmax)
-    blocks = []
-    for a, b, sec, slot, pos, _ in legs:
-        R = _held_r(spec, reps[a], reps[b])[sec[:, None, None], slot[:, :, None], slot[:, None, :]]
-        blocks.append(np.where(pos[:, None, :] >= 0, R, 0))  # padding columns read zeros
-    def product(chain: tuple[int, ...]) -> np.ndarray:
-        z = place = None  # the last leg's result on its grid, plus a zero row
-        for leg in chain[::-1]:
-            (G, P, _), (*_, pos, at) = blocks[leg].shape, legs[leg]
-            out = np.zeros((G * P + 1, col.max() + 1), dtype=complex)
-            if z is None:  # on the window's unit columns the product is a gather
-                g, p = np.divmod(at[w], P)
-                out[:-1].reshape(G, P, -1)[g, :, col] = blocks[leg][g, :, p]
-            else:
-                np.matmul(blocks[leg], z[place[pos]], out=out[:-1].reshape(G, P, -1))
-            z, place = out, at
-        return z[place[w]][r, col[c]]
-    return rows, cols, [product(chain) for chain in chains]
+    """Every window-block entry of products of R-legs: (row states, column
+    states, per chain of legs 0, 1, 2 for R12, R13, R23 the entries of their
+    product).  Per sector each leg is one dense block gathered from R's block
+    stack, and a chain is plain products from its window rows to its window
+    columns."""
+    rows, cols, sizes, legs = _triple_layout(tuple(x.dim for x in reps), wmax)
+    flat = [np.append(_held_r(spec, reps[a], reps[b]), 0)[index]
+            for (a, b), index in zip(((0, 1), (0, 2), (1, 2)), legs)]
+    out, start, end = np.empty((len(chains), rows.shape[1]), dtype=complex), 0, 0
+    for m, w in sizes:
+        blocks = [g[start:start + m * m].reshape(m, m) for g in flat]
+        start, end = start + m * m, end + w * w
+        for prod, (first, *middle, last) in zip(out, chains):
+            z = blocks[last][:, :w]
+            for leg in middle[::-1]:
+                z = blocks[leg] @ z
+            np.matmul(blocks[first][:w], z, out=prod[end - w * w:end].reshape(w, w))
+    return rows, cols, out
 
 
 def check_yang_baxter(spec: RSpec, rep1: FockRep, rep2: FockRep, rep3: FockRep) -> IdentityReport:
@@ -313,17 +304,17 @@ def check_fusion(spec: RSpec, rep1: FockRep, rep2: FockRep,
     fam, W = family_for(spec, p), (min(dims) - 1) // 2  # the middle factor rises by up to W
     (n1, n2, n3), (m1, m2, m3), (left, right) = _r_chains(spec, reps, W, (1, 2), (1, 0))
     series, (N1, N2, N3) = _series(spec, p), (x.n_diag() for x in reps)
-    *_, (row12, col12, row23, col23) = _triple_layout(dims, W)
+    slot12, slot23 = _pair_sectors(*dims[:2])[3], _pair_sectors(*dims[1:])[3]
     dn12, dn23 = (np.add.outer(a, b).reshape(-1) + fam.beta_const for a, b in ((N1, N2), (N2, N3)))
     sides = (
         ("fusion_left", q_power(series.exponent(dn12, N3), p), m3 - n3, left,
          _ladder("adag", series.su, fam, rep1, rep2, W),
          _dressed_powers(rep3.matA, series.sv, N3, W + 1, p),
-         (m1 + m2, row12, col12), (n3, m3)),
+         (m1 + m2, slot12[n1, n2], slot12[m1, m2]), (n3, m3)),
         ("fusion_right", q_power(series.exponent(N1, dn23), p), n1 - m1, right,
          _dressed_powers(rep1.matAdag, series.su, N1, W + 1, p),
          _ladder("a", series.sv, fam, rep2, rep3, W),
-         (n1, m1), (m2 + m3, row23, col23)))
+         (n1, m1), (m2 + m3, slot23[n2, n3], slot23[m2, m3])))
     return [compare(name, _echo(spec, p), list(dims), W, [(_series_sum(
         series, pref.reshape(dims)[n1, n2, n3], raising, lowering, k, up, low), rhs)],
         floor=1e-300) for name, pref, k, rhs, raising, lowering, up, low in sides]

@@ -37,9 +37,9 @@ values on a grid of basis keys (k, m, t), sized by the keys asked about;
 splitting off f is one batched product of that vector with f's transfer
 weights, a lower-triangular (m, m') matrix per (k, t).  Vectors are
 memoized by suffix, so the words of one table share their tails.  The
-pairing table, the dual bracket and the cross straightening evaluate
-through this path, _word_table; its split rows, transfer weights and
-suffix vectors live for that one call, so the module holds no state.
+pairing table and the dual bracket evaluate through this path,
+_word_table; its split rows, transfer weights and suffix vectors live for
+that one call, so the module holds no state.
 
 The dual's Hopf structure is written once, as two tables on the atomic
 functionals: the opposite dual coproduct (_dual_coproduct) and the dual
@@ -459,7 +459,7 @@ def cross_terms_difference(lhs: dict, rhs: dict, p: DeformParams,
     row = {xk: n for n, xk in enumerate(dict.fromkeys(xk for xk, _ in (*lhs, *rhs)))}
     functionals = list(dict.fromkeys(f for _, f in (*lhs, *rhs)))
     keys = [(l, n, 2 * l) for l in range(grid + 1) for n in range(grid + 1)]
-    table = dict(zip(functionals, _word_table([(f,) for f in functionals], keys, p)))
+    table = {f: np.array([eval_atomic(f, k, p) for k in keys], complex) for f in functionals}
     sides = np.zeros((2, len(row), len(keys)), dtype=complex)
     for side, terms in zip(sides, (lhs, rhs)):
         for (xk, f), c in terms.items():

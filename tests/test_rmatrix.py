@@ -649,34 +649,42 @@ def test_ladder_stacks_match_dense_powers(q, D, spec):
             assert np.abs(dense - want_k).max() <= 1e-13 * np.abs(want_k).max(), (gen, k)
 
 
-def dense_leg_sectors(spec, rep, wmax):
+def dense_leg_sectors(spec, reps, wmax):
     """Per triple sector s <= 3 wmax, over every state with n1 + n2 + n3 = s:
     s, the states, the window positions and the whole R12, R13, R23 blocks
-    read from the dense R, an identity leg as an equality mask."""
-    D = rep.dim
-    R = build_r(spec, rep, rep)
-    leg = lambda i, j, other: R[(i * D + j)[:, None], i * D + j] * (other[:, None] == other)
-    states = np.indices((D, D, D)).reshape(3, -1)
+    read from the dense R of each leg's pair of reps, an identity leg as an
+    equality mask."""
+    def leg(a, b, states, other):
+        R, i, j = build_r(spec, reps[a], reps[b]), states[a], states[b]
+        return R[(i * reps[b].dim + j)[:, None], i * reps[b].dim + j] * (other[:, None] == other)
+
+    states = np.indices([rep.dim for rep in reps]).reshape(3, -1)
     total = states.sum(axis=0)
     for s in range(3 * wmax + 1):
-        n1, n2, n3 = sector = states[:, total == s]
+        sector = states[:, total == s]
         w = np.flatnonzero((sector <= wmax).all(axis=0))
-        yield s, sector, w, (leg(n1, n2, n3), leg(n1, n3, n2), leg(n2, n3, n1))
+        yield s, sector, w, (leg(0, 1, sector, sector[2]), leg(0, 2, sector, sector[1]),
+                             leg(1, 2, sector, sector[0]))
+
+
+TRIPLE_DIMS = [pytest.param((D,) * 3, id=str(D)) for D in range(4, 10)] + [
+    pytest.param(dims, id="x".join(map(str, dims))) for dims in ((6, 9, 7), (9, 6, 8))]
 
 
 @pytest.mark.parametrize("q", ORACLE_Q)
-@pytest.mark.parametrize("D", range(4, 10))
+@pytest.mark.parametrize("dims", TRIPLE_DIMS)
 @pytest.mark.parametrize("spec", [QD, YAN, GF], ids=lambda s: s.kind)
-def test_sector_products_match_dense_blocks(q, D, spec):
-    # the products through the pair-sector blocks on the restricted states are
-    # the window blocks of the whole triple-sector block products
+def test_sector_products_match_dense_blocks(q, dims, spec):
+    # the products of the per-sector leg blocks on the restricted states are
+    # the window blocks of the whole triple-sector block products, also when
+    # each leg's pair of reps has its own dims
     p = DeformParams(q=q)
-    rep = build_rep(D, 0.5, p)
-    wmax = (D - 1) // 2
+    reps = tuple(build_rep(D, 0.5, p) for D in dims)
+    wmax = (min(dims) - 1) // 2
     chains = ((0, 1, 2), (2, 1, 0), (1, 2), (1, 0))
-    rows, cols, products = _r_chains(spec, (rep,) * 3, wmax, *chains)
+    rows, cols, products = _r_chains(spec, reps, wmax, *chains)
     sizes = []
-    for s, sector, w, blocks in dense_leg_sectors(spec, rep, wmax):
+    for s, sector, w, blocks in dense_leg_sectors(spec, reps, wmax):
         mine, window = np.flatnonzero(rows.sum(axis=0) == s), sector[:, w]
         assert np.array_equal(rows[:, mine], np.repeat(window, len(w), axis=1))
         assert np.array_equal(cols[:, mine], np.tile(window, len(w)))
